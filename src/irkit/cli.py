@@ -16,19 +16,16 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import data, metrics, pipeline
+from . import data, formalisms, metrics, pipeline
 from . import sparql as sparql_ir
-from . import sql as sql_ir
 from .data import ExampleRecord, QuarantineEntry
 from .errors import ConfigError, IrkitError
 
 
-def _add_common(parser: argparse.ArgumentParser, *, formalism=True,
-                rir_flags=False, sep=False, dict_flag=False,
-                input_required=True) -> None:
-    if formalism:
-        parser.add_argument("--formalism", required=True,
-                            choices=pipeline.FORMALISMS)
+def _add_common(parser: argparse.ArgumentParser, *, rir_flags=False,
+                sep=False, dict_flag=False, input_required=True) -> None:
+    parser.add_argument("--formalism", required=True,
+                        choices=pipeline.FORMALISMS)
     if rir_flags:
         parser.add_argument("--no-merge", action="store_true",
                             help="do not merge shared-key conjuncts (sparql)")
@@ -70,21 +67,25 @@ def _tokenizer(spec: str) -> Callable[[str], list[str]]:
                       "(expected 'whitespace' or 'vocab:<path>')")
 
 
-def _load_relation_dict(args, records: Sequence[ExampleRecord],
-                        needed: bool) -> sparql_ir.RelationDictionary | None:
-    """Load the sidecar if present; otherwise build it from the input corpus
-    and persist it so that later invocations invert consistently."""
-    path = getattr(args, "dict_path", None)
+def _relation_dict(args, required: bool,
+                   corpus: Sequence[ExampleRecord] | None = None,
+                   ) -> sparql_ir.RelationDictionary | None:
+    """The ``--dict`` sidecar, for a formalism whose z_r uses one.  An
+    absent file is built from ``corpus`` and saved, so that later
+    invocations invert consistently."""
+    if not formalisms.get(args.formalism).needs_dict:
+        return None
+    path = args.dict_path
     if path is None:
-        if needed:
+        if required:
             raise ConfigError("--dict is required for sparql IR transforms")
         return None
     if Path(path).exists():
         return sparql_ir.RelationDictionary.load(path)
-    if not records:
+    if not corpus:
         raise ConfigError(f"dictionary {path!r} does not exist and there is "
                           "no corpus to build it from")
-    queries = [sparql_ir.parse_sparql(r.y) for r in records]
+    queries = [sparql_ir.parse_sparql(r.y) for r in corpus]
     rdict = sparql_ir.build_relation_dict(queries)
     rdict.save(path)
     print(f"built relation dictionary with {len(rdict.forward)} entries "
@@ -120,38 +121,23 @@ def _program_column(path: str, formalism: str) -> list[str]:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     records = data.read_records(args.input, args.formalism)
+    formalism = formalisms.get(args.formalism)
     options = _rir_options(args)
-    if args.ir == "varify" and args.formalism != "sparql":
-        raise ConfigError("--ir varify is only defined for sparql")
-    if args.ir == "template" and args.formalism != "sql":
-        raise ConfigError("--ir template is only defined for sql")
+    of_program = {"varify": formalism.varify, "template": formalism.template}
+    if args.ir in of_program and of_program[args.ir] is None:
+        raise ConfigError(f"--ir {args.ir} is not defined for "
+                          f"{args.formalism}")
+    transform = {"rir": pipeline.reversible_ir, "lir": pipeline.lossy_ir,
+                 "lir+rir": pipeline.lossy_reversible_ir}.get(
+        args.ir, lambda r, cfg: of_program[args.ir](formalism.parse(r.y)))
     rdict = None
-    if (args.formalism == "sparql" and args.ir in ("rir", "lir+rir")
-            and options.shorten_relations):
-        rdict = _load_relation_dict(args, records, needed=True)
+    if args.ir in ("rir", "lir+rir") and options.shorten_relations:
+        rdict = _relation_dict(args, required=True, corpus=records)
     cfg = pipeline.PipelineConfig(args.formalism, rir_options=options,
                                   relation_dict=rdict)
-
-    outputs: list[tuple[str, str]] = []
-    quarantined: list[QuarantineEntry] = []
-    for record in records:
-        try:
-            if args.ir == "rir":
-                value = pipeline.reversible_ir(record, cfg)
-            elif args.ir == "lir":
-                value = pipeline.lossy_ir(record, cfg)
-            elif args.ir == "lir+rir":
-                value = pipeline.lossy_reversible_ir(record, cfg)
-            elif args.ir == "varify":
-                value = sparql_ir.varify(sparql_ir.parse_sparql(record.y))
-            else:  # template
-                value = sql_ir.sql_template_signature(
-                    sql_ir.parse_sql(record.y))
-        except IrkitError as exc:
-            quarantined.append(QuarantineEntry(record.id, "transform",
-                                               str(exc)))
-            continue
-        outputs.append((record.id, value))
+    outputs, quarantined = pipeline.quarantine_map(
+        [(r.id, r) for r in records], lambda _, r: transform(r, cfg),
+        "transform")
     data.write_pairs_tsv(args.output, outputs)
     print(f"transform --ir {args.ir}: {len(outputs)} ok, "
           f"{len(quarantined)} quarantined -> {args.output}")
@@ -160,23 +146,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     rows = data.read_pairs_tsv(args.input)
-    rdict = None
-    if args.formalism == "sparql":
-        if not args.dict_path or not Path(args.dict_path).exists():
-            raise ConfigError("inverting sparql IRs requires an existing "
-                              "--dict sidecar")
-        rdict = sparql_ir.RelationDictionary.load(args.dict_path)
-    cfg = pipeline.PipelineConfig(args.formalism, relation_dict=rdict)
-
-    outputs: list[tuple[str, str]] = []
-    quarantined: list[QuarantineEntry] = []
-    for record_id, text in rows:
-        try:
-            outputs.append((record_id, pipeline.invert_reversible(text, cfg)))
-        except IrkitError as exc:
-            quarantined.append(QuarantineEntry(record_id, "invert",
-                                               str(exc)))
-            outputs.append((record_id, ""))
+    cfg = pipeline.PipelineConfig(args.formalism,
+                                  relation_dict=_relation_dict(args, True))
+    outputs, quarantined = pipeline.quarantine_map(
+        rows, lambda _, text: pipeline.invert_reversible(text, cfg),
+        "invert", keep_failed=True)
     data.write_pairs_tsv(args.output, outputs)
     print(f"invert: {len(outputs) - len(quarantined)} ok, "
           f"{len(quarantined)} flagged -> {args.output}")
@@ -185,68 +159,53 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     records = data.read_records(args.input, args.formalism)
-    mode = pipeline.check_mode(args.mode)
+    row = pipeline.check_mode(args.mode)
     options = _rir_options(args)
     rdict = None
-    needs_dict = (args.formalism == "sparql" and options.shorten_relations
-                  and (mode in (pipeline.RIR, *pipeline.RIR_COMPOSED_MODES)))
-    if needs_dict:
-        rdict = _load_relation_dict(args, records, needed=True)
+    if options.shorten_relations and row.inverts():
+        rdict = _relation_dict(args, required=True, corpus=records)
     cfg = pipeline.PipelineConfig(args.formalism, separator=args.sep,
                                   rir_options=options, relation_dict=rdict,
                                   cat_budget=args.cat_budget)
-    if args.stage == 1:
-        result = pipeline.prepare_stage1(records, mode, cfg)
-    else:
-        result = pipeline.prepare_stage2(records, mode, cfg)
+    prepare = (pipeline.prepare_stage1 if args.stage == 1
+               else pipeline.prepare_stage2)
+    result = prepare(records, args.mode, cfg)
     data.write_stage_tsv(args.output,
                          [(p.id, p.source, p.target) for p in result.pairs])
-    print(f"prepare --mode {mode} --stage {args.stage}: "
+    print(f"prepare --mode {args.mode} --stage {args.stage}: "
           f"{len(result.pairs)} staged, {len(result.quarantined)} "
           f"quarantined -> {args.output}")
-    if mode == pipeline.LIR_CAT and result.n_over_budget:
+    if result.n_over_budget:
         print(f"note: {result.n_over_budget} target(s) exceed the "
               f"{args.cat_budget}-token budget (kept, not truncated)")
     return _write_quarantine(args, result.quarantined)
 
 
 def cmd_postprocess(args: argparse.Namespace) -> int:
-    mode = pipeline.check_mode(args.mode)
+    row = pipeline.check_mode(args.mode)
     options = _rir_options(args)
-    rdict = None
-    if args.formalism == "sparql":
-        inverting = (mode == pipeline.RIR and args.stage == 1) or (
-            mode in pipeline.RIR_COMPOSED_MODES and args.stage == 2)
-        if inverting and options.shorten_relations and not args.dict_path:
-            raise ConfigError("inverting sparql IRs with truncated relation "
-                              "names requires --dict")
-        if args.dict_path:
-            rdict = sparql_ir.RelationDictionary.load(args.dict_path)
+    rdict = _relation_dict(args, options.shorten_relations
+                           and row.inverts(args.stage))
     cfg = pipeline.PipelineConfig(args.formalism, separator=args.sep,
                                   rir_options=options, relation_dict=rdict)
     records = (data.read_records(args.data, args.formalism)
                if args.data else None)
     preds = data.read_pairs_tsv(args.input) if args.input else None
-    if preds is None and not (args.stage == 1 and mode == pipeline.LIR_ORACLE):
+    if preds is None and not (args.stage == 1 and row.reads_gold_ir):
         raise ConfigError("--in (model predictions) is required for this "
                           "mode and stage")
 
+    what = "final prediction(s)"
     if args.stage == 1:
-        result = pipeline.postprocess_stage1(preds, mode, cfg, records)
-        if result.final is not None:
-            data.write_pairs_tsv(args.output, result.final)
-            print(f"postprocess --stage 1: {len(result.final)} final "
-                  f"prediction(s) -> {args.output}")
-        else:
-            data.write_pairs_tsv(args.output, result.stage2_sources)
-            print(f"postprocess --stage 1: {len(result.stage2_sources)} "
-                  f"stage-2 source(s) -> {args.output}")
-        flagged = result.flagged
+        result = pipeline.postprocess_stage1(preds, args.mode, cfg, records)
+        rows, flagged = result.final, result.flagged
+        if rows is None:
+            rows, what = result.stage2_sources, "stage-2 source(s)"
     else:
-        final, flagged = pipeline.finalize(preds, mode, cfg, records)
-        data.write_pairs_tsv(args.output, final)
-        print(f"postprocess --stage 2: {len(final)} final prediction(s) "
-              f"-> {args.output}")
+        rows, flagged = pipeline.finalize(preds, args.mode, cfg, records)
+    data.write_pairs_tsv(args.output, rows)
+    print(f"postprocess --stage {args.stage}: {len(rows)} {what} "
+          f"-> {args.output}")
     return _write_quarantine(args, flagged)
 
 
@@ -354,6 +313,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except IrkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IrkitError
 
@@ -36,29 +36,52 @@ class QuarantineEntry:
 _SCAN_LINE_RE = re.compile(r"IN:\s*(?P<x>.*?)\s*OUT:\s*(?P<y>.*)")
 
 
-def _check_field(value: str, what: str, record_id: str) -> str:
+def check_field(value: str, what: str, record_id: str) -> str:
     if "\t" in value or "\n" in value:
         raise IrkitError(
             f"{what} of record {record_id!r} contains a tab or newline")
     return value
 
 
-def read_records_jsonl(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
-    records = []
+def _lines(path: str | Path, strip=str.strip) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) for each line not blank after strip."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IrkitError(f"{path}:{lineno}: invalid JSON: {exc}")
-            try:
-                records.append(ExampleRecord(str(obj["id"]), obj["x"],
-                                             obj["y"], formalism))
-            except KeyError as exc:
-                raise IrkitError(f"{path}:{lineno}: missing field {exc}")
+            line = strip(line)
+            if line:
+                yield lineno, line
+
+
+def _tsv_rows(path: str | Path, n_columns: int, empty_last: bool = False,
+              ) -> Iterator[tuple[int, list[str]]]:
+    """Tab-split lines; with ``empty_last`` a line may omit an empty last
+    column."""
+    for lineno, line in _lines(path, lambda line: line.rstrip("\n")):
+        parts = line.split("\t")
+        if empty_last and len(parts) == n_columns - 1:
+            parts.append("")
+        if len(parts) != n_columns:
+            raise IrkitError(f"{path}:{lineno}: expected {n_columns} "
+                             f"columns, got {len(parts)}")
+        yield lineno, parts
+
+
+def read_records_jsonl(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
+    records = []
+    for lineno, line in _lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IrkitError(f"{path}:{lineno}: invalid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise IrkitError(f"{path}:{lineno}: not a JSON object")
+        try:
+            record_id, x, y = str(obj["id"]), obj["x"], obj["y"]
+        except KeyError as exc:
+            raise IrkitError(f"{path}:{lineno}: missing field {exc}")
+        if not (isinstance(x, str) and isinstance(y, str)):
+            raise IrkitError(f"{path}:{lineno}: x and y must be strings")
+        records.append(ExampleRecord(record_id, x, y, formalism))
     return records
 
 
@@ -72,34 +95,19 @@ def write_records_jsonl(path: str | Path,
 
 def read_records_tsv(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
     """2-column adapter: utterance <tab> program, ids are line numbers."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise IrkitError(f"{path}:{lineno + 1}: expected 2 columns, "
-                                 f"got {len(parts)}")
-            records.append(ExampleRecord(str(lineno), parts[0], parts[1],
-                                         formalism))
-    return records
+    return [ExampleRecord(str(lineno - 1), x, y, formalism)
+            for lineno, (x, y) in _tsv_rows(path, 2)]
 
 
 def read_scan_records(path: str | Path) -> list[ExampleRecord]:
     """Adapter for ``IN: <command> OUT: <actions>`` lines."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            match = _SCAN_LINE_RE.fullmatch(line)
-            if not match:
-                raise IrkitError(f"{path}:{lineno + 1}: not an IN:/OUT: line")
-            records.append(ExampleRecord(str(lineno), match.group("x"),
-                                         match.group("y"), "scan"))
+    for lineno, line in _lines(path):
+        match = _SCAN_LINE_RE.fullmatch(line)
+        if not match:
+            raise IrkitError(f"{path}:{lineno}: not an IN:/OUT: line")
+        records.append(ExampleRecord(str(lineno - 1), match.group("x"),
+                                     match.group("y"), "scan"))
     return records
 
 
@@ -118,51 +126,27 @@ def read_records(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
 
 def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
     """(id, value) rows; the value may be empty for flagged rows."""
-    pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = [parts[0], ""]
-            if len(parts) != 2:
-                raise IrkitError(f"{path}:{lineno + 1}: expected 2 columns, "
-                                 f"got {len(parts)}")
-            pairs.append((parts[0], parts[1]))
-    return pairs
+    return [(i, v) for _, (i, v) in _tsv_rows(path, 2, empty_last=True)]
 
 
 def write_pairs_tsv(path: str | Path,
                     pairs: Iterable[tuple[str, str]]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record_id, value in pairs:
-            _check_field(value, "value", record_id)
+            check_field(value, "value", record_id)
             handle.write(f"{record_id}\t{value}\n")
 
 
 def read_stage_tsv(path: str | Path) -> list[tuple[str, str, str]]:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise IrkitError(f"{path}:{lineno + 1}: expected 3 columns, "
-                                 f"got {len(parts)}")
-            rows.append((parts[0], parts[1], parts[2]))
-    return rows
+    return [(i, s, t) for _, (i, s, t) in _tsv_rows(path, 3)]
 
 
 def write_stage_tsv(path: str | Path,
                     rows: Iterable[tuple[str, str, str]]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record_id, source, target in rows:
-            _check_field(source, "source", record_id)
-            _check_field(target, "target", record_id)
+            check_field(source, "source", record_id)
+            check_field(target, "target", record_id)
             handle.write(f"{record_id}\t{source}\t{target}\n")
 
 
@@ -175,12 +159,7 @@ def write_quarantine(path: str | Path,
 
 def read_quarantine(path: str | Path) -> list[QuarantineEntry]:
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            entries.append(QuarantineEntry(obj["id"], obj["stage"],
-                                           obj["reason"]))
+    for _, line in _lines(path):
+        obj = json.loads(line)
+        entries.append(QuarantineEntry(obj["id"], obj["stage"], obj["reason"]))
     return entries

@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import sparql as sparql_ir
-from . import sql as sql_ir
-from .errors import ConfigError, IrkitError
+from . import formalisms
+from .errors import IrkitError
 
 CORRECT = "correct"
 WRONG = "wrong"
@@ -33,23 +32,10 @@ class EvalReport:
         }
 
 
-def _normalize_whitespace(text: str) -> str:
-    return " ".join(text.split())
-
-
-def _sparql_key(text: str) -> str:
-    q = sparql_ir.parse_sparql(text)
-    return sparql_ir.render_sparql(sparql_ir.normalize_sparql(q))
-
-
 def comparison_key(formalism: str, text: str) -> str:
     """Scoring form of a program: conjunct-normalized for sparql, plain
     whitespace-normalized tokens otherwise."""
-    if formalism == "sparql":
-        return _sparql_key(text)
-    if formalism in ("sql", "scan"):
-        return _normalize_whitespace(text)
-    raise ConfigError(f"unknown formalism {formalism!r}")
+    return formalisms.get(formalism).key(text)
 
 
 def exact_match(preds: Sequence[tuple[str, str]],
@@ -59,16 +45,20 @@ def exact_match(preds: Sequence[tuple[str, str]],
 
     Predictions that are empty (flagged upstream) or that fail the
     formalism's normalization are counted as invalid and score zero; the two
-    files must cover exactly the same ids.
+    files must cover exactly the same ids, each once.
     """
     pred_map: dict[str, str] = {}
     for record_id, text in preds:
         if record_id in pred_map:
             raise IrkitError(f"duplicate prediction id {record_id!r}")
         pred_map[record_id] = text
-    gold_ids = [record_id for record_id, _ in golds]
-    missing = [i for i in gold_ids if i not in pred_map]
-    extra = [i for i in pred_map if i not in set(gold_ids)]
+    gold_ids: set[str] = set()
+    for record_id, _ in golds:
+        if record_id in gold_ids:
+            raise IrkitError(f"duplicate gold id {record_id!r}")
+        gold_ids.add(record_id)
+    missing = [i for i, _ in golds if i not in pred_map]
+    extra = [i for i in pred_map if i not in gold_ids]
     if missing or extra:
         raise IrkitError(
             "prediction/gold id mismatch: "
@@ -123,13 +113,7 @@ class StructureRateReport:
 
 def structure_key(formalism: str, text: str) -> str:
     """Anonymized structural form of a program or reversible IR."""
-    if formalism == "sparql":
-        return sparql_ir.structure_signature(sparql_ir.parse_rir(text))
-    if formalism == "sql":
-        return sql_ir.sql_template_signature(sql_ir.parse_sql(text))
-    if formalism == "scan":
-        return _normalize_whitespace(text)
-    raise ConfigError(f"unknown formalism {formalism!r}")
+    return formalisms.get(formalism).structure(text)
 
 
 def new_structure_rate(train_programs: Sequence[str],

@@ -12,15 +12,16 @@ and never abort a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from . import scan as scan_ir
+from . import formalisms
 from . import sparql as sparql_ir
-from . import sql as sql_ir
-from .data import ExampleRecord, QuarantineEntry
+from .data import ExampleRecord, QuarantineEntry, check_field
 from .errors import ConfigError, IrkitError
 
-FORMALISMS = ("sparql", "sql", "scan")
+T = TypeVar("T")
+
+FORMALISMS = tuple(formalisms.TABLE)
 
 BASELINE = "baseline"
 RIR = "rir"
@@ -31,11 +32,6 @@ LIR_I_RIR = "lir-i-rir"
 LIR_ORACLE = "lir-oracle"
 LIR_CAT = "lir-cat"
 VARIFIED = "varified"
-
-MODES = (BASELINE, RIR, LIR_D, LIR_I, LIR_D_RIR, LIR_I_RIR, LIR_ORACLE,
-         LIR_CAT, VARIFIED)
-TWO_STAGE_MODES = frozenset({LIR_D, LIR_I, LIR_D_RIR, LIR_I_RIR, LIR_ORACLE})
-RIR_COMPOSED_MODES = frozenset({LIR_D_RIR, LIR_I_RIR})
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +50,7 @@ class PipelineConfig:
     cat_budget: int = 512
 
     def __post_init__(self) -> None:
-        if self.formalism not in FORMALISMS:
-            raise ConfigError(f"unknown formalism {self.formalism!r}")
+        formalisms.get(self.formalism)
         if not self.separator:
             raise ConfigError("separator must be non-empty")
 
@@ -77,101 +72,154 @@ class PostprocessResult:
     flagged: list[QuarantineEntry] = field(default_factory=list)
 
 
-def check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of "
-                          + ", ".join(MODES))
-    return mode
-
-
 # ---------------------------------------------------------------------------
-# Per-formalism transform dispatch
+# Per-formalism transforms
 # ---------------------------------------------------------------------------
-
-
-def _sparql_rir(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    q = sparql_ir.parse_sparql(record.y)
-    return sparql_ir.render_rir(
-        sparql_ir.sparql_to_rir(q, cfg.relation_dict, cfg.rir_options))
-
-
-def _scan_rir_tokens(record: ExampleRecord) -> list[str]:
-    # The bracketing transducer is driven by the command, so the source side
-    # must actually denote the target actions.
-    command = scan_ir.parse_command(record.x)
-    tokens = scan_ir.scan_to_rir(command)
-    if scan_ir.strip_brackets(tokens) != record.y.split():
-        raise IrkitError("command does not interpret to the target actions")
-    return tokens
 
 
 def reversible_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
     """z_r as a surface string."""
-    if cfg.formalism == "sparql":
-        return _sparql_rir(record, cfg)
-    if cfg.formalism == "sql":
-        return sql_ir.sql_to_rir(sql_ir.parse_sql(record.y)).render()
-    return scan_ir.render_actions(_scan_rir_tokens(record))
+    f = formalisms.TABLE[cfg.formalism]
+    return f.render_rir(f.to_rir(record, cfg))
 
 
 def lossy_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
     """z_l as a surface string."""
-    if cfg.formalism == "sparql":
-        return sparql_ir.sparql_to_lir(sparql_ir.parse_sparql(record.y))
-    if cfg.formalism == "sql":
-        return sql_ir.sql_to_lir(sql_ir.parse_sql(record.y)).render()
-    actions = record.y.split()
-    for tok in actions:
-        if tok not in scan_ir.ACTIONS:
-            raise IrkitError(f"unknown action token {tok!r}")
-    return scan_ir.render_actions(scan_ir.scan_to_lir(actions))
+    f = formalisms.TABLE[cfg.formalism]
+    return f.to_lir(f.parse(record.y))
 
 
 def lossy_reversible_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
     """z_{l,r}: the reversible transform first, then the lossy one."""
-    if cfg.formalism == "sparql":
-        q = sparql_ir.parse_sparql(record.y)
-        z = sparql_ir.sparql_to_rir(q, cfg.relation_dict, cfg.rir_options)
-        return sparql_ir.sparql_to_lir(z)
-    if cfg.formalism == "sql":
-        rir = sql_ir.sql_to_rir(sql_ir.parse_sql(record.y))
-        return sql_ir.sql_to_lir(sql_ir.parse_sql(rir.render())).render()
-    return scan_ir.render_actions(
-        scan_ir.scan_to_lir(_scan_rir_tokens(record)))
+    f = formalisms.TABLE[cfg.formalism]
+    return f.lir_of_rir(f.to_rir(record, cfg))
 
 
 def invert_reversible(text: str, cfg: PipelineConfig) -> str:
     """Apply the exact inverse to a z_r surface string."""
-    if cfg.formalism == "sparql":
-        z = sparql_ir.parse_rir(text)
-        return sparql_ir.render_sparql(
-            sparql_ir.sparql_from_rir(z, cfg.relation_dict))
-    if cfg.formalism == "sql":
-        z = sql_ir.SqlRir(tuple(sql_ir.lex_sql(text)))
-        return sql_ir.sql_from_rir(z).render()
-    return scan_ir.render_actions(scan_ir.strip_brackets(text))
+    return formalisms.TABLE[cfg.formalism].from_rir(text, cfg)
 
 
 def lossy_of_prediction(text: str, cfg: PipelineConfig,
                         rir_form: bool) -> str:
     """Apply the lossy transform to a predicted program (or predicted z_r)."""
-    if cfg.formalism == "sparql":
-        if rir_form:
-            return sparql_ir.sparql_to_lir(sparql_ir.parse_rir(text))
-        return sparql_ir.sparql_to_lir(sparql_ir.parse_sparql(text))
-    if cfg.formalism == "sql":
-        q = sql_ir.parse_sql(text)
-        if not rir_form:
-            q = sql_ir.parse_sql(sql_ir.sql_to_rir(q).render())
-        return sql_ir.sql_to_lir(q).render()
-    tokens = text.split()
+    f = formalisms.TABLE[cfg.formalism]
     if rir_form:
-        scan_ir.strip_brackets(tokens)  # validates vocabulary and balance
-    else:
-        for tok in tokens:
-            if tok not in scan_ir.ACTIONS:
-                raise IrkitError(f"unknown action token {tok!r}")
-    return scan_ir.render_actions(scan_ir.scan_to_lir(tokens))
+        return f.lir_of_rir(f.parse_rir(text))
+    return f.lir_of_prediction(text)
+
+
+# ---------------------------------------------------------------------------
+# The mode table
+# ---------------------------------------------------------------------------
+
+RecordFn = Callable[[ExampleRecord, PipelineConfig], str]
+OutputFn = Callable[[str, PipelineConfig], str]
+
+
+def _gold(record: ExampleRecord, cfg: PipelineConfig) -> str:
+    return record.y
+
+
+def _as_is(text: str, cfg: PipelineConfig) -> str:
+    return text
+
+
+def _cat_target(record: ExampleRecord, cfg: PipelineConfig) -> str:
+    return lossy_ir(record, cfg) + cfg.separator + record.y
+
+
+def _split_cat(text: str, cfg: PipelineConfig) -> str:
+    _, sep, tail = text.partition(cfg.separator)
+    if not sep:
+        raise IrkitError("output has no separator to split the program "
+                         "from the IR")
+    return tail
+
+
+def _varified_target(record: ExampleRecord, cfg: PipelineConfig) -> str:
+    f = formalisms.TABLE[cfg.formalism]
+    return f.varify(f.parse(record.y))
+
+
+@dataclass(frozen=True, slots=True)
+class Mode:
+    """One row of the pipeline-modes table in the README.
+
+    ``stage2_ir`` is the gold z of stage-2 sources, None for single-stage
+    modes.  ``z_of_output`` turns a stage-1 prediction into that z; None
+    means stage 2 reads the gold z and stage-1 output is ignored.
+    ``final`` turns the last model's output into a program.
+    """
+
+    stage1_target: RecordFn
+    stage2_ir: RecordFn | None = None
+    stage2_target: RecordFn | None = None
+    z_of_output: OutputFn | None = None
+    final: OutputFn = _as_is
+
+    @property
+    def reads_gold_ir(self) -> bool:
+        return self.stage2_ir is not None and self.z_of_output is None
+
+    def inverts(self, stage: int | None = None) -> bool:
+        """Whether post-processing ``stage`` (any stage, if None) applies
+        the exact inverse."""
+        last = 1 if self.stage2_ir is None else 2
+        return self.final is invert_reversible and stage in (None, last)
+
+
+MODE_TABLE: dict[str, Mode] = {
+    BASELINE: Mode(_gold),
+    RIR: Mode(reversible_ir, final=invert_reversible),
+    LIR_D: Mode(lossy_ir, lossy_ir, _gold, _as_is),
+    LIR_I: Mode(_gold, lossy_ir, _gold,
+                lambda text, cfg: lossy_of_prediction(text, cfg, False)),
+    LIR_D_RIR: Mode(lossy_reversible_ir, lossy_reversible_ir, reversible_ir,
+                    _as_is, invert_reversible),
+    LIR_I_RIR: Mode(reversible_ir, lossy_reversible_ir, reversible_ir,
+                    lambda text, cfg: lossy_of_prediction(text, cfg, True),
+                    invert_reversible),
+    LIR_ORACLE: Mode(lossy_ir, lossy_ir, _gold),
+    LIR_CAT: Mode(_cat_target, final=_split_cat),
+    VARIFIED: Mode(_varified_target,
+                   final=lambda text, cfg: sparql_ir.strip_var_markers(text)),
+}
+
+MODES = tuple(MODE_TABLE)
+TWO_STAGE_MODES = frozenset(m for m, row in MODE_TABLE.items()
+                            if row.stage2_ir is not None)
+RIR_COMPOSED_MODES = frozenset(m for m, row in MODE_TABLE.items()
+                               if row.stage2_ir is lossy_reversible_ir)
+
+
+def check_mode(mode: str) -> Mode:
+    if mode not in MODE_TABLE:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of "
+                          + ", ".join(MODES))
+    return MODE_TABLE[mode]
+
+
+def quarantine_map(items: Iterable[tuple[str, T]],
+                   fn: Callable[[str, T], object], stage: str,
+                   keep_failed: bool = False,
+                   ) -> tuple[list[tuple[str, object]], list[QuarantineEntry]]:
+    """Apply ``fn(id, item)`` to each ``(id, item)``.
+
+    An item whose ``fn`` raises an ``IrkitError`` becomes a quarantine entry
+    for ``stage``; its output is dropped, or kept as ``""`` with
+    ``keep_failed`` so that output files keep every id.
+    """
+    outputs: list[tuple[str, object]] = []
+    quarantined: list[QuarantineEntry] = []
+    for item_id, item in items:
+        try:
+            outputs.append((item_id, fn(item_id, item)))
+        except IrkitError as exc:
+            quarantined.append(QuarantineEntry(item_id, stage, str(exc)))
+            if keep_failed:
+                outputs.append((item_id, ""))
+    return outputs, quarantined
 
 
 # ---------------------------------------------------------------------------
@@ -179,98 +227,49 @@ def lossy_of_prediction(text: str, cfg: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 
-def _stage1_target(record: ExampleRecord, mode: str,
-                   cfg: PipelineConfig) -> str:
-    if mode in (BASELINE, LIR_I):
-        return record.y
-    if mode in (RIR, LIR_I_RIR):
-        return reversible_ir(record, cfg)
-    if mode in (LIR_D, LIR_ORACLE):
-        return lossy_ir(record, cfg)
-    if mode == LIR_D_RIR:
-        return lossy_reversible_ir(record, cfg)
-    if mode == LIR_CAT:
-        return lossy_ir(record, cfg) + cfg.separator + record.y
-    if mode == VARIFIED:
-        if cfg.formalism != "sparql":
-            raise ConfigError("the varified mode marks variables and "
-                              "entities and is only defined for sparql")
-        return sparql_ir.varify(sparql_ir.parse_sparql(record.y))
-    raise ConfigError(f"unknown mode {mode!r}")
-
-
-def _stage2_gold_ir(record: ExampleRecord, mode: str,
-                    cfg: PipelineConfig) -> str:
-    if mode in RIR_COMPOSED_MODES:
-        return lossy_reversible_ir(record, cfg)
-    return lossy_ir(record, cfg)
-
-
-def _stage2_target(record: ExampleRecord, mode: str,
-                   cfg: PipelineConfig) -> str:
-    if mode in RIR_COMPOSED_MODES:
-        return reversible_ir(record, cfg)
-    return record.y
-
-
-def _guard(value: str, what: str) -> str:
-    if "\t" in value or "\n" in value:
-        raise IrkitError(f"{what} contains a tab or newline")
-    return value
+def _staged(records: Sequence[ExampleRecord], stage: str,
+            fn: Callable[[str, ExampleRecord], tuple[str, str]],
+            ) -> PrepareResult:
+    pairs, quarantined = quarantine_map([(r.id, r) for r in records], fn,
+                                        stage)
+    return PrepareResult([StagePair(i, *pair) for i, pair in pairs],
+                         quarantined)
 
 
 def prepare_stage1(records: Sequence[ExampleRecord], mode: str,
                    cfg: PipelineConfig) -> PrepareResult:
     """Build (x, target) pairs for the first seq2seq stage."""
-    check_mode(mode)
-    if mode == VARIFIED and cfg.formalism != "sparql":
-        raise ConfigError("the varified mode is only defined for sparql")
-    result = PrepareResult()
-    for record in records:
-        try:
-            source = _guard(record.x, "utterance")
-            target = _guard(_stage1_target(record, mode, cfg), "target")
-        except IrkitError as exc:
-            result.quarantined.append(
-                QuarantineEntry(record.id, "stage1", str(exc)))
-            continue
-        if mode == LIR_CAT and len(target.split()) > cfg.cat_budget:
-            result.n_over_budget += 1
-        result.pairs.append(StagePair(record.id, source, target))
+    row = check_mode(mode)
+    if mode == VARIFIED and formalisms.TABLE[cfg.formalism].varify is None:
+        raise ConfigError("the varified mode marks variables and entities "
+                          f"and is not defined for {cfg.formalism}")
+    result = _staged(records, "stage1", lambda _, r: (
+        check_field(r.x, "utterance", r.id),
+        check_field(row.stage1_target(r, cfg), "target", r.id)))
+    if mode == LIR_CAT:
+        result.n_over_budget = sum(len(p.target.split()) > cfg.cat_budget
+                                   for p in result.pairs)
     return result
 
 
 def prepare_stage2(records: Sequence[ExampleRecord], mode: str,
                    cfg: PipelineConfig) -> PrepareResult:
     """Build (x ++ sep ++ gold z, target) pairs for the second stage."""
-    check_mode(mode)
-    if mode not in TWO_STAGE_MODES:
+    row = check_mode(mode)
+    if row.stage2_ir is None:
         raise ConfigError(f"mode {mode!r} has no second stage")
-    result = PrepareResult()
-    for record in records:
-        try:
-            z = _guard(_stage2_gold_ir(record, mode, cfg), "gold IR")
-            target = _guard(_stage2_target(record, mode, cfg), "target")
-            source = _guard(record.x, "utterance") + cfg.separator + z
-        except IrkitError as exc:
-            result.quarantined.append(
-                QuarantineEntry(record.id, "stage2", str(exc)))
-            continue
-        result.pairs.append(StagePair(record.id, source, target))
-    return result
+
+    def pair(_: str, r: ExampleRecord) -> tuple[str, str]:
+        z = check_field(row.stage2_ir(r, cfg), "gold IR", r.id)
+        target = check_field(row.stage2_target(r, cfg), "target", r.id)
+        return check_field(r.x, "utterance", r.id) + cfg.separator + z, target
+
+    return _staged(records, "stage2", pair)
 
 
 # ---------------------------------------------------------------------------
 # Post-processing
 # ---------------------------------------------------------------------------
-
-
-def _records_by_id(records: Sequence[ExampleRecord] | None,
-                   needed_for: str) -> Mapping[str, ExampleRecord]:
-    if records is None:
-        raise ConfigError(f"{needed_for} requires the dataset records "
-                          "(utterances are part of stage-2 sources)")
-    return {r.id: r for r in records}
 
 
 def postprocess_stage1(preds: Sequence[tuple[str, str]] | None, mode: str,
@@ -283,72 +282,31 @@ def postprocess_stage1(preds: Sequence[tuple[str, str]] | None, mode: str,
     Unusable predictions are flagged and excluded from the stage-2 request;
     they surface as automatic mismatches at evaluation time.
     """
-    check_mode(mode)
-    result = PostprocessResult()
-
-    if mode == LIR_ORACLE:
-        # Gold IR goes to stage 2; stage-1 predictions are ignored.
-        by_id = _records_by_id(records, "lir-oracle post-processing")
-        result.stage2_sources = []
-        for record in by_id.values():
-            try:
-                z = _stage2_gold_ir(record, mode, cfg)
-                source = record.x + cfg.separator + z
-            except IrkitError as exc:
-                result.flagged.append(
-                    QuarantineEntry(record.id, "postprocess1", str(exc)))
-                continue
-            result.stage2_sources.append((record.id, source))
-        return result
-
-    if preds is None:
+    row = check_mode(mode)
+    if preds is None and not row.reads_gold_ir:
         raise ConfigError("stage-1 predictions are required for this mode")
+    if row.stage2_ir is None:
+        final, flagged = quarantine_map(
+            preds, lambda _, text: row.final(text, cfg), "postprocess1",
+            keep_failed=True)
+        return PostprocessResult(final=final, flagged=flagged)
+    if records is None:
+        raise ConfigError(f"{mode} post-processing requires the dataset "
+                          "records (utterances are part of stage-2 sources)")
+    by_id = {r.id: r for r in records}
 
-    if mode in (BASELINE, RIR, LIR_CAT, VARIFIED):
-        result.final = []
-        for record_id, text in preds:
-            try:
-                if mode == RIR:
-                    final = invert_reversible(text, cfg)
-                elif mode == LIR_CAT:
-                    _, sep, tail = text.partition(cfg.separator)
-                    if not sep:
-                        raise IrkitError("output has no separator to split "
-                                         "the program from the IR")
-                    final = tail
-                elif mode == VARIFIED:
-                    final = sparql_ir.strip_var_markers(text)
-                else:
-                    final = text
-            except IrkitError as exc:
-                result.flagged.append(
-                    QuarantineEntry(record_id, "postprocess1", str(exc)))
-                final = ""
-            result.final.append((record_id, final))
-        return result
-
-    # Two-stage modes: build stage-2 sources from the predictions.
-    by_id = _records_by_id(records, f"{mode} post-processing")
-    result.stage2_sources = []
-    for record_id, text in preds:
+    def source(record_id: str, text: str) -> str:
         record = by_id.get(record_id)
         if record is None:
-            result.flagged.append(QuarantineEntry(
-                record_id, "postprocess1", "prediction id not in dataset"))
-            continue
-        try:
-            if mode in (LIR_D, LIR_D_RIR):
-                z = text  # the prediction is the IR itself
-            else:
-                z = lossy_of_prediction(text, cfg,
-                                        rir_form=mode == LIR_I_RIR)
-            source = record.x + cfg.separator + z
-        except IrkitError as exc:
-            result.flagged.append(
-                QuarantineEntry(record_id, "postprocess1", str(exc)))
-            continue
-        result.stage2_sources.append((record_id, source))
-    return result
+            raise IrkitError("prediction id not in dataset")
+        z = (row.stage2_ir(record, cfg) if row.reads_gold_ir
+             else row.z_of_output(text, cfg))
+        return record.x + cfg.separator + z
+
+    # Stage 2 of a mode that reads the gold IR gets every record.
+    items = [(i, "") for i in by_id] if row.reads_gold_ir else preds
+    sources, flagged = quarantine_map(items, source, "postprocess1")
+    return PostprocessResult(stage2_sources=sources, flagged=flagged)
 
 
 def finalize(stage2_preds: Sequence[tuple[str, str]], mode: str,
@@ -361,27 +319,12 @@ def finalize(stage2_preds: Sequence[tuple[str, str]], mode: str,
     invalid upstream) are carried through as empty, flagged rows so that
     evaluation denominators stay intact.
     """
-    check_mode(mode)
-    if mode not in TWO_STAGE_MODES and mode != LIR_CAT:
+    row = check_mode(mode)
+    if row.stage2_ir is None and mode != LIR_CAT:
         raise ConfigError(f"mode {mode!r} has no second stage to finalize")
-    flagged: list[QuarantineEntry] = []
-    final: list[tuple[str, str]] = []
-    for record_id, text in stage2_preds:
-        try:
-            if mode in RIR_COMPOSED_MODES:
-                out = invert_reversible(text, cfg)
-            elif mode == LIR_CAT:
-                _, sep, tail = text.partition(cfg.separator)
-                if not sep:
-                    raise IrkitError("output has no separator to split the "
-                                     "program from the IR")
-                out = tail
-            else:
-                out = text
-        except IrkitError as exc:
-            flagged.append(QuarantineEntry(record_id, "finalize", str(exc)))
-            out = ""
-        final.append((record_id, out))
+    final, flagged = quarantine_map(
+        stage2_preds, lambda _, text: row.final(text, cfg), "finalize",
+        keep_failed=True)
     if records is not None:
         have = {record_id for record_id, _ in final}
         for record in records:

@@ -9,11 +9,10 @@ modifier.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import InversionError, ParseError, TransformError
+from .errors import InversionError, TokenCursor, TransformError
 
 PRIMITIVE_ACTIONS = {"walk": "WALK", "look": "LOOK", "run": "RUN",
                      "jump": "JUMP"}
@@ -55,43 +54,19 @@ class Conjunction:
 ScanCommand = Union[VerbPhrase, Repeat, Conjunction]
 
 
-class _Words:
-    __slots__ = ("text", "words", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.words = text.split()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.words[self.pos] if self.pos < len(self.words) else None
-
-    def take(self) -> str:
-        word = self.words[self.pos]
-        self.pos += 1
-        return word
-
-    def fail(self, message: str, expected: Sequence[str] = ()) -> None:
-        spans = [m.start() for m in re.finditer(r"\S+", self.text)]
-        offset = (len(self.text[:spans[self.pos]].encode("utf-8"))
-                  if self.pos < len(spans)
-                  else len(self.text.encode("utf-8")))
-        raise ParseError(message, offset=offset, expected=tuple(expected))
-
-
-def _parse_phrase(w: _Words) -> VerbPhrase:
+def _parse_phrase(w: TokenCursor) -> VerbPhrase:
     word = w.peek()
     if word is None:
         w.fail("missing verb", sorted(_VERBS))
     if word not in _VERBS:
         w.fail(f"expected a verb, got {word!r}", sorted(_VERBS))
-    verb = w.take()
+    verb = w.next()
     modifier = None
     if w.peek() in _MODIFIERS:
-        modifier = w.take()
+        modifier = w.next()
     direction = None
     if w.peek() in _DIRECTIONS:
-        direction = w.take()
+        direction = w.next()
     if modifier is not None and direction is None:
         w.fail(f"{modifier!r} needs a direction", sorted(_DIRECTIONS))
     if verb == "turn" and direction is None:
@@ -99,25 +74,25 @@ def _parse_phrase(w: _Words) -> VerbPhrase:
     return VerbPhrase(verb, direction, modifier)
 
 
-def _parse_sequence(w: _Words) -> Union[VerbPhrase, Repeat]:
+def _parse_sequence(w: TokenCursor) -> Union[VerbPhrase, Repeat]:
     phrase = _parse_phrase(w)
     if w.peek() in _REPEATS:
-        return Repeat(phrase, _REPEATS[w.take()])
+        return Repeat(phrase, _REPEATS[w.next()])
     return phrase
 
 
 def parse_command(text: str) -> ScanCommand:
     """Parse one command; the grammar admits exactly one derivation."""
-    w = _Words(text)
-    for i, word in enumerate(w.words):
+    w = TokenCursor(text)
+    for i, word in enumerate(w.tokens):
         if word not in _VOCABULARY:
             w.pos = i
             w.fail(f"unknown word {word!r}")
-    if not w.words:
+    if not w.tokens:
         w.fail("empty command")
     left = _parse_sequence(w)
     if w.peek() in _CONJUNCTIONS:
-        op = w.take()
+        op = w.next()
         right = _parse_sequence(w)
         command: ScanCommand = Conjunction(op, left, right)
     else:

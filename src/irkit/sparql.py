@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
-from .errors import InversionError, ParseError, TransformError
+from .errors import ConfigError, InversionError, TokenCursor, TransformError
 
 COUNT = "count"
 DISTINCT = "distinct"
@@ -114,55 +114,7 @@ class RirOptions:
 # ---------------------------------------------------------------------------
 
 
-class _Cursor:
-    """Token cursor over whitespace-separated input.
-
-    The fast path tokenizes with ``str.split``; byte offsets are only
-    recomputed (with a second scan) when an error has to be reported.
-    """
-
-    __slots__ = ("text", "tokens", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = text.split()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def next(self, *expected: str) -> str:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input", expected)
-        self.pos += 1
-        return tok
-
-    def expect(self, *expected: str) -> str:
-        tok = self.next(*expected)
-        if tok not in expected:
-            self.pos -= 1
-            self.fail(f"unexpected token {tok!r}", expected)
-        return tok
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def offset(self) -> int:
-        # Byte offset of the current token, recovered by re-scanning.
-        spans = [m.start() for m in re.finditer(r"\S+", self.text)]
-        if self.pos < len(spans):
-            return len(self.text[:spans[self.pos]].encode("utf-8"))
-        return len(self.text.encode("utf-8"))
-
-    def fail(self, message: str, expected: Iterable[str] = ()) -> None:
-        raise ParseError(message, offset=self.offset(),
-                         expected=tuple(expected))
-
-
-def _term(cur: _Cursor, what: str) -> str:
+def _term(cur: TokenCursor, what: str) -> str:
     tok = cur.next(f"<{what}>")
     if tok in _RESERVED:
         cur.pos -= 1
@@ -171,7 +123,7 @@ def _term(cur: _Cursor, what: str) -> str:
     return tok
 
 
-def _parse_head(cur: _Cursor) -> SelectHead:
+def _parse_head(cur: TokenCursor) -> SelectHead:
     cur.expect("SELECT")
     tok = cur.next("count(*)", "DISTINCT")
     if tok == "count(*)":
@@ -190,7 +142,7 @@ def _parse_head(cur: _Cursor) -> SelectHead:
     return SelectHead(DISTINCT, tuple(variables))
 
 
-def _parse_filter(cur: _Cursor) -> Filter:
+def _parse_filter(cur: TokenCursor) -> Filter:
     cur.expect("(")
     left = _term(cur, "term")
     op = cur.expect(*FILTER_OPS)
@@ -200,7 +152,7 @@ def _parse_filter(cur: _Cursor) -> Filter:
 
 
 def _check_head_vars(head: SelectHead, conjuncts: Iterable[Conjunct],
-                     cur: _Cursor) -> None:
+                     cur: TokenCursor) -> None:
     if head.kind != DISTINCT:
         return
     seen: set[str] = set()
@@ -218,7 +170,7 @@ def _check_head_vars(head: SelectHead, conjuncts: Iterable[Conjunct],
 
 def parse_sparql(text: str) -> SparqlQuery:
     """Parse one query; raises :class:`ParseError` on malformed input."""
-    cur = _Cursor(text)
+    cur = TokenCursor(text)
     head = _parse_head(cur)
     cur.expect("WHERE")
     cur.expect("{")
@@ -241,7 +193,7 @@ def parse_sparql(text: str) -> SparqlQuery:
             relation = _term(cur, "relation")
             obj = _term(cur, "object")
             conjuncts.append(Triple(subject, relation, obj))
-    if not cur.at_end():
+    if cur.peek() is not None:
         cur.fail("trailing tokens after closing brace")
     _check_head_vars(head, conjuncts, cur)
     return SparqlQuery(head, tuple(conjuncts))
@@ -314,7 +266,14 @@ class RelationDictionary:
 
     @classmethod
     def load(cls, path: str | Path) -> "RelationDictionary":
-        forward = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            forward = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            forward = None
+        if not (isinstance(forward, dict)
+                and all(isinstance(v, str) for v in forward.values())):
+            raise ConfigError(f"relation dictionary {str(path)!r} is not a "
+                              "JSON object of relation names")
         return cls(forward, {v: k for k, v in forward.items()})
 
 
@@ -418,7 +377,7 @@ def render_rir(z: SparqlRir) -> str:
     return f"{z.head.render()} WHERE {{ }}"
 
 
-def _parse_bracketed_group(cur: _Cursor) -> Group:
+def _parse_bracketed_group(cur: TokenCursor) -> Group:
     cur.expect("(")
     if cur.peek() == "FILTER":
         cur.next()
@@ -440,7 +399,7 @@ def _parse_bracketed_group(cur: _Cursor) -> Group:
     return g
 
 
-def _parse_plain_group(cur: _Cursor) -> Group:
+def _parse_plain_group(cur: TokenCursor) -> Group:
     if cur.peek() == "FILTER":
         cur.next()
         return _parse_filter(cur)
@@ -455,7 +414,7 @@ def _parse_plain_group(cur: _Cursor) -> Group:
 
 def parse_rir(text: str, bracketed: bool | None = None) -> SparqlRir:
     """Parse an IR surface string; bracketing is auto-detected by default."""
-    cur = _Cursor(text)
+    cur = TokenCursor(text)
     head = _parse_head(cur)
     cur.expect("WHERE")
     cur.expect("{")
@@ -475,7 +434,7 @@ def parse_rir(text: str, bracketed: bool | None = None) -> SparqlRir:
             if groups:
                 cur.expect(".")
             groups.append(_parse_plain_group(cur))
-    if not cur.at_end():
+    if cur.peek() is not None:
         cur.fail("trailing tokens after closing brace")
     return SparqlRir(head, tuple(groups), bracketed)
 

@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import InversionError, ParseError, TransformError
+from .errors import (InversionError, ParseError, TransformError,
+                     byte_offset)
 
 # Token annotation tags.  "identifier" covers bare table/column/function
 # names that the coarser transforms never need to distinguish.
@@ -64,7 +65,8 @@ def lex_sql(text: str) -> list[str]:
         if ch in "\"'":
             end = text.find(ch, i + 1)
             if end < 0:
-                raise ParseError("unterminated string literal", offset=i)
+                raise ParseError("unterminated string literal",
+                                 offset=byte_offset(text, i))
             end += 1
             # Glue any non-space tail onto the string token (rare, but keeps
             # re-rendering byte-exact for inputs like "UA").
@@ -79,7 +81,7 @@ def lex_sql(text: str) -> list[str]:
                 close = text.find(text[end], end + 1)
                 if close < 0:
                     raise ParseError("unterminated string literal",
-                                     offset=end)
+                                     offset=byte_offset(text, end))
                 end = close + 1
             else:
                 end += 1

@@ -112,6 +112,29 @@ def test_varify_template_formalism_checks(ws):
                "--out", ws / "x.tsv") == 2
 
 
+@pytest.mark.parametrize("argv, files", [
+    (["transform", "--formalism", "scan", "--ir", "lir"],
+     {"in.jsonl": '["not", "an", "object"]\n'}),
+    (["transform", "--formalism", "scan", "--ir", "lir"],
+     {"in.jsonl": '{"id": "0", "x": "jump", "y": 7}\n'}),
+    (["invert", "--formalism", "sparql", "--dict", "d.json"],
+     {"in.jsonl": "0\tSELECT count(*) WHERE { }\n", "d.json": "{oops"}),
+    (["invert", "--formalism", "sparql", "--dict", "d.json"],
+     {"in.jsonl": "0\tSELECT count(*) WHERE { }\n", "d.json": "[1, 2]"}),
+    (["transform", "--formalism", "scan", "--ir", "lir"],
+     {"in.jsonl": b'{"id": "0", "x": "jump", "y": "\xff"}\n'}),
+], ids=["jsonl-not-object", "jsonl-non-string-y", "dict-bad-json",
+        "dict-not-object", "input-not-utf8"])
+def test_malformed_input_exits_2_with_one_line(ws, capsys, argv, files):
+    for name, content in files.items():
+        (ws / name).write_bytes(
+            content.encode() if isinstance(content, str) else content)
+    argv = [str(ws / a) if a in files else a for a in argv]
+    assert run(*argv, "--in", ws / "in.jsonl", "--out", ws / "o.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # prepare / postprocess / evaluate
 # ---------------------------------------------------------------------------

@@ -59,6 +59,11 @@ def test_duplicate_prediction_id_is_an_error():
         metrics.exact_match([("0", "x"), ("0", "y")], [("0", "x")], "scan")
 
 
+def test_duplicate_gold_id_is_an_error():
+    with pytest.raises(IrkitError, match="duplicate gold id"):
+        metrics.exact_match([("a", "x")], [("a", "x"), ("a", "x")], "scan")
+
+
 def test_report_counts_reconcile():
     golds = [(str(i), "JUMP") for i in range(4)]
     preds = [("0", "JUMP"), ("1", "WALK"), ("2", ""), ("3", "JUMP")]

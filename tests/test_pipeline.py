@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from irkit import metrics, pipeline, sparql
@@ -262,3 +265,10 @@ def test_staging_is_deterministic(corpora):
     a = pipeline.prepare_stage1(records, pipeline.LIR_D_RIR, cfg)
     b = pipeline.prepare_stage1(records, pipeline.LIR_D_RIR, cfg)
     assert a.pairs == b.pairs
+
+
+def test_readme_mode_table_lists_the_modes_in_order():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Pipeline modes", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+    assert tuple(listed) == pipeline.MODES

@@ -24,6 +24,16 @@ def test_lexer_unterminated_string():
         sql.lex_sql('SELECT "oops')
 
 
+@pytest.mark.parametrize("text, offset", [
+    ('SELECT éé "abc', 12),  # a token that opens with the quote
+    ('SELECT é a"bc', 11),  # a quote inside a token
+])
+def test_lexer_error_offsets_are_bytes(text, offset):
+    with pytest.raises(ParseError) as err:
+        sql.lex_sql(text)
+    assert err.value.offset == offset
+
+
 def test_parse_flight_query():
     q = sql.parse_sql(FLIGHT_QUERY)
     assert q.render() == FLIGHT_QUERY
