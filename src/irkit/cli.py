@@ -85,8 +85,11 @@ def _relation_dict(args, required: bool,
     if not corpus:
         raise ConfigError(f"dictionary {path!r} does not exist and there is "
                           "no corpus to build it from")
-    queries = [sparql_ir.parse_sparql(r.y) for r in corpus]
-    rdict = sparql_ir.build_relation_dict(queries)
+    # Unparseable programs are left out; the command's loop quarantines them.
+    queries, _ = pipeline.quarantine_map(
+        [(r.id, r.y) for r in corpus],
+        lambda _, y: sparql_ir.parse_sparql(y), "dict")
+    rdict = sparql_ir.build_relation_dict(q for _, q in queries)
     rdict.save(path)
     print(f"built relation dictionary with {len(rdict.forward)} entries "
           f"-> {path}")
@@ -101,6 +104,10 @@ def _write_quarantine(args, entries: list[QuarantineEntry]) -> int:
         print(f"quarantined {len(entries)} record(s) -> {path}",
               file=sys.stderr)
     return 1 if (entries and args.strict) else 0
+
+
+def _write_json(path: str, payload: dict) -> None:
+    data.write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 def _gold_pairs(path: str, formalism: str) -> list[tuple[str, str]]:
@@ -216,8 +223,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     payload = report.to_dict()
     payload["config"] = {"formalism": args.formalism, "mode": args.mode}
     if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n",
-                                     encoding="utf-8")
+        _write_json(args.output, payload)
     print(f"exact match: {report.exact_match:.1f} "
           f"({report.n_correct}/{report.n_total} correct, "
           f"{report.n_invalid} invalid)")
@@ -240,8 +246,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"new structure rate: {structure.rate:.1f}")
     print(f"avg length ({args.tokenizer}): {payload['avg_length']:.1f}")
     if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n",
-                                     encoding="utf-8")
+        _write_json(args.output, payload)
     return 0
 
 
@@ -314,7 +319,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IrkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
+        # Undecodable bytes, or text (such as a lone surrogate spelled in
+        # JSON) that has no UTF-8 encoding to write out.
         print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -10,6 +10,7 @@ contain tabs or newlines.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -41,6 +42,21 @@ def check_field(value: str, what: str, record_id: str) -> str:
         raise IrkitError(
             f"{what} of record {record_id!r} contains a tab or newline")
     return value
+
+
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temp file beside ``path``, then rename it over
+    ``path``.  A failure part-way, such as a row that fails
+    :func:`check_field`, leaves ``path`` as it was and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _lines(path: str | Path, strip=str.strip) -> Iterator[tuple[int, str]]:
@@ -85,14 +101,6 @@ def read_records_jsonl(path: str | Path, formalism: str = "") -> list[ExampleRec
     return records
 
 
-def write_records_jsonl(path: str | Path,
-                        records: Iterable[ExampleRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for r in records:
-            handle.write(json.dumps({"id": r.id, "x": r.x, "y": r.y},
-                                    ensure_ascii=False) + "\n")
-
-
 def read_records_tsv(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
     """2-column adapter: utterance <tab> program, ids are line numbers."""
     return [ExampleRecord(str(lineno - 1), x, y, formalism)
@@ -131,10 +139,8 @@ def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
 
 def write_pairs_tsv(path: str | Path,
                     pairs: Iterable[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record_id, value in pairs:
-            check_field(value, "value", record_id)
-            handle.write(f"{record_id}\t{value}\n")
+    write_atomic(path, (f"{i}\t{check_field(value, 'value', i)}\n"
+                        for i, value in pairs))
 
 
 def read_stage_tsv(path: str | Path) -> list[tuple[str, str, str]]:
@@ -143,18 +149,15 @@ def read_stage_tsv(path: str | Path) -> list[tuple[str, str, str]]:
 
 def write_stage_tsv(path: str | Path,
                     rows: Iterable[tuple[str, str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record_id, source, target in rows:
-            check_field(source, "source", record_id)
-            check_field(target, "target", record_id)
-            handle.write(f"{record_id}\t{source}\t{target}\n")
+    write_atomic(path, (f"{i}\t{check_field(source, 'source', i)}\t"
+                        f"{check_field(target, 'target', i)}\n"
+                        for i, source, target in rows))
 
 
 def write_quarantine(path: str | Path,
                      entries: Sequence[QuarantineEntry]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry in entries:
-            handle.write(json.dumps(asdict(entry), ensure_ascii=False) + "\n")
+    write_atomic(path, (json.dumps(asdict(entry), ensure_ascii=False) + "\n"
+                        for entry in entries))
 
 
 def read_quarantine(path: str | Path) -> list[QuarantineEntry]:

@@ -35,7 +35,6 @@ class Formalism:
     from_rir: Callable[[str, Any], str]  # z_r text, cfg -> program text
     to_lir: Callable[[Any], str]  # program -> z_l text
     lir_of_rir: Callable[[Any], str]  # z_r object -> z_{l,r} text
-    lir_of_prediction: Callable[[str], str]  # predicted program -> z_l text
     key: Callable[[str], str]  # program text -> exact-match scoring form
     structure: Callable[[str], str]  # program or z_r text -> structure
     needs_dict: bool = False  # z_r depends on the relation dictionary
@@ -50,10 +49,6 @@ def _normalize_whitespace(text: str) -> str:
 def _sparql_rir(record, cfg) -> sparql_ir.SparqlRir:
     return sparql_ir.sparql_to_rir(sparql_ir.parse_sparql(record.y),
                                    cfg.relation_dict, cfg.rir_options)
-
-
-def _sql_lir_of_rir(text: str) -> str:
-    return sql_ir.sql_to_lir(sql_ir.parse_sql(text)).render()
 
 
 def _scan_actions(text: str) -> list[str]:
@@ -94,8 +89,6 @@ TABLE: dict[str, Formalism] = {
                                       cfg.relation_dict)),
         to_lir=lambda q: sparql_ir.sparql_to_lir(q),
         lir_of_rir=lambda z: sparql_ir.sparql_to_lir(z),
-        lir_of_prediction=lambda t: sparql_ir.sparql_to_lir(
-            sparql_ir.parse_sparql(t)),
         key=lambda t: sparql_ir.render_sparql(
             sparql_ir.normalize_sparql(sparql_ir.parse_sparql(t))),
         structure=lambda t: sparql_ir.structure_signature(
@@ -111,10 +104,7 @@ TABLE: dict[str, Formalism] = {
         from_rir=lambda t, cfg: sql_ir.sql_from_rir(
             sql_ir.SqlRir(tuple(sql_ir.lex_sql(t)))).render(),
         to_lir=lambda q: sql_ir.sql_to_lir(q).render(),
-        lir_of_rir=_sql_lir_of_rir,
-        # A predicted program reaches z_l through z_r.
-        lir_of_prediction=lambda t: _sql_lir_of_rir(
-            sql_ir.sql_to_rir(sql_ir.parse_sql(t)).render()),
+        lir_of_rir=lambda t: sql_ir.sql_to_lir(sql_ir.parse_sql(t)).render(),
         key=_normalize_whitespace,
         structure=lambda t: sql_ir.sql_template_signature(
             sql_ir.parse_sql(t)),
@@ -128,7 +118,6 @@ TABLE: dict[str, Formalism] = {
             scan_ir.strip_brackets(t)),
         to_lir=_scan_lir,
         lir_of_rir=_scan_lir,
-        lir_of_prediction=lambda t: _scan_lir(_scan_actions(t)),
         key=_normalize_whitespace,
         structure=_normalize_whitespace),
 }

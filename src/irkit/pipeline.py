@@ -83,10 +83,15 @@ def reversible_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
     return f.render_rir(f.to_rir(record, cfg))
 
 
+def _lir_of_program(text: str, cfg: PipelineConfig) -> str:
+    """z_l of a gold or predicted program: one path for both."""
+    f = formalisms.TABLE[cfg.formalism]
+    return f.to_lir(f.parse(text))
+
+
 def lossy_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
     """z_l as a surface string."""
-    f = formalisms.TABLE[cfg.formalism]
-    return f.to_lir(f.parse(record.y))
+    return _lir_of_program(record.y, cfg)
 
 
 def lossy_reversible_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
@@ -102,11 +107,12 @@ def invert_reversible(text: str, cfg: PipelineConfig) -> str:
 
 def lossy_of_prediction(text: str, cfg: PipelineConfig,
                         rir_form: bool) -> str:
-    """Apply the lossy transform to a predicted program (or predicted z_r)."""
-    f = formalisms.TABLE[cfg.formalism]
+    """Apply the lossy transform to a predicted program (or predicted z_r):
+    the same one that built the gold z of training."""
     if rir_form:
+        f = formalisms.TABLE[cfg.formalism]
         return f.lir_of_rir(f.parse_rir(text))
-    return f.lir_of_prediction(text)
+    return _lir_of_program(text, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +179,7 @@ MODE_TABLE: dict[str, Mode] = {
     BASELINE: Mode(_gold),
     RIR: Mode(reversible_ir, final=invert_reversible),
     LIR_D: Mode(lossy_ir, lossy_ir, _gold, _as_is),
-    LIR_I: Mode(_gold, lossy_ir, _gold,
-                lambda text, cfg: lossy_of_prediction(text, cfg, False)),
+    LIR_I: Mode(_gold, lossy_ir, _gold, _lir_of_program),
     LIR_D_RIR: Mode(lossy_reversible_ir, lossy_reversible_ir, reversible_ir,
                     _as_is, invert_reversible),
     LIR_I_RIR: Mode(reversible_ir, lossy_reversible_ir, reversible_ir,
@@ -189,8 +194,6 @@ MODE_TABLE: dict[str, Mode] = {
 MODES = tuple(MODE_TABLE)
 TWO_STAGE_MODES = frozenset(m for m, row in MODE_TABLE.items()
                             if row.stage2_ir is not None)
-RIR_COMPOSED_MODES = frozenset(m for m, row in MODE_TABLE.items()
-                               if row.stage2_ir is lossy_reversible_ir)
 
 
 def check_mode(mode: str) -> Mode:
@@ -301,7 +304,8 @@ def postprocess_stage1(preds: Sequence[tuple[str, str]] | None, mode: str,
             raise IrkitError("prediction id not in dataset")
         z = (row.stage2_ir(record, cfg) if row.reads_gold_ir
              else row.z_of_output(text, cfg))
-        return record.x + cfg.separator + z
+        return (check_field(record.x, "utterance", record_id)
+                + cfg.separator + z)
 
     # Stage 2 of a mode that reads the gold IR gets every record.
     items = [(i, "") for i in by_id] if row.reads_gold_ir else preds

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
+from .data import write_atomic
 from .errors import ConfigError, InversionError, TokenCursor, TransformError
 
 COUNT = "count"
@@ -124,22 +125,28 @@ def _term(cur: TokenCursor, what: str) -> str:
 
 
 def _parse_head(cur: TokenCursor) -> SelectHead:
+    """The select head and the ``WHERE {`` that follows it."""
     cur.expect("SELECT")
     tok = cur.next("count(*)", "DISTINCT")
     if tok == "count(*)":
-        return SelectHead(COUNT)
-    if tok != "DISTINCT":
+        head = SelectHead(COUNT)
+    elif tok != "DISTINCT":
         cur.pos -= 1
         cur.fail(f"unexpected token {tok!r}", ("count(*)", "DISTINCT"))
-    variables = []
-    while (tok := cur.peek()) is not None and tok != "WHERE":
-        if not is_variable(tok):
-            cur.fail(f"non-variable token {tok!r} in select head",
-                     ("<variable>", "WHERE"))
-        variables.append(cur.next())
-    if not variables:
-        cur.fail("DISTINCT head needs at least one variable", ("<variable>",))
-    return SelectHead(DISTINCT, tuple(variables))
+    else:
+        variables = []
+        while (tok := cur.peek()) is not None and tok != "WHERE":
+            if not is_variable(tok):
+                cur.fail(f"non-variable token {tok!r} in select head",
+                         ("<variable>", "WHERE"))
+            variables.append(cur.next())
+        if not variables:
+            cur.fail("DISTINCT head needs at least one variable",
+                     ("<variable>",))
+        head = SelectHead(DISTINCT, tuple(variables))
+    cur.expect("WHERE")
+    cur.expect("{")
+    return head
 
 
 def _parse_filter(cur: TokenCursor) -> Filter:
@@ -149,6 +156,56 @@ def _parse_filter(cur: TokenCursor) -> Filter:
     right = _term(cur, "term")
     cur.expect(")")
     return Filter(left, op, right)
+
+
+def _triple(cur: TokenCursor, subject: str, relation: str) -> Triple:
+    return Triple(subject, relation, _term(cur, "object"))
+
+
+def _plain_group(cur: TokenCursor, subject: str,
+                 relation: str) -> TripleGroup:
+    objects = [_term(cur, "object")]
+    while cur.peek() == ",":
+        cur.next()
+        objects.append(_term(cur, "object"))
+    return TripleGroup(subject, relation, tuple(objects))
+
+
+def _bracketed_group(cur: TokenCursor, subject: str,
+                     relation: str) -> TripleGroup:
+    if cur.peek() != "(":
+        return TripleGroup(subject, relation, (_term(cur, "object"),))
+    cur.next()
+    group = _plain_group(cur, subject, relation)
+    cur.expect(")")
+    return group
+
+
+def _parse_body(cur: TokenCursor, triple, bracketed: bool) -> list:
+    """The conjuncts (or groups) up to the closing brace, which must end the
+    input: separated by ``.``, or each wrapped in ``( )`` when
+    ``bracketed``.  ``triple`` parses the objects after a subject and
+    relation: one in a program, a comma list in a plain IR, a bracketed
+    comma list or one bare object in a bracketed IR."""
+    items: list = []
+    while (tok := cur.peek()) != "}":
+        if tok is None:
+            cur.fail("unterminated body", ("}",))
+        if bracketed or items:
+            cur.expect("(" if bracketed else ".")
+            tok = cur.peek()
+        if tok == "FILTER":
+            cur.next()
+            items.append(_parse_filter(cur))
+        else:
+            items.append(triple(cur, _term(cur, "subject"),
+                                _term(cur, "relation")))
+        if bracketed:
+            cur.expect(")")
+    cur.next()
+    if cur.peek() is not None:
+        cur.fail("trailing tokens after closing brace")
+    return items
 
 
 def _check_head_vars(head: SelectHead, conjuncts: Iterable[Conjunct],
@@ -172,39 +229,33 @@ def parse_sparql(text: str) -> SparqlQuery:
     """Parse one query; raises :class:`ParseError` on malformed input."""
     cur = TokenCursor(text)
     head = _parse_head(cur)
-    cur.expect("WHERE")
-    cur.expect("{")
-    conjuncts: list[Conjunct] = []
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            cur.fail("unterminated body", ("}",))
-        if tok == "}":
-            cur.next()
-            break
-        if conjuncts:
-            cur.expect(".")
-            tok = cur.peek()
-        if tok == "FILTER":
-            cur.next()
-            conjuncts.append(_parse_filter(cur))
-        else:
-            subject = _term(cur, "subject")
-            relation = _term(cur, "relation")
-            obj = _term(cur, "object")
-            conjuncts.append(Triple(subject, relation, obj))
-    if cur.peek() is not None:
-        cur.fail("trailing tokens after closing brace")
+    conjuncts = _parse_body(cur, _triple, False)
     _check_head_vars(head, conjuncts, cur)
     return SparqlQuery(head, tuple(conjuncts))
 
 
+def _render_group(g: Conjunct | Group, bracketed: bool) -> str:
+    if isinstance(g, TripleGroup):
+        objects = " , ".join(g.objects)
+        if bracketed and len(g.objects) > 1:
+            objects = f"( {objects} )"
+        core = f"{g.subject} {g.relation} {objects}"
+    else:
+        core = g.render()
+    return f"( {core} )" if bracketed else core
+
+
+def _render_program(head: SelectHead, parts: Iterable[str],
+                    bracketed: bool) -> str:
+    body = (" " if bracketed else " . ").join(parts)
+    if body:
+        return f"{head.render()} WHERE {{ {body} }}"
+    return f"{head.render()} WHERE {{ }}"
+
+
 def render_sparql(q: SparqlQuery) -> str:
     """Canonical surface form: single spaces, ``.`` between conjuncts."""
-    body = " . ".join(c.render() for c in q.conjuncts)
-    if body:
-        return f"{q.head.render()} WHERE {{ {body} }}"
-    return f"{q.head.render()} WHERE {{ }}"
+    return _render_program(q.head, [c.render() for c in q.conjuncts], False)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +311,8 @@ class RelationDictionary:
 
     def save(self, path: str | Path) -> None:
         payload = dict(sorted(self.forward.items()))
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True)
+                            + "\n"])
 
     @classmethod
     def load(cls, path: str | Path) -> "RelationDictionary":
@@ -353,89 +403,21 @@ def sparql_to_rir(q: SparqlQuery,
     return SparqlRir(q.head, tuple(groups), options.brackets)
 
 
-def _render_group(g: Group, bracketed: bool) -> str:
-    if isinstance(g, Filter):
-        base = g.render()
-        return f"( {base} )" if bracketed else base
-    if len(g.objects) == 1:
-        core = f"{g.subject} {g.relation} {g.objects[0]}"
-    elif bracketed:
-        objs = " , ".join(g.objects)
-        core = f"{g.subject} {g.relation} ( {objs} )"
-    else:
-        objs = " , ".join(g.objects)
-        core = f"{g.subject} {g.relation} {objs}"
-    return f"( {core} )" if bracketed else core
-
-
 def render_rir(z: SparqlRir) -> str:
     """Surface form: bracketed groups are space-joined, plain ones dotted."""
-    sep = " " if z.bracketed else " . "
-    body = sep.join(_render_group(g, z.bracketed) for g in z.groups)
-    if body:
-        return f"{z.head.render()} WHERE {{ {body} }}"
-    return f"{z.head.render()} WHERE {{ }}"
+    return _render_program(
+        z.head, [_render_group(g, z.bracketed) for g in z.groups],
+        z.bracketed)
 
 
-def _parse_bracketed_group(cur: TokenCursor) -> Group:
-    cur.expect("(")
-    if cur.peek() == "FILTER":
-        cur.next()
-        g: Group = _parse_filter(cur)
-    else:
-        subject = _term(cur, "subject")
-        relation = _term(cur, "relation")
-        if cur.peek() == "(":
-            cur.next()
-            objects = [_term(cur, "object")]
-            while cur.peek() == ",":
-                cur.next()
-                objects.append(_term(cur, "object"))
-            cur.expect(")")
-        else:
-            objects = [_term(cur, "object")]
-        g = TripleGroup(subject, relation, tuple(objects))
-    cur.expect(")")
-    return g
-
-
-def _parse_plain_group(cur: TokenCursor) -> Group:
-    if cur.peek() == "FILTER":
-        cur.next()
-        return _parse_filter(cur)
-    subject = _term(cur, "subject")
-    relation = _term(cur, "relation")
-    objects = [_term(cur, "object")]
-    while cur.peek() == ",":
-        cur.next()
-        objects.append(_term(cur, "object"))
-    return TripleGroup(subject, relation, tuple(objects))
-
-
-def parse_rir(text: str, bracketed: bool | None = None) -> SparqlRir:
-    """Parse an IR surface string; bracketing is auto-detected by default."""
+def parse_rir(text: str) -> SparqlRir:
+    """Parse an IR surface string; bracketing is detected from the first
+    group."""
     cur = TokenCursor(text)
     head = _parse_head(cur)
-    cur.expect("WHERE")
-    cur.expect("{")
-    if bracketed is None:
-        bracketed = cur.peek() == "("
-    groups: list[Group] = []
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            cur.fail("unterminated body", ("}",))
-        if tok == "}":
-            cur.next()
-            break
-        if bracketed:
-            groups.append(_parse_bracketed_group(cur))
-        else:
-            if groups:
-                cur.expect(".")
-            groups.append(_parse_plain_group(cur))
-    if cur.peek() is not None:
-        cur.fail("trailing tokens after closing brace")
+    bracketed = cur.peek() == "("
+    groups = _parse_body(cur, _bracketed_group if bracketed else _plain_group,
+                         bracketed)
     return SparqlRir(head, tuple(groups), bracketed)
 
 
@@ -464,31 +446,30 @@ def _anonymize_term(t: str) -> str:
     return t
 
 
-def _map_head(head: SelectHead, fn) -> SelectHead:
-    if head.kind != DISTINCT:
-        return head
-    return SelectHead(DISTINCT, tuple(fn(v) for v in head.variables))
+def _items(program: SparqlQuery | SparqlRir) -> tuple:
+    if isinstance(program, SparqlQuery):
+        return program.conjuncts
+    return program.groups
 
 
 def _map_terms(program: SparqlQuery | SparqlRir, fn):
-    head = _map_head(program.head, fn)
-    if isinstance(program, SparqlQuery):
-        conjuncts: list[Conjunct] = []
-        for c in program.conjuncts:
-            if isinstance(c, Triple):
-                conjuncts.append(Triple(fn(c.subject), c.relation,
-                                        fn(c.object)))
-            else:
-                conjuncts.append(Filter(fn(c.left), c.op, fn(c.right)))
-        return SparqlQuery(head, tuple(conjuncts))
-    groups: list[Group] = []
-    for g in program.groups:
-        if isinstance(g, TripleGroup):
-            groups.append(TripleGroup(fn(g.subject), g.relation,
-                                      tuple(fn(o) for o in g.objects)))
+    """``program`` with ``fn`` applied to each head variable, subject,
+    object and filter operand, in reading order."""
+    head = program.head
+    if head.kind == DISTINCT:
+        head = SelectHead(DISTINCT, tuple(map(fn, head.variables)))
+    mapped = []
+    for c in _items(program):
+        if isinstance(c, Triple):
+            mapped.append(Triple(fn(c.subject), c.relation, fn(c.object)))
+        elif isinstance(c, Filter):
+            mapped.append(Filter(fn(c.left), c.op, fn(c.right)))
         else:
-            groups.append(Filter(fn(g.left), g.op, fn(g.right)))
-    return SparqlRir(head, tuple(groups), program.bracketed)
+            mapped.append(TripleGroup(fn(c.subject), c.relation,
+                                      tuple(map(fn, c.objects))))
+    if isinstance(program, SparqlQuery):
+        return SparqlQuery(head, tuple(mapped))
+    return SparqlRir(head, tuple(mapped), program.bracketed)
 
 
 def sparql_to_lir(program: SparqlQuery | SparqlRir) -> str:
@@ -528,16 +509,6 @@ def normalize_sparql(q: SparqlQuery) -> SparqlQuery:
     return SparqlQuery(q.head, ordered)
 
 
-def _identity_rir(q: SparqlQuery) -> SparqlRir:
-    groups: list[Group] = []
-    for c in q.conjuncts:
-        if isinstance(c, Triple):
-            groups.append(TripleGroup(c.subject, c.relation, (c.object,)))
-        else:
-            groups.append(c)
-    return SparqlRir(q.head, tuple(groups), False)
-
-
 def structure_signature(program: SparqlQuery | SparqlRir) -> str:
     """Canonical structural form: entities masked, variables renumbered.
 
@@ -545,7 +516,6 @@ def structure_signature(program: SparqlQuery | SparqlRir) -> str:
     sorting), entities collapse to ``ENT``, then groups are sorted so the
     signature is insensitive to noise in group order.
     """
-    z = program if isinstance(program, SparqlRir) else _identity_rir(program)
     names: dict[str, str] = {}
 
     def rename(t: str) -> str:
@@ -557,10 +527,9 @@ def structure_signature(program: SparqlQuery | SparqlRir) -> str:
             return names[t]
         return t
 
-    renamed = _map_terms(z, rename)
-    body = sorted(_render_group(g, z.bracketed) for g in renamed.groups)
-    sep = " " if z.bracketed else " . "
-    rendered_body = sep.join(body)
-    if rendered_body:
-        return f"{renamed.head.render()} WHERE {{ {rendered_body} }}"
-    return f"{renamed.head.render()} WHERE {{ }}"
+    renamed = _map_terms(program, rename)
+    bracketed = isinstance(program, SparqlRir) and program.bracketed
+    return _render_program(
+        renamed.head,
+        sorted(_render_group(g, bracketed) for g in _items(renamed)),
+        bracketed)

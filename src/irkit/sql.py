@@ -62,19 +62,6 @@ def lex_sql(text: str) -> list[str]:
         if ch.isspace():
             i += 1
             continue
-        if ch in "\"'":
-            end = text.find(ch, i + 1)
-            if end < 0:
-                raise ParseError("unterminated string literal",
-                                 offset=byte_offset(text, i))
-            end += 1
-            # Glue any non-space tail onto the string token (rare, but keeps
-            # re-rendering byte-exact for inputs like "UA").
-            while end < n and not text[end].isspace():
-                end += 1
-            tokens.append(text[i:end])
-            i = end
-            continue
         end = i
         while end < n and not text[end].isspace():
             if text[end] in "\"'":
@@ -113,16 +100,17 @@ def _paren_delta(token: str) -> int:
     return token.count("(") - token.count(")")
 
 
-def _split_qualified(token: str) -> tuple[str, str] | None:
-    """Return (qualifier, rest) for dotted references; None otherwise."""
+def _split_qualified(token: str) -> tuple[str, str]:
+    """``(qualifier, ".column")`` for a dotted reference, whose qualifier
+    may name a table alias; ``(token, "")`` for any other token."""
     if _is_quoted(token) or "." not in token:
-        return None
+        return token, ""
     qualifier, rest = token.split(".", 1)
     if not qualifier or not rest:
-        return None
+        return token, ""
     if not (qualifier[0].isalpha() or qualifier[0] == "_"):
-        return None
-    return qualifier, rest
+        return token, ""
+    return qualifier, "." + rest
 
 
 @dataclass(slots=True)
@@ -182,8 +170,7 @@ def _validate_alias_shapes(tokens: Sequence[str]) -> None:
     for tok in tokens:
         if _is_quoted(tok) or "alias" not in tok:
             continue
-        part = _split_qualified(tok)
-        head = part[0] if part else tok
+        head, _ = _split_qualified(tok)
         if "alias" in head and not _ALIAS_TOKEN_RE.fullmatch(head):
             raise ParseError(
                 f"token {tok!r} does not match the <TABLE NAME>alias<N> "
@@ -307,7 +294,7 @@ def _annotate(tokens: Sequence[str], block: Block) -> tuple[str, ...]:
             tags.append(TABLE_ALIAS)
         elif is_value_token(tok):
             tags.append(VALUE)
-        elif _split_qualified(tok):
+        elif _split_qualified(tok)[1]:
             tags.append(COLUMN_REF)
         else:
             tags.append(IDENTIFIER)
@@ -354,8 +341,7 @@ def sql_to_rir(q: SqlQuery) -> SqlRir:
     for tok, tag in zip(q.tokens, q.annotations):
         if _is_quoted(tok):
             continue
-        part = _split_qualified(tok)
-        head = part[0] if part else tok
+        head, _ = _split_qualified(tok)
         if tag != VALUE and _ALIAS_TOKEN_RE.fullmatch(head):
             rewritten_names.add(_rewrite_alias(head))
         else:
@@ -404,16 +390,14 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
         if tok in declared:
             restored.append(restore_name(tok))
             continue
-        part = _split_qualified(tok)
-        if part:
-            qualifier, rest = part
-            if qualifier in declared:
-                restored.append(f"{restore_name(qualifier)}.{rest}")
-                continue
-            if _ALIAS_SHAPED_RE.fullmatch(qualifier):
-                raise InversionError(
-                    f"alias-shaped qualifier {qualifier!r} has no FROM "
-                    "declaration")
+        qualifier, rest = _split_qualified(tok)
+        if qualifier in declared:
+            restored.append(restore_name(qualifier) + rest)
+            continue
+        if rest and _ALIAS_SHAPED_RE.fullmatch(qualifier):
+            raise InversionError(
+                f"alias-shaped qualifier {qualifier!r} has no FROM "
+                "declaration")
         restored.append(tok)
     return parse_sql(render_sql(restored))
 
@@ -425,7 +409,7 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
 
 def _is_qualified_column(q: SqlQuery, index: int) -> bool:
     return (q.annotations[index] == COLUMN_REF
-            and _split_qualified(q.tokens[index]) is not None)
+            and _split_qualified(q.tokens[index])[1] != "")
 
 
 def iter_conditions(q: SqlQuery, clause: Clause,
@@ -507,12 +491,11 @@ def sql_to_lir(q: SqlQuery) -> SqlLir:
         if tok in declared or _ALIAS_TOKEN_RE.fullmatch(tok):
             masked.append(TABLE_MASK)
             continue
-        part = _split_qualified(tok)
-        if part:
-            qualifier, rest = part
-            if qualifier in declared or _ALIAS_TOKEN_RE.fullmatch(qualifier):
-                masked.append(f"{TABLE_MASK}.{rest}")
-                continue
+        qualifier, rest = _split_qualified(tok)
+        if rest and (qualifier in declared
+                     or _ALIAS_TOKEN_RE.fullmatch(qualifier)):
+            masked.append(TABLE_MASK + rest)
+            continue
         masked.append(tok)
     return SqlLir(tuple(masked))
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from irkit import data
+from irkit import data, metrics
 from irkit.cli import main
+from irkit.errors import IrkitError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -104,6 +105,26 @@ def test_transform_quarantines_bad_records(ws):
                "--in", src, "--out", out) == 1
 
 
+def test_sparql_dict_build_skips_an_unparseable_record(ws):
+    fixture = ws / "sparql_corpus.jsonl"
+    src = ws / "mixed.jsonl"
+    broken = {"id": "broken", "x": "a b", "y": "SELECT count(*) WHERE { ?x0"}
+    src.write_text(fixture.read_text() + json.dumps(broken) + "\n")
+    rir, back, rdict = ws / "rir.tsv", ws / "back.tsv", ws / "relations.json"
+    assert run("transform", "--formalism", "sparql", "--ir", "rir",
+               "--dict", rdict, "--in", src, "--out", rir) == 0
+    quarantined = data.read_quarantine(ws / "rir.tsv.quarantine.jsonl")
+    assert [e.id for e in quarantined] == ["broken"]
+    assert run("invert", "--formalism", "sparql", "--dict", rdict,
+               "--in", rir, "--out", back) == 0
+    restored = dict(data.read_pairs_tsv(back))
+    records = data.read_records_jsonl(fixture)
+    assert len(restored) == len(records)
+    for record in records:
+        assert (metrics.comparison_key("sparql", restored[record.id])
+                == metrics.comparison_key("sparql", record.y))
+
+
 def test_varify_template_formalism_checks(ws):
     assert run("transform", "--formalism", "scan", "--ir", "varify",
                "--in", ws / "scan_sample.txt", "--out", ws / "x.tsv") == 2
@@ -123,8 +144,10 @@ def test_varify_template_formalism_checks(ws):
      {"in.jsonl": "0\tSELECT count(*) WHERE { }\n", "d.json": "[1, 2]"}),
     (["transform", "--formalism", "scan", "--ir", "lir"],
      {"in.jsonl": b'{"id": "0", "x": "jump", "y": "\xff"}\n'}),
+    (["prepare", "--formalism", "scan", "--mode", "baseline"],
+     {"in.jsonl": '{"id": "0", "x": "jump\\ud800", "y": "JUMP"}\n'}),
 ], ids=["jsonl-not-object", "jsonl-non-string-y", "dict-bad-json",
-        "dict-not-object", "input-not-utf8"])
+        "dict-not-object", "input-not-utf8", "jsonl-lone-surrogate"])
 def test_malformed_input_exits_2_with_one_line(ws, capsys, argv, files):
     for name, content in files.items():
         (ws / name).write_bytes(
@@ -222,6 +245,20 @@ def test_lir_oracle_postprocess_needs_no_preds(ws):
                "--out", req) == 2
 
 
+def test_stage2_sources_flag_an_utterance_with_a_tab(ws):
+    fixture = ws / "sql_corpus.jsonl"
+    records = data.read_records_jsonl(fixture)
+    src = ws / "tab.jsonl"
+    bad = {"id": "tab-x", "x": "a\tb", "y": records[0].y}
+    src.write_text(fixture.read_text() + json.dumps(bad) + "\n")
+    out = ws / "sources.tsv"
+    assert run("postprocess", "--mode", "lir-oracle", "--stage", 1,
+               "--formalism", "sql", "--data", src, "--out", out) == 0
+    flagged = data.read_quarantine(ws / "sources.tsv.quarantine.jsonl")
+    assert [e.id for e in flagged] == ["tab-x"]
+    assert [i for i, _ in data.read_pairs_tsv(out)] == [r.id for r in records]
+
+
 def test_evaluate_counts_invalid(ws):
     gold = ws / "gold.tsv"
     preds = ws / "preds.tsv"
@@ -279,6 +316,19 @@ def test_stats_shows_grouped_ir_strictly_shorter(ws):
 def test_stats_rejects_unknown_tokenizer(ws):
     assert run("stats", "--formalism", "scan", "--tokenizer", "bogus",
                "--in", ws / "scan_sample.txt") == 2
+
+
+@pytest.mark.parametrize("write, rows", [
+    (data.write_pairs_tsv, [("0", "kept"), ("1", "a\tb")]),
+    (data.write_stage_tsv, [("0", "x", "y"), ("1", "x", "a\nb")]),
+])
+def test_failed_write_leaves_the_old_file(tmp_path, write, rows):
+    out = tmp_path / "out.tsv"
+    out.write_text("old\n")
+    with pytest.raises(IrkitError):
+        write(out, rows)
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,25 @@ def test_lir_i_invalid_prediction_excluded(sparql_records, relation_dict):
     assert any(e.id == records[1].id for e in flagged)
 
 
+# The alias qualifier FLIGHTalias1 has no FROM declaration.
+UNDECLARED_ALIAS_SQL = ("SELECT DISTINCT FLIGHTalias0.FLIGHT_ID FROM FLIGHT AS "
+                        'FLIGHTalias0 WHERE FLIGHTalias1.AIRLINE_CODE = "UA"')
+
+
+@pytest.mark.parametrize("formalism", pipeline.FORMALISMS)
+def test_lir_i_inference_z_equals_training_z(corpora, formalism):
+    """A perfect first stage gives stage 2 the sources it was trained on."""
+    records, cfg = corpora[formalism]
+    if formalism == "sql":
+        records = [*records, ExampleRecord("undeclared", "flights on UA",
+                                           UNDECLARED_ALIAS_SQL)]
+    trained = pipeline.prepare_stage2(records, pipeline.LIR_I, cfg)
+    post = pipeline.postprocess_stage1([(r.id, r.y) for r in records],
+                                       pipeline.LIR_I, cfg, records)
+    assert post.stage2_sources == [(p.id, p.source) for p in trained.pairs]
+    assert post.flagged == trained.quarantined == []
+
+
 def test_two_stage_postprocess_requires_records(corpora):
     records, cfg = corpora["sql"]
     with pytest.raises(ConfigError):

@@ -34,6 +34,15 @@ def test_lexer_error_offsets_are_bytes(text, offset):
     assert err.value.offset == offset
 
 
+def test_lexer_pairs_quotes_after_a_closing_quote():
+    # A token that opens with a quote follows the same rule as any other:
+    # each later quote opens a string that must close, spaces included.
+    assert sql.lex_sql('"a"b"c d" e') == ['"a"b"c d"', "e"]
+    with pytest.raises(ParseError) as err:
+        sql.lex_sql('"a"b" x')
+    assert err.value.offset == 4
+
+
 def test_parse_flight_query():
     q = sql.parse_sql(FLIGHT_QUERY)
     assert q.render() == FLIGHT_QUERY
