@@ -69,31 +69,33 @@ def _tokenizer(spec: str) -> Callable[[str], list[str]]:
 
 def _relation_dict(args, required: bool,
                    corpus: Sequence[ExampleRecord] | None = None,
-                   ) -> sparql_ir.RelationDictionary | None:
+                   ) -> tuple[sparql_ir.RelationDictionary | None,
+                              list[object] | None]:
     """The ``--dict`` sidecar, for a formalism whose z_r uses one.  An
     absent file is built from ``corpus`` and saved, so that later
-    invocations invert consistently."""
+    invocations invert consistently.  The second value holds the programs
+    that build parsed, by record position, for the command's loop to
+    reuse; it is None when nothing was built."""
     if not formalisms.get(args.formalism).needs_dict:
-        return None
+        return None, None
     path = args.dict_path
     if path is None:
         if required:
             raise ConfigError("--dict is required for sparql IR transforms")
-        return None
+        return None, None
     if Path(path).exists():
-        return sparql_ir.RelationDictionary.load(path)
+        return sparql_ir.RelationDictionary.load(path), None
     if not corpus:
         raise ConfigError(f"dictionary {path!r} does not exist and there is "
                           "no corpus to build it from")
     # Unparseable programs are left out; the command's loop quarantines them.
-    queries, _ = pipeline.quarantine_map(
-        [(r.id, r.y) for r in corpus],
-        lambda _, y: sparql_ir.parse_sparql(y), "dict")
-    rdict = sparql_ir.build_relation_dict(q for _, q in queries)
+    parsed = pipeline.parse_each((r.y for r in corpus), args.formalism)
+    rdict = sparql_ir.build_relation_dict(
+        q for q in parsed if not isinstance(q, IrkitError))
     rdict.save(path)
     print(f"built relation dictionary with {len(rdict.forward)} entries "
           f"-> {path}")
-    return rdict
+    return rdict, parsed
 
 
 def _write_quarantine(args, entries: list[QuarantineEntry]) -> int:
@@ -134,16 +136,17 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.ir in of_program and of_program[args.ir] is None:
         raise ConfigError(f"--ir {args.ir} is not defined for "
                           f"{args.formalism}")
-    transform = {"rir": pipeline.reversible_ir, "lir": pipeline.lossy_ir,
-                 "lir+rir": pipeline.lossy_reversible_ir}.get(
-        args.ir, lambda r, cfg: of_program[args.ir](formalism.parse(r.y)))
-    rdict = None
+    transform = {"rir": pipeline.Program.rir_text,
+                 "lir": pipeline.Program.lir_text,
+                 "lir+rir": pipeline.Program.lir_rir_text}.get(
+        args.ir, lambda p: of_program[args.ir](p.parsed))
+    rdict = parsed = None
     if args.ir in ("rir", "lir+rir") and options.shorten_relations:
-        rdict = _relation_dict(args, required=True, corpus=records)
+        rdict, parsed = _relation_dict(args, required=True, corpus=records)
     cfg = pipeline.PipelineConfig(args.formalism, rir_options=options,
                                   relation_dict=rdict)
     outputs, quarantined = pipeline.quarantine_map(
-        [(r.id, r) for r in records], lambda _, r: transform(r, cfg),
+        pipeline.programs(records, cfg, parsed), lambda _, p: transform(p),
         "transform")
     data.write_pairs_tsv(args.output, outputs)
     print(f"transform --ir {args.ir}: {len(outputs)} ok, "
@@ -153,8 +156,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     rows = data.read_pairs_tsv(args.input)
-    cfg = pipeline.PipelineConfig(args.formalism,
-                                  relation_dict=_relation_dict(args, True))
+    rdict, _ = _relation_dict(args, True)
+    cfg = pipeline.PipelineConfig(args.formalism, relation_dict=rdict)
     outputs, quarantined = pipeline.quarantine_map(
         rows, lambda _, text: pipeline.invert_reversible(text, cfg),
         "invert", keep_failed=True)
@@ -168,15 +171,15 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     records = data.read_records(args.input, args.formalism)
     row = pipeline.check_mode(args.mode)
     options = _rir_options(args)
-    rdict = None
+    rdict = parsed = None
     if options.shorten_relations and row.inverts():
-        rdict = _relation_dict(args, required=True, corpus=records)
+        rdict, parsed = _relation_dict(args, required=True, corpus=records)
     cfg = pipeline.PipelineConfig(args.formalism, separator=args.sep,
                                   rir_options=options, relation_dict=rdict,
                                   cat_budget=args.cat_budget)
     prepare = (pipeline.prepare_stage1 if args.stage == 1
                else pipeline.prepare_stage2)
-    result = prepare(records, args.mode, cfg)
+    result = prepare(records, args.mode, cfg, parsed)
     data.write_stage_tsv(args.output,
                          [(p.id, p.source, p.target) for p in result.pairs])
     print(f"prepare --mode {args.mode} --stage {args.stage}: "
@@ -191,8 +194,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 def cmd_postprocess(args: argparse.Namespace) -> int:
     row = pipeline.check_mode(args.mode)
     options = _rir_options(args)
-    rdict = _relation_dict(args, options.shorten_relations
-                           and row.inverts(args.stage))
+    rdict, _ = _relation_dict(args, options.shorten_relations
+                              and row.inverts(args.stage))
     cfg = pipeline.PipelineConfig(args.formalism, separator=args.sep,
                                   rir_options=options, relation_dict=rdict)
     records = (data.read_records(args.data, args.formalism)

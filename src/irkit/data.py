@@ -86,19 +86,29 @@ def read_records_jsonl(path: str | Path, formalism: str = "") -> list[ExampleRec
     records = []
     for lineno, line in _lines(path):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IrkitError(f"{path}:{lineno}: invalid JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise IrkitError(f"{path}:{lineno}: not a JSON object")
-        try:
-            record_id, x, y = str(obj["id"]), obj["x"], obj["y"]
-        except KeyError as exc:
-            raise IrkitError(f"{path}:{lineno}: missing field {exc}")
-        if not (isinstance(x, str) and isinstance(y, str)):
-            raise IrkitError(f"{path}:{lineno}: x and y must be strings")
-        records.append(ExampleRecord(record_id, x, y, formalism))
+            records.append(_record_of_json(line, formalism))
+        except IrkitError as exc:
+            raise IrkitError(f"{path}:{lineno}: {exc}") from None
     return records
+
+
+def _record_of_json(line: str, formalism: str) -> ExampleRecord:
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # Besides malformed JSON: an integer literal past Python's digit
+        # limit (ValueError) and nesting past the recursion limit.
+        raise IrkitError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise IrkitError("not a JSON object")
+    try:
+        record_id, x, y = str(obj["id"]), obj["x"], obj["y"]
+    except KeyError as exc:
+        raise IrkitError(f"missing field {exc}") from None
+    if not (isinstance(x, str) and isinstance(y, str)):
+        raise IrkitError("x and y must be strings")
+    return ExampleRecord(check_field(record_id, "id", record_id), x, y,
+                         formalism)
 
 
 def read_records_tsv(path: str | Path, formalism: str = "") -> list[ExampleRecord]:

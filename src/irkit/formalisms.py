@@ -20,16 +20,17 @@ from .errors import ConfigError, IrkitError
 
 @dataclass(frozen=True, slots=True)
 class Formalism:
-    """One formalism's transforms; ``cfg`` is a ``PipelineConfig``.
+    """One formalism's transforms; ``cfg`` is a ``PipelineConfig`` and
+    ``p`` a ``pipeline.Program`` (one record, its parsed program and cfg).
 
     A z_r object is what ``to_rir`` and ``parse_rir`` return and what
     ``render_rir`` and ``lir_of_rir`` take: the parsed reversible IR for
-    sparql, the bracketed token list for scan, and the surface text for sql,
-    whose reversible IR is itself SQL.
+    sparql, the bracketed token list for scan, and the ``SqlRir`` token
+    stream for sql.
     """
 
     parse: Callable[[str], Any]  # program text -> program
-    to_rir: Callable[[Any, Any], Any]  # record, cfg -> z_r object
+    to_rir: Callable[[Any], Any]  # p -> z_r object
     render_rir: Callable[[Any], str]
     parse_rir: Callable[[str], Any]  # z_r text (a prediction) -> z_r object
     from_rir: Callable[[str, Any], str]  # z_r text, cfg -> program text
@@ -46,9 +47,9 @@ def _normalize_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
-def _sparql_rir(record, cfg) -> sparql_ir.SparqlRir:
-    return sparql_ir.sparql_to_rir(sparql_ir.parse_sparql(record.y),
-                                   cfg.relation_dict, cfg.rir_options)
+def _sparql_rir(p) -> sparql_ir.SparqlRir:
+    return sparql_ir.sparql_to_rir(p.parsed, p.cfg.relation_dict,
+                                   p.cfg.rir_options)
 
 
 def _scan_actions(text: str) -> list[str]:
@@ -59,11 +60,11 @@ def _scan_actions(text: str) -> list[str]:
     return actions
 
 
-def _scan_rir(record, cfg) -> list[str]:
+def _scan_rir(p) -> list[str]:
     # The bracketing transducer is driven by the command, so the source side
     # must actually denote the target actions.
-    tokens = scan_ir.scan_to_rir(scan_ir.parse_command(record.x))
-    if scan_ir.strip_brackets(tokens) != record.y.split():
+    tokens = scan_ir.scan_to_rir(scan_ir.parse_command(p.record.x))
+    if scan_ir.strip_brackets(tokens) != p.record.y.split():
         raise IrkitError("command does not interpret to the target actions")
     return tokens
 
@@ -72,6 +73,10 @@ def _scan_parse_rir(text: str) -> list[str]:
     tokens = text.split()
     scan_ir.strip_brackets(tokens)  # validates vocabulary and balance
     return tokens
+
+
+def _sql_parse_rir(text: str) -> sql_ir.SqlRir:
+    return sql_ir.SqlRir(tuple(sql_ir.lex_sql(text)))
 
 
 def _scan_lir(tokens: list[str]) -> str:
@@ -97,14 +102,14 @@ TABLE: dict[str, Formalism] = {
         varify=lambda q: sparql_ir.varify(q)),
     "sql": Formalism(
         parse=lambda t: sql_ir.parse_sql(t),
-        to_rir=lambda r, cfg: sql_ir.sql_to_rir(
-            sql_ir.parse_sql(r.y)).render(),
-        render_rir=str,
-        parse_rir=str,
+        to_rir=lambda p: sql_ir.sql_to_rir(p.parsed),
+        render_rir=lambda z: z.render(),
+        parse_rir=_sql_parse_rir,
         from_rir=lambda t, cfg: sql_ir.sql_from_rir(
-            sql_ir.SqlRir(tuple(sql_ir.lex_sql(t)))).render(),
+            _sql_parse_rir(t)).render(),
         to_lir=lambda q: sql_ir.sql_to_lir(q).render(),
-        lir_of_rir=lambda t: sql_ir.sql_to_lir(sql_ir.parse_sql(t)).render(),
+        lir_of_rir=lambda z: sql_ir.sql_to_lir(
+            sql_ir.parse_sql_tokens(z.tokens)).render(),
         key=_normalize_whitespace,
         structure=lambda t: sql_ir.sql_template_signature(
             sql_ir.parse_sql(t)),

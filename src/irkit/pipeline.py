@@ -12,7 +12,8 @@ and never abort a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import formalisms
 from . import sparql as sparql_ir
@@ -73,31 +74,101 @@ class PostprocessResult:
 
 
 # ---------------------------------------------------------------------------
-# Per-formalism transforms
+# Per-record transforms
 # ---------------------------------------------------------------------------
 
 
+class Program:
+    """One record's program.  ``y`` is parsed and z_r built at most once
+    each, so every output the record produces reuses them.  A command's
+    loop makes one per record and drops it after that record's step.
+
+    ``parsed`` may be handed in from an earlier parse in the same command
+    (the relation-dictionary build); an ``IrkitError`` in its place is what
+    that parse raised, raised again where the program is first needed.
+    """
+
+    __slots__ = ("record", "cfg", "formalism", "_parsed", "_rir")
+
+    def __init__(self, record: ExampleRecord, cfg: PipelineConfig,
+                 parsed: object = None) -> None:
+        self.record = record
+        self.cfg = cfg
+        self.formalism = formalisms.TABLE[cfg.formalism]
+        self._parsed = parsed
+        self._rir = None
+
+    @property
+    def parsed(self):
+        """The parsed ``y``."""
+        if self._parsed is None:
+            self._parsed = self.formalism.parse(self.record.y)
+        if isinstance(self._parsed, IrkitError):
+            raise self._parsed
+        return self._parsed
+
+    @property
+    def rir(self):
+        """The z_r object."""
+        if self._rir is None:
+            self._rir = self.formalism.to_rir(self)
+        return self._rir
+
+    def gold(self) -> str:
+        return self.record.y
+
+    def rir_text(self) -> str:
+        """z_r as a surface string."""
+        return self.formalism.render_rir(self.rir)
+
+    def lir_text(self) -> str:
+        """z_l as a surface string."""
+        return self.formalism.to_lir(self.parsed)
+
+    def lir_rir_text(self) -> str:
+        """z_{l,r}: the reversible transform first, then the lossy one."""
+        return self.formalism.lir_of_rir(self.rir)
+
+    def cat_text(self) -> str:
+        return self.lir_text() + self.cfg.separator + self.record.y
+
+    def varified_text(self) -> str:
+        return self.formalism.varify(self.parsed)
+
+
+def programs(records: Sequence[ExampleRecord], cfg: PipelineConfig,
+             parsed: Sequence[object] | None = None,
+             ) -> Iterator[tuple[str, Program]]:
+    """``(id, Program)`` per record, each made as the loop reaches it;
+    ``parsed`` holds programs already parsed, by record position."""
+    return ((r.id, Program(r, cfg, q))
+            for r, q in zip(records, parsed or repeat(None)))
+
+
+def parse_each(texts: Iterable[str], formalism: str) -> list[object]:
+    """Each program parsed, or the ``IrkitError`` its parse raised, by
+    position: for a step that needs every program before the record loop
+    and then hands them to it."""
+    parse = formalisms.TABLE[formalism].parse
+    parsed: list[object] = []
+    for text in texts:
+        try:
+            parsed.append(parse(text))
+        except IrkitError as exc:
+            parsed.append(exc)
+    return parsed
+
+
 def reversible_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    """z_r as a surface string."""
-    f = formalisms.TABLE[cfg.formalism]
-    return f.render_rir(f.to_rir(record, cfg))
+    """z_r of one record as a surface string."""
+    return Program(record, cfg).rir_text()
 
 
 def _lir_of_program(text: str, cfg: PipelineConfig) -> str:
-    """z_l of a gold or predicted program: one path for both."""
+    """z_l of a predicted program: the path ``Program.lir_text`` takes for
+    gold ``y``."""
     f = formalisms.TABLE[cfg.formalism]
     return f.to_lir(f.parse(text))
-
-
-def lossy_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    """z_l as a surface string."""
-    return _lir_of_program(record.y, cfg)
-
-
-def lossy_reversible_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    """z_{l,r}: the reversible transform first, then the lossy one."""
-    f = formalisms.TABLE[cfg.formalism]
-    return f.lir_of_rir(f.to_rir(record, cfg))
 
 
 def invert_reversible(text: str, cfg: PipelineConfig) -> str:
@@ -119,20 +190,12 @@ def lossy_of_prediction(text: str, cfg: PipelineConfig,
 # The mode table
 # ---------------------------------------------------------------------------
 
-RecordFn = Callable[[ExampleRecord, PipelineConfig], str]
+RecordFn = Callable[[Program], str]
 OutputFn = Callable[[str, PipelineConfig], str]
-
-
-def _gold(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    return record.y
 
 
 def _as_is(text: str, cfg: PipelineConfig) -> str:
     return text
-
-
-def _cat_target(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    return lossy_ir(record, cfg) + cfg.separator + record.y
 
 
 def _split_cat(text: str, cfg: PipelineConfig) -> str:
@@ -141,11 +204,6 @@ def _split_cat(text: str, cfg: PipelineConfig) -> str:
         raise IrkitError("output has no separator to split the program "
                          "from the IR")
     return tail
-
-
-def _varified_target(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    f = formalisms.TABLE[cfg.formalism]
-    return f.varify(f.parse(record.y))
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,18 +234,19 @@ class Mode:
 
 
 MODE_TABLE: dict[str, Mode] = {
-    BASELINE: Mode(_gold),
-    RIR: Mode(reversible_ir, final=invert_reversible),
-    LIR_D: Mode(lossy_ir, lossy_ir, _gold, _as_is),
-    LIR_I: Mode(_gold, lossy_ir, _gold, _lir_of_program),
-    LIR_D_RIR: Mode(lossy_reversible_ir, lossy_reversible_ir, reversible_ir,
-                    _as_is, invert_reversible),
-    LIR_I_RIR: Mode(reversible_ir, lossy_reversible_ir, reversible_ir,
+    BASELINE: Mode(Program.gold),
+    RIR: Mode(Program.rir_text, final=invert_reversible),
+    LIR_D: Mode(Program.lir_text, Program.lir_text, Program.gold, _as_is),
+    LIR_I: Mode(Program.gold, Program.lir_text, Program.gold,
+                _lir_of_program),
+    LIR_D_RIR: Mode(Program.lir_rir_text, Program.lir_rir_text,
+                    Program.rir_text, _as_is, invert_reversible),
+    LIR_I_RIR: Mode(Program.rir_text, Program.lir_rir_text, Program.rir_text,
                     lambda text, cfg: lossy_of_prediction(text, cfg, True),
                     invert_reversible),
-    LIR_ORACLE: Mode(lossy_ir, lossy_ir, _gold),
-    LIR_CAT: Mode(_cat_target, final=_split_cat),
-    VARIFIED: Mode(_varified_target,
+    LIR_ORACLE: Mode(Program.lir_text, Program.lir_text, Program.gold),
+    LIR_CAT: Mode(Program.cat_text, final=_split_cat),
+    VARIFIED: Mode(Program.varified_text,
                    final=lambda text, cfg: sparql_ir.strip_var_markers(text)),
 }
 
@@ -230,25 +289,27 @@ def quarantine_map(items: Iterable[tuple[str, T]],
 # ---------------------------------------------------------------------------
 
 
-def _staged(records: Sequence[ExampleRecord], stage: str,
-            fn: Callable[[str, ExampleRecord], tuple[str, str]],
-            ) -> PrepareResult:
-    pairs, quarantined = quarantine_map([(r.id, r) for r in records], fn,
+def _staged(records: Sequence[ExampleRecord], cfg: PipelineConfig,
+            parsed: Sequence[object] | None, stage: str,
+            fn: Callable[[str, Program], tuple[str, str]]) -> PrepareResult:
+    pairs, quarantined = quarantine_map(programs(records, cfg, parsed), fn,
                                         stage)
     return PrepareResult([StagePair(i, *pair) for i, pair in pairs],
                          quarantined)
 
 
 def prepare_stage1(records: Sequence[ExampleRecord], mode: str,
-                   cfg: PipelineConfig) -> PrepareResult:
-    """Build (x, target) pairs for the first seq2seq stage."""
+                   cfg: PipelineConfig,
+                   parsed: Sequence[object] | None = None) -> PrepareResult:
+    """Build (x, target) pairs for the first seq2seq stage.  ``parsed``
+    holds the records' programs if the caller parsed them already."""
     row = check_mode(mode)
     if mode == VARIFIED and formalisms.TABLE[cfg.formalism].varify is None:
         raise ConfigError("the varified mode marks variables and entities "
                           f"and is not defined for {cfg.formalism}")
-    result = _staged(records, "stage1", lambda _, r: (
-        check_field(r.x, "utterance", r.id),
-        check_field(row.stage1_target(r, cfg), "target", r.id)))
+    result = _staged(records, cfg, parsed, "stage1", lambda _, p: (
+        check_field(p.record.x, "utterance", p.record.id),
+        check_field(row.stage1_target(p), "target", p.record.id)))
     if mode == LIR_CAT:
         result.n_over_budget = sum(len(p.target.split()) > cfg.cat_budget
                                    for p in result.pairs)
@@ -256,18 +317,20 @@ def prepare_stage1(records: Sequence[ExampleRecord], mode: str,
 
 
 def prepare_stage2(records: Sequence[ExampleRecord], mode: str,
-                   cfg: PipelineConfig) -> PrepareResult:
+                   cfg: PipelineConfig,
+                   parsed: Sequence[object] | None = None) -> PrepareResult:
     """Build (x ++ sep ++ gold z, target) pairs for the second stage."""
     row = check_mode(mode)
     if row.stage2_ir is None:
         raise ConfigError(f"mode {mode!r} has no second stage")
 
-    def pair(_: str, r: ExampleRecord) -> tuple[str, str]:
-        z = check_field(row.stage2_ir(r, cfg), "gold IR", r.id)
-        target = check_field(row.stage2_target(r, cfg), "target", r.id)
+    def pair(_: str, p: Program) -> tuple[str, str]:
+        r = p.record
+        z = check_field(row.stage2_ir(p), "gold IR", r.id)
+        target = check_field(row.stage2_target(p), "target", r.id)
         return check_field(r.x, "utterance", r.id) + cfg.separator + z, target
 
-    return _staged(records, "stage2", pair)
+    return _staged(records, cfg, parsed, "stage2", pair)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +365,7 @@ def postprocess_stage1(preds: Sequence[tuple[str, str]] | None, mode: str,
         record = by_id.get(record_id)
         if record is None:
             raise IrkitError("prediction id not in dataset")
-        z = (row.stage2_ir(record, cfg) if row.reads_gold_ir
+        z = (row.stage2_ir(Program(record, cfg)) if row.reads_gold_ir
              else row.z_of_output(text, cfg))
         return (check_field(record.x, "utterance", record_id)
                 + cfg.separator + z)

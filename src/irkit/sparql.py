@@ -316,9 +316,10 @@ class RelationDictionary:
 
     @classmethod
     def load(cls, path: str | Path) -> "RelationDictionary":
+        text = Path(path).read_text(encoding="utf-8")
         try:
-            forward = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+            forward = json.loads(text)
+        except (ValueError, RecursionError):  # as in data.read_records_jsonl
             forward = None
         if not (isinstance(forward, dict)
                 and all(isinstance(v, str) for v in forward.values())):

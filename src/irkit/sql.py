@@ -148,7 +148,12 @@ class SqlQuery:
 
 @dataclass(frozen=True, slots=True)
 class SqlRir:
-    """Token stream with the ``alias`` infix removed from table aliases."""
+    """Token stream with the ``alias`` infix removed from table aliases.
+
+    The tokens are ones ``lex_sql`` yields (for a prediction) or ones
+    ``sql_to_rir`` rewrote from them, so they parse as tokens, with no
+    render and re-lex.
+    """
 
     tokens: tuple[str, ...]
 
@@ -303,7 +308,13 @@ def _annotate(tokens: Sequence[str], block: Block) -> tuple[str, ...]:
 
 def parse_sql(text: str) -> SqlQuery:
     """Tokenize, segment, and annotate one canonicalized query."""
-    tokens = lex_sql(text)
+    return parse_sql_tokens(tuple(lex_sql(text)))
+
+
+def parse_sql_tokens(tokens: tuple[str, ...]) -> SqlQuery:
+    """Segment and annotate a token stream that ``lex_sql`` would yield for
+    its rendering: the same query ``parse_sql(render_sql(tokens))`` gives,
+    without lexing that text again."""
     if not tokens:
         raise ParseError("empty query")
     if tokens[0].upper() != "SELECT":
@@ -319,8 +330,7 @@ def parse_sql(text: str) -> SqlQuery:
     _validate_alias_shapes(tokens)
     block = Block(0, len(tokens))
     _segment_block(tokens, 0, len(tokens), block)
-    annotations = _annotate(tokens, block)
-    return SqlQuery(tuple(tokens), annotations, block)
+    return SqlQuery(tokens, _annotate(tokens, block), block)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +339,7 @@ def parse_sql(text: str) -> SqlQuery:
 
 
 def _rewrite_alias(token: str) -> str:
-    if _is_quoted(token):
+    if "alias" not in token or _is_quoted(token):
         return token
     return _ALIAS_RE.sub(r"\1\2", token)
 
@@ -399,7 +409,7 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
                 f"alias-shaped qualifier {qualifier!r} has no FROM "
                 "declaration")
         restored.append(tok)
-    return parse_sql(render_sql(restored))
+    return parse_sql_tokens(tuple(restored))
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,22 @@ def test_varify_template_formalism_checks(ws):
      {"in.jsonl": b'{"id": "0", "x": "jump", "y": "\xff"}\n'}),
     (["prepare", "--formalism", "scan", "--mode", "baseline"],
      {"in.jsonl": '{"id": "0", "x": "jump\\ud800", "y": "JUMP"}\n'}),
+    (["transform", "--formalism", "scan", "--ir", "lir"],
+     {"in.jsonl": '{"id": "0\\t1", "x": "jump", "y": "JUMP"}\n'}),
+    (["transform", "--formalism", "scan", "--ir", "lir"],
+     {"in.jsonl": '{"id": ' + "7" * 5000 + ', "x": "jump", "y": "JUMP"}\n'}),
+    (["transform", "--formalism", "scan", "--ir", "lir"],
+     {"in.jsonl": "[" * 200_000 + "\n"}),
+    (["invert", "--formalism", "sparql", "--dict", "d.json"],
+     {"in.jsonl": "0\tSELECT count(*) WHERE { }\n",
+      "d.json": '{"a": ' + "7" * 5000 + "}"}),
+    (["invert", "--formalism", "sparql", "--dict", "d.json"],
+     {"in.jsonl": "0\tSELECT count(*) WHERE { }\n", "d.json": "[" * 200_000}),
 ], ids=["jsonl-not-object", "jsonl-non-string-y", "dict-bad-json",
-        "dict-not-object", "input-not-utf8", "jsonl-lone-surrogate"])
+        "dict-not-object", "input-not-utf8", "jsonl-lone-surrogate",
+        "jsonl-id-with-tab", "jsonl-id-over-digit-limit",
+        "jsonl-nested-too-deep", "dict-int-over-digit-limit",
+        "dict-nested-too-deep"])
 def test_malformed_input_exits_2_with_one_line(ws, capsys, argv, files):
     for name, content in files.items():
         (ws / name).write_bytes(

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from irkit import sql
-from irkit.errors import InversionError, ParseError, TransformError
+from irkit import pipeline, sql
+from irkit.errors import (InversionError, IrkitError, ParseError,
+                          TransformError)
 
 from oracles import oracle_sql_lir
 
@@ -323,3 +326,90 @@ def test_template_deterministic(sql_records):
         q = sql.parse_sql(record.y)
         assert (sql.sql_template_signature(q)
                 == sql.sql_template_signature(q))
+
+
+# ---------------------------------------------------------------------------
+# Token-level parsing: the query that lexing the rendered tokens again gives
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type, message and offset it raises."""
+    try:
+        return fn(*args)
+    except IrkitError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _check_token_parse(tokens):
+    """``parse_sql_tokens`` against parsing the rendered text, and the
+    paths built on it against the render-and-re-lex compositions."""
+    tokens = tuple(tokens)
+    text = sql.render_sql(tokens)
+    assert _outcome(sql.parse_sql_tokens, tokens) == _outcome(sql.parse_sql,
+                                                              text)
+    for tok in tokens:
+        assert sql._rewrite_alias(tok) == (
+            tok if tok.startswith(('"', "'"))
+            else sql._ALIAS_RE.sub(r"\1\2", tok))
+    restored = _outcome(sql.sql_from_rir, sql.SqlRir(tokens))
+    if isinstance(restored, sql.SqlQuery):
+        assert restored == sql.parse_sql(restored.render())
+    z = _outcome(lambda: sql.sql_to_rir(sql.parse_sql_tokens(tokens)))
+    if isinstance(z, sql.SqlRir):
+        assert (_outcome(sql.parse_sql_tokens, z.tokens)
+                == _outcome(sql.parse_sql, z.render()))
+
+
+def test_token_parse_equals_relex_on_fixtures(sql_records):
+    cfg = pipeline.PipelineConfig("sql")
+    for record in sql_records:
+        q = sql.parse_sql(record.y)
+        z = sql.sql_to_rir(q)
+        _check_token_parse(q.tokens)
+        _check_token_parse(z.tokens)
+        program = pipeline.Program(record, cfg)
+        assert program.lir_rir_text() == sql.sql_to_lir(
+            sql.parse_sql(z.render())).render()
+        assert program.rir_text() == z.render()
+        assert (pipeline.invert_reversible(z.render(), cfg)
+                == sql.parse_sql(sql.sql_from_rir(z).render()).render()
+                == record.y)
+
+
+EDGE_TOKENS = ["aliasalias1", 'x"Aalias1 y"', '"NEW YORK"', "'a b'",
+               'a.b"c d"', '"x"y"z w"', "Aalias", "alias1", "0alias1",
+               "FLIGHTalias0", "FLIGHTalias0.X", "FLIGHT0", "FLIGHT0.X",
+               "Aalias1.Y", "Xalias0.Y)", "T.X", ".X", "X.", "city_name0",
+               "2.5", "COUNT(", "count(DISTINCT", "(SELECT"]
+SQL_WORDS = ["SELECT", "DISTINCT", "FROM", "AS", "WHERE", "AND", "OR",
+             "NOT", "IN", "GROUP", "ORDER", "BY", "HAVING", "LIMIT",
+             "BETWEEN", "UNION", "ALL", "(", ")", ",", "=", "<", "FLIGHT",
+             "A", "1"]
+BARE = st.text(alphabet="Aa_lis01.(),=", min_size=1, max_size=8)
+QUOTED = st.tuples(st.text(alphabet="Aalias1.", max_size=3),
+                   st.sampled_from(['"', "'"]),
+                   st.text(alphabet="Aa lias 01.", max_size=6)).map(
+    lambda t: f"{t[0]}{t[1]}{t[2]}{t[1]}")
+TOKEN = st.one_of(st.sampled_from(EDGE_TOKENS + SQL_WORDS), BARE, QUOTED)
+
+
+def _inserted(tokens, edits):
+    tokens = list(tokens)
+    for index, token in edits:
+        tokens.insert(index, token)
+    return tokens
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_token_parse_equals_relex_on_generated_streams(sql_records, data):
+    fixture = sql.lex_sql(data.draw(st.sampled_from(sql_records)).y)
+    stream = data.draw(st.one_of(
+        st.lists(TOKEN, max_size=14),
+        st.lists(TOKEN, max_size=14).map(lambda t: ["SELECT", *t]),
+        st.lists(st.tuples(st.integers(0, len(fixture)), TOKEN),
+                 max_size=3).map(lambda edits: _inserted(fixture, edits))))
+    assume(_outcome(sql.lex_sql, sql.render_sql(stream)) == stream)
+    _check_token_parse(stream)
+
