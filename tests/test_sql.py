@@ -103,6 +103,103 @@ def test_parse_errors(bad):
         sql.parse_sql(bad)
 
 
+_SUB_IN_WHERE = [(0, 17, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 17)],
+                  [(10, 16)]),
+                 (10, 16, [("SELECT", 10, 12), ("FROM", 12, 16)], [])]
+_UNBALANCED = (ParseError, "unbalanced parentheses")
+
+# name: (token stream, outcome of parse_sql_tokens, outcome of sql_from_rir
+# or None when it is the same).  An outcome is every block in walk order as
+# (start, end, [(clause, start, end)], [child (start, end)]), or the error's
+# type and message.  The streams hold no alias token, so sql_from_rir
+# restores nothing, but it segments before it checks the balance.
+SEGMENTATION_CASES = {
+    "subquery-in-where": (
+        "SELECT A0.X FROM A AS A0 WHERE A0.Y IN "
+        "( SELECT B0.Y FROM B AS B0 )", _SUB_IN_WHERE, None),
+    "subquery-in-plain-group": (
+        "SELECT A0.X FROM A AS A0 WHERE "
+        "( A0.Y IN ( SELECT B0.Y FROM B AS B0 ) )",
+        [(0, 19, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 19)],
+          [(11, 17)]),
+         (11, 17, [("SELECT", 11, 13), ("FROM", 13, 17)], [])], None),
+    "doubly-nested": (
+        "SELECT A0.X FROM A AS A0 WHERE A0.Y IN ( SELECT B0.Y FROM B AS B0 "
+        "WHERE B0.Z IN ( SELECT C0.Z FROM C AS C0 ) ) ORDER BY A0.X",
+        [(0, 31, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 28),
+                  ("ORDER_BY", 28, 31)], [(10, 27)]),
+         (10, 27, [("SELECT", 10, 12), ("FROM", 12, 16), ("WHERE", 16, 27)],
+          [(20, 26)]),
+         (20, 26, [("SELECT", 20, 22), ("FROM", 22, 26)], [])], None),
+    "union-all": (
+        "SELECT A0.X FROM A AS A0 UNION ALL SELECT B0.X FROM B AS B0",
+        [(0, 14, [("SELECT", 0, 2), ("FROM", 2, 6), ("SET_OP", 6, 8),
+                  ("SELECT", 8, 10), ("FROM", 10, 14)], [])], None),
+    "union-in-subquery": (
+        "SELECT A0.X FROM A AS A0 WHERE A0.Y IN ( SELECT B0.Y FROM B AS B0 "
+        "UNION SELECT C0.Y FROM C AS C0 )",
+        [(0, 24, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 24)],
+          [(10, 23)]),
+         (10, 23, [("SELECT", 10, 12), ("FROM", 12, 16), ("SET_OP", 16, 17),
+                   ("SELECT", 17, 19), ("FROM", 19, 23)], [])], None),
+    "glued-count": (
+        "SELECT COUNT( DISTINCT A0.X ) FROM A AS A0 GROUP BY A0.Y "
+        "HAVING COUNT( * ) > 1 LIMIT 1",
+        [(0, 20, [("SELECT", 0, 5), ("FROM", 5, 9), ("GROUP_BY", 9, 12),
+                  ("HAVING", 12, 18), ("LIMIT", 18, 20)], [])], None),
+    "group-without-by-in-subquery": (
+        "SELECT A0.X FROM A AS A0 WHERE A0.Y IN "
+        "( SELECT B0.Y FROM B AS B0 GROUP B0.Y )",
+        (ParseError, "GROUP not followed by BY"), None),
+    "order-without-by-at-end": (
+        "SELECT A0.X FROM A AS A0 ORDER",
+        (ParseError, "ORDER not followed by BY"), None),
+    "set-op-then-no-clause": (
+        "SELECT A0.X UNION A0.Y",
+        (ParseError, "token 'A0.Y' appears before any clause keyword"), None),
+    "unclosed-subquery-then-clause-error": (
+        "SELECT A0.X FROM A AS A0 WHERE A0.Y IN ( SELECT B0.Y GROUP B0.Y",
+        (ParseError, "unbalanced '('"), _UNBALANCED),
+    "clause-error-then-unclosed-subquery": (
+        "SELECT A0.X GROUP A0.X WHERE A0.Y IN ( SELECT B0.Y",
+        (ParseError, "unbalanced '('"),
+        (ParseError, "GROUP not followed by BY")),
+    "stray-close-before-subquery": (
+        "SELECT A0.X ) ( SELECT B0.Y FROM B AS B0 )",
+        (ParseError, "unbalanced ')'"), _UNBALANCED),
+    "stray-close-swallows-a-clause": (
+        "SELECT A0.X ) GROUP ( SELECT B0.Y GROUP B0.Y )",
+        (ParseError, "unbalanced ')'"),
+        (ParseError, "GROUP not followed by BY")),
+    "no-subquery-below-depth-zero": (
+        "SELECT A0.X ) ) ( SELECT B0.Y ) GROUP B0.Y",
+        (ParseError, "unbalanced ')'"), _UNBALANCED),
+    "not-select-first": (
+        "FROM A AS A0 WHERE ( SELECT",
+        (ParseError, "query starts with 'FROM', not SELECT "
+                     "(at byte offset 0)"), _UNBALANCED),
+}
+
+
+def _segmentation(fn, tokens):
+    try:
+        q = fn(tokens)
+    except IrkitError as exc:
+        return type(exc), str(exc)
+    return [(b.start, b.end, [(c.name, c.start, c.end) for c in b.clauses],
+             [(child.start, child.end) for child in b.children])
+            for b in q.block.walk()]
+
+
+@pytest.mark.parametrize("name", list(SEGMENTATION_CASES))
+def test_segmentation_cases(name):
+    text, parsed, from_rir = SEGMENTATION_CASES[name]
+    tokens = tuple(text.split())
+    assert _segmentation(sql.parse_sql_tokens, tokens) == parsed
+    assert (_segmentation(lambda t: sql.sql_from_rir(sql.SqlRir(t)), tokens)
+            == (parsed if from_rir is None else from_rir))
+
+
 def test_corpus_round_trip_byte_exact(sql_records):
     for record in sql_records:
         assert sql.parse_sql(record.y).render() == record.y
