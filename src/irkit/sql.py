@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import (InversionError, ParseError, TransformError,
@@ -94,10 +95,14 @@ def _is_quoted(token: str) -> bool:
     return token.startswith(('"', "'"))
 
 
-def _paren_delta(token: str) -> int:
-    if _is_quoted(token):
-        return 0
-    return token.count("(") - token.count(")")
+def _paren_depths(tokens: Sequence[str]) -> tuple[int, ...]:
+    """The paren depth before each token and after the last one.  A quoted
+    token counts no parens; any other moves the depth by its number of
+    ``(`` minus its number of ``)``, so ``))`` moves it by -2 and ``)(``
+    not at all."""
+    return tuple(accumulate(
+        (0 if _is_quoted(tok) else tok.count("(") - tok.count(")")
+         for tok in tokens), initial=0))
 
 
 def _split_qualified(token: str) -> tuple[str, str]:
@@ -141,6 +146,8 @@ class SqlQuery:
     tokens: tuple[str, ...]
     annotations: tuple[str, ...]
     block: Block
+    depths: tuple[int, ...]  # ``_paren_depths(tokens)``
+    declared: dict[str, str]  # declared alias -> table, from every FROM
 
     def render(self) -> str:
         return render_sql(self.tokens)
@@ -171,101 +178,81 @@ class SqlLir:
         return render_sql(self.tokens)
 
 
-def _validate_alias_shapes(tokens: Sequence[str]) -> None:
-    for tok in tokens:
-        if _is_quoted(tok) or "alias" not in tok:
-            continue
-        head, _ = _split_qualified(tok)
-        if "alias" in head and not _ALIAS_TOKEN_RE.fullmatch(head):
-            raise ParseError(
-                f"token {tok!r} does not match the <TABLE NAME>alias<N> "
-                "pattern")
+def _segment(tokens: Sequence[str], depths: Sequence[int]) -> Block:
+    """The block tree of a token stream, built in one left-to-right pass.
 
-
-def _match_paren(tokens: Sequence[str], i: int, end: int) -> int:
-    """Index of the token that balances the parens opened at ``i``."""
-    depth = 0
-    for j in range(i, end):
-        depth += _paren_delta(tokens[j])
-        if depth == 0:
-            return j
-    raise ParseError("unbalanced parentheses")
-
-
-def _take_subquery(tokens: Sequence[str], i: int, end: int,
-                   block: Block) -> int:
-    """Segment the subquery opening at ``i``; returns the index after it."""
-    j = _match_paren(tokens, i, end)
-    child = Block(i + 1, j)
-    _segment_block(tokens, i + 1, j, child)
-    block.children.append(child)
-    return j + 1
-
-
-def _consume_group(tokens: Sequence[str], i: int, end: int,
-                   block: Block) -> int:
-    """Advance past a non-subquery parenthesized group starting at ``i``,
-    still collecting any subqueries nested inside it."""
-    depth = 0
-    j = i
-    while j < end:
-        tok = tokens[j]
-        if (depth > 0 and tok == "(" and j + 1 < end
-                and tokens[j + 1].upper() == "SELECT"):
-            j = _take_subquery(tokens, j, end, block)
-            continue
-        depth += _paren_delta(tok)
-        j += 1
-        if depth == 0:
-            return j
-    raise ParseError("unbalanced parentheses")
-
-
-def _segment_block(tokens: Sequence[str], start: int, end: int,
-                   block: Block) -> None:
-    """Split [start, end) into top-level clause spans, recursing into
-    parenthesized subqueries."""
-    i = start
-    clause_start = None
-    clause_name = None
-
-    def close(upto: int) -> None:
-        nonlocal clause_start, clause_name
-        if clause_name is not None:
-            block.clauses.append(Clause(clause_name, clause_start, upto))
-            clause_start = clause_name = None
-
-    while i < end:
-        tok = tokens[i]
-        if tok == "(" and i + 1 < end and tokens[i + 1].upper() == "SELECT":
-            i = _take_subquery(tokens, i, end, block)
-            continue
-        if _paren_delta(tok) != 0:
-            i = _consume_group(tokens, i, end, block)
-            continue
-        upper = tok.upper()
-        if upper in _SET_OPS:
-            close(i)
-            span_end = i + 1
-            if span_end < end and tokens[span_end].upper() == "ALL":
-                span_end += 1
-            block.clauses.append(Clause("SET_OP", i, span_end))
-            i = span_end
-            continue
-        if upper in _CLAUSE_STARTERS:
-            close(i)
-            clause_name = upper
-            clause_start = i
-            if upper in ("GROUP", "ORDER"):
-                if i + 1 >= end or tokens[i + 1].upper() != "BY":
-                    raise ParseError(f"{upper} not followed by BY")
-                clause_name = f"{upper}_BY"
-                i += 1
-        elif clause_name is None:
-            raise ParseError(
-                f"token {tok!r} appears before any clause keyword")
+    ``depths`` is ``_paren_depths(tokens)``.  A token that moves the depth
+    opens a group, which closes at the first later token that brings the
+    depth back to, or past, the depth before the opener: so one ``))`` can
+    close two groups, and ``)(`` opens none.  A ``(`` token followed by
+    ``SELECT`` opens a subquery, a child block segmented like the root; it
+    is an error where it opens if no later token closes it.  The tokens of
+    any other group belong to the enclosing clause, but a ``( SELECT`` in
+    it is again a subquery, unless the group opened at a stray ``)``,
+    which only a stream with unchecked balance (``sql_from_rir``) has.
+    """
+    n = len(tokens)
+    root = block = Block(0, n)
+    group = None  # (depth before its opener, +1 or -1: the way it went)
+    stack = []  # per open subquery: (depth before its "(", outer block, group)
+    i = 0
+    while i < n:
+        tok, before, after = tokens[i], depths[i], depths[i + 1]
         i += 1
-    close(end)
+        if (tok == "(" and i < n and tokens[i].upper() == "SELECT"
+                and (group is None or group[1] > 0)):
+            if min(depths[i:]) > before:
+                raise ParseError("unbalanced parentheses")
+            stack.append((before, block, group))
+            block.children.append(Block(i, n))
+            block, group = block.children[-1], None
+            continue
+        if group is not None:
+            if (after - group[0]) * group[1] > 0:
+                continue  # still inside the group
+            group = None
+        elif after != before:
+            if not stack or after > stack[-1][0]:
+                group = (before, 1 if after > before else -1)
+                continue
+        else:
+            upper, start = tok.upper(), i - 1
+            if upper in ("GROUP", "ORDER"):
+                if i >= n or tokens[i].upper() != "BY":
+                    raise ParseError(f"{upper} not followed by BY")
+                upper, i = upper + "_BY", i + 1
+            elif upper in _SET_OPS:
+                upper = "SET_OP"
+                if i < n and tokens[i].upper() == "ALL":
+                    i += 1
+            elif upper not in _CLAUSE_STARTERS:
+                if not block.clauses or block.clauses[-1].name == "SET_OP":
+                    raise ParseError(
+                        f"token {tok!r} appears before any clause keyword")
+                continue
+            block.clauses.append(Clause(upper, start, i))
+            continue
+        # The token closes each subquery whose "(" it brings the depth back
+        # to, and the outer block's group if it brings that back too.
+        while stack and after <= stack[-1][0]:
+            _close(block, i - 1)
+            _, block, group = stack.pop()
+            if group is not None and (after - group[0]) * group[1] <= 0:
+                group = None
+    if group is not None:
+        raise ParseError("unbalanced parentheses")
+    _close(root, n)
+    return root
+
+
+def _close(block: Block, end: int) -> None:
+    """End ``block`` at ``end``: each clause but a set operator runs up to
+    the next clause or the end."""
+    block.end = end
+    starts = [clause.start for clause in block.clauses[1:]] + [end]
+    for clause, next_start in zip(block.clauses, starts):
+        if clause.name != "SET_OP":
+            clause.end = next_start
 
 
 def _collect_aliases(tokens: Sequence[str], block: Block) -> dict[str, str]:
@@ -283,8 +270,8 @@ def _collect_aliases(tokens: Sequence[str], block: Block) -> dict[str, str]:
     return declared
 
 
-def _annotate(tokens: Sequence[str], block: Block) -> tuple[str, ...]:
-    declared = _collect_aliases(tokens, block)
+def _annotate(tokens: Sequence[str],
+              declared: dict[str, str]) -> tuple[str, ...]:
     tags: list[str] = []
     for tok in tokens:
         if _is_quoted(tok):
@@ -315,22 +302,37 @@ def parse_sql_tokens(tokens: tuple[str, ...]) -> SqlQuery:
     """Segment and annotate a token stream that ``lex_sql`` would yield for
     its rendering: the same query ``parse_sql(render_sql(tokens))`` gives,
     without lexing that text again."""
+    depths = _paren_depths(tokens)
+    _check_tokens(tokens, depths)
+    return _query(tokens, depths, _segment(tokens, depths))
+
+
+def _check_tokens(tokens: Sequence[str], depths: Sequence[int]) -> None:
+    """The checks of a query that need no segmentation."""
     if not tokens:
         raise ParseError("empty query")
     if tokens[0].upper() != "SELECT":
         raise ParseError(f"query starts with {tokens[0]!r}, not SELECT",
                          offset=0)
-    balance = 0
-    for tok in tokens:
-        balance += _paren_delta(tok)
-        if balance < 0:
-            raise ParseError("unbalanced ')'")
-    if balance != 0:
+    if min(depths) < 0:
+        raise ParseError("unbalanced ')'")
+    if depths[-1] != 0:
         raise ParseError("unbalanced '('")
-    _validate_alias_shapes(tokens)
-    block = Block(0, len(tokens))
-    _segment_block(tokens, 0, len(tokens), block)
-    return SqlQuery(tokens, _annotate(tokens, block), block)
+    for tok in tokens:
+        if _is_quoted(tok) or "alias" not in tok:
+            continue
+        head, _ = _split_qualified(tok)
+        if "alias" in head and not _ALIAS_TOKEN_RE.fullmatch(head):
+            raise ParseError(
+                f"token {tok!r} does not match the <TABLE NAME>alias<N> "
+                "pattern")
+
+
+def _query(tokens: tuple[str, ...], depths: tuple[int, ...],
+           block: Block) -> SqlQuery:
+    declared = _collect_aliases(tokens, block)
+    return SqlQuery(tokens, _annotate(tokens, declared), block, depths,
+                    declared)
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +368,6 @@ def sql_to_rir(q: SqlQuery) -> SqlRir:
     return SqlRir(tokens)
 
 
-def _rir_alias_declarations(tokens: Sequence[str],
-                            block: Block) -> dict[str, str]:
-    declared = _collect_aliases(tokens, block)
-    for alias, table in declared.items():
-        rest = alias[len(table):] if alias.startswith(table) else ""
-        if not rest or not rest.isdigit():
-            raise InversionError(
-                f"declared alias {alias!r} is not {table!r} plus a number")
-    return declared
-
-
 def sql_from_rir(z: SqlRir) -> SqlQuery:
     """Re-insert ``alias`` before the trailing digits of every table alias,
     using the FROM declarations to decide which tokens are aliases."""
@@ -384,9 +375,14 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
         if not _is_quoted(tok) and _ALIAS_TOKEN_RE.search(tok):
             raise InversionError(
                 f"input already contains an alias token: {tok!r}")
-    block = Block(0, len(z.tokens))
-    _segment_block(z.tokens, 0, len(z.tokens), block)
-    declared = _rir_alias_declarations(z.tokens, block)
+    depths = _paren_depths(z.tokens)
+    block = _segment(z.tokens, depths)
+    declared = _collect_aliases(z.tokens, block)
+    for alias, table in declared.items():
+        rest = alias[len(table):] if alias.startswith(table) else ""
+        if not rest or not rest.isdigit():
+            raise InversionError(
+                f"declared alias {alias!r} is not {table!r} plus a number")
 
     def restore_name(name: str) -> str:
         table = declared[name]
@@ -409,7 +405,11 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
                 f"alias-shaped qualifier {qualifier!r} has no FROM "
                 "declaration")
         restored.append(tok)
-    return parse_sql_tokens(tuple(restored))
+    # A restored name holds the parens of the name it replaces and is no
+    # clause keyword, so z's depths and block tree are the program's.
+    tokens = tuple(restored)
+    _check_tokens(tokens, depths)
+    return _query(tokens, depths, block)
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +427,22 @@ def iter_conditions(q: SqlQuery, clause: Clause,
     """Yield (start, end, connector_index) spans for the top-level conditions
     of one WHERE/HAVING clause body.  The AND that belongs to BETWEEN is not
     a connector."""
-    i = body_start
-    depth = 0
-    cond_start = i
+    base = q.depths[body_start]
+    cond_start = body_start
     connector: int | None = None
     between = False
-    while i < clause.end:
-        tok = q.tokens[i]
-        if q.annotations[i] != VALUE:
-            depth += _paren_delta(tok)
-        upper = tok.upper() if q.annotations[i] != VALUE else ""
-        if depth == 0 and upper == "BETWEEN":
+    for i in range(body_start, clause.end):
+        if q.depths[i + 1] != base:
+            continue
+        upper = q.tokens[i].upper()
+        if upper == "BETWEEN":
             between = True
-        elif depth == 0 and upper in ("AND", "OR") and not between:
+        elif upper in ("AND", "OR") and not between:
             yield cond_start, i, connector
             connector = i
             cond_start = i + 1
-        elif depth == 0 and upper == "AND" and between:
+        elif upper == "AND" and between:
             between = False
-        i += 1
     if cond_start < clause.end:
         yield cond_start, clause.end, connector
 
@@ -468,7 +465,7 @@ def classify_condition(q: SqlQuery, span: tuple[int, int]) -> str:
 def sql_to_lir(q: SqlQuery) -> SqlLir:
     """Drop FROM clauses and join-only conditions, mask alias qualifiers."""
     keep = [True] * len(q.tokens)
-    declared = _collect_aliases(q.tokens, q.block)
+    declared = q.declared
 
     for block in q.block.walk():
         for clause in block.clauses:

@@ -181,6 +181,28 @@ SEGMENTATION_CASES = {
 }
 
 
+# Tokens holding several parens move the depth by their net count, and a
+# group closes at the first token that brings the depth back to, or past,
+# its opener's depth (see ``sql._segment``).
+MULTI_PAREN_CASES = {
+    "close-past-the-opener": (
+        "SELECT COUNT( * )) FROM A AS A0",
+        (ParseError, "unbalanced ')'"), None),
+    "double-open": (
+        "SELECT COUNT(( A0.X )) FROM A AS A0",
+        [(0, 8, [("SELECT", 0, 4), ("FROM", 4, 8)], [])], None),
+    "close-then-open": (
+        "SELECT A0.X )( A0.Y FROM A AS A0",
+        [(0, 8, [("SELECT", 0, 4), ("FROM", 4, 8)], [])], None),
+    "one-token-closes-subquery-and-group": (
+        "SELECT A0.X FROM A AS A0 WHERE "
+        "( A0.Y IN ( SELECT B0.Y FROM B AS B0 ))",
+        [(0, 18, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 18)],
+          [(11, 17)]),
+         (11, 17, [("SELECT", 11, 13), ("FROM", 13, 17)], [])], None),
+}
+
+
 def _segmentation(fn, tokens):
     try:
         q = fn(tokens)
@@ -193,7 +215,15 @@ def _segmentation(fn, tokens):
 
 @pytest.mark.parametrize("name", list(SEGMENTATION_CASES))
 def test_segmentation_cases(name):
-    text, parsed, from_rir = SEGMENTATION_CASES[name]
+    _check_segmentation(*SEGMENTATION_CASES[name])
+
+
+@pytest.mark.parametrize("name", list(MULTI_PAREN_CASES))
+def test_multi_paren_token_segmentation(name):
+    _check_segmentation(*MULTI_PAREN_CASES[name])
+
+
+def _check_segmentation(text, parsed, from_rir):
     tokens = tuple(text.split())
     assert _segmentation(sql.parse_sql_tokens, tokens) == parsed
     assert (_segmentation(lambda t: sql.sql_from_rir(sql.SqlRir(t)), tokens)
@@ -233,6 +263,20 @@ def test_corpus_rir_round_trip_byte_exact(sql_records):
         q = sql.parse_sql(record.y)
         restored = sql.sql_from_rir(sql.sql_to_rir(q))
         assert restored.tokens == q.tokens
+
+
+def test_inverse_segments_z_once_into_the_programs_query(sql_records,
+                                                        monkeypatch):
+    calls = []
+    segment = sql._segment
+    monkeypatch.setattr(sql, "_segment",
+                        lambda *args: calls.append(1) or segment(*args))
+    for record in sql_records:
+        q = sql.parse_sql(record.y)
+        z = sql.sql_to_rir(q)
+        calls.clear()
+        assert sql.sql_from_rir(z) == q
+        assert len(calls) == 1
 
 
 def test_rewrite_collision_is_an_error():
