@@ -361,18 +361,23 @@ def postprocess_stage1(preds: Sequence[tuple[str, str]] | None, mode: str,
                           "records (utterances are part of stage-2 sources)")
     by_id = {r.id: r for r in records}
 
-    def source(record_id: str, text: str) -> str:
-        record = by_id.get(record_id)
-        if record is None:
-            raise IrkitError("prediction id not in dataset")
-        z = (row.stage2_ir(Program(record, cfg)) if row.reads_gold_ir
-             else row.z_of_output(text, cfg))
-        return (check_field(record.x, "utterance", record_id)
+    def source(record: ExampleRecord, z: str) -> str:
+        return (check_field(record.x, "utterance", record.id)
                 + cfg.separator + z)
 
-    # Stage 2 of a mode that reads the gold IR gets every record.
-    items = [(i, "") for i in by_id] if row.reads_gold_ir else preds
-    sources, flagged = quarantine_map(items, source, "postprocess1")
+    def predicted(record_id: str, text: str) -> str:
+        if record_id not in by_id:
+            raise IrkitError("prediction id not in dataset")
+        return source(by_id[record_id], row.z_of_output(text, cfg))
+
+    # Stage 2 of a mode that reads the gold IR gets every record, as
+    # ``prepare --stage 2`` does, repeated ids included.
+    if row.reads_gold_ir:
+        sources, flagged = quarantine_map(
+            programs(records, cfg),
+            lambda _, p: source(p.record, row.stage2_ir(p)), "postprocess1")
+    else:
+        sources, flagged = quarantine_map(preds, predicted, "postprocess1")
     return PostprocessResult(stage2_sources=sources, flagged=flagged)
 
 

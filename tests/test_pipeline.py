@@ -230,6 +230,19 @@ def test_lir_i_inference_z_equals_training_z(corpora, formalism):
     assert post.flagged == trained.quarantined == []
 
 
+def test_lir_oracle_stages_every_record_of_a_repeated_id():
+    cfg = pipeline.PipelineConfig("scan")
+    records = [ExampleRecord("a", "jump", "JUMP"),
+               ExampleRecord("a", "walk", "WALK")]
+    staged = pipeline.prepare_stage2(records, pipeline.LIR_ORACLE, cfg)
+    post = pipeline.postprocess_stage1(None, pipeline.LIR_ORACLE, cfg,
+                                       records)
+    assert post.stage2_sources == [(p.id, p.source) for p in staged.pairs]
+    assert [source for _, source in post.stage2_sources] == [
+        "jump ; JUMP", "walk ; WALK"]
+    assert post.flagged == []
+
+
 def test_two_stage_postprocess_requires_records(corpora):
     records, cfg = corpora["sql"]
     with pytest.raises(ConfigError):
