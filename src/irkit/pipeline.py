@@ -387,16 +387,34 @@ def finalize(stage2_preds: Sequence[tuple[str, str]], mode: str,
              ) -> tuple[list[tuple[str, str]], list[QuarantineEntry]]:
     """Map stage-2 output to final programs.
 
-    With ``records`` given, ids missing from the predictions (dropped as
-    invalid upstream) are carried through as empty, flagged rows so that
-    evaluation denominators stay intact.
+    With ``records`` given, a prediction whose id is not in the dataset or
+    repeats an earlier prediction's is flagged and its row dropped, and ids
+    missing from the predictions (dropped as invalid upstream) are carried
+    through as empty, flagged rows so that evaluation denominators stay
+    intact.
     """
     row = check_mode(mode)
     if row.stage2_ir is None and mode != LIR_CAT:
         raise ConfigError(f"mode {mode!r} has no second stage to finalize")
-    final, flagged = quarantine_map(
+    flagged: list[QuarantineEntry] = []
+    if records is not None:
+        known = {r.id for r in records}
+        seen: set[str] = set()
+
+        def listed(record_id: str, text: str) -> str:
+            if record_id not in known:
+                raise IrkitError("prediction id not in dataset")
+            if record_id in seen:
+                raise IrkitError("repeated prediction id")
+            seen.add(record_id)
+            return text
+
+        stage2_preds, flagged = quarantine_map(stage2_preds, listed,
+                                               "finalize")
+    final, failed = quarantine_map(
         stage2_preds, lambda _, text: row.final(text, cfg), "finalize",
         keep_failed=True)
+    flagged += failed
     if records is not None:
         have = {record_id for record_id, _ in final}
         for record in records:

@@ -260,6 +260,20 @@ def test_finalize_restores_sql_aliases(sql_records):
     assert final == [(record.id, record.y)]
 
 
+def test_finalize_drops_unknown_and_repeated_ids():
+    cfg = pipeline.PipelineConfig("scan")
+    records = [ExampleRecord("a", "jump", "JUMP"),
+               ExampleRecord("b", "walk", "WALK")]
+    preds = [("a", "JUMP"), ("zz", "WALK"), ("a", "LTURN"), ("b", "WALK")]
+    final, flagged = pipeline.finalize(preds, pipeline.LIR_D, cfg, records)
+    assert final == [("a", "JUMP"), ("b", "WALK")]
+    assert [(e.id, e.stage, e.reason) for e in flagged] == [
+        ("zz", "finalize", "prediction id not in dataset"),
+        ("a", "finalize", "repeated prediction id")]
+    # Without the dataset there is nothing to check the ids against.
+    assert pipeline.finalize(preds, pipeline.LIR_D, cfg) == (preds, [])
+
+
 def test_finalize_splits_lir_cat():
     cfg = pipeline.PipelineConfig("scan")
     final, flagged = pipeline.finalize([("0", "JUMP A ; JUMP JUMP")],
