@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+from irkit.errors import ParseError
+
 # ---------------------------------------------------------------------------
 # SCAN: table-driven string interpreter and grammar enumeration
 # ---------------------------------------------------------------------------
@@ -142,6 +144,37 @@ def oracle_truncations(relations: list[str]) -> dict[str, str]:
     if len(set(out.values())) != len(out):
         raise AssertionError("oracle: relations cannot be disambiguated")
     return out
+
+
+# ---------------------------------------------------------------------------
+# SQL lexing: the character loop the library's lexer replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_lex_sql(text: str) -> list[str]:
+    """Whitespace tokenization that keeps quoted strings (which may contain
+    spaces) as single tokens, quotes included, walking ``text`` one
+    character at a time.  An unterminated quote raises ``ParseError`` at its
+    UTF-8 byte offset."""
+    tokens: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        end = i
+        while end < n and not text[end].isspace():
+            if text[end] in "\"'":
+                close = text.find(text[end], end + 1)
+                if close < 0:
+                    raise ParseError("unterminated string literal",
+                                     offset=len(text[:end].encode("utf-8")))
+                end = close + 1
+            else:
+                end += 1
+        tokens.append(text[i:end])
+        i = end
+    return tokens
 
 
 # ---------------------------------------------------------------------------

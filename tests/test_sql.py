@@ -6,7 +6,7 @@ from irkit import pipeline, sql
 from irkit.errors import (InversionError, IrkitError, ParseError,
                           TransformError)
 
-from oracles import oracle_sql_lir
+from oracles import oracle_lex_sql, oracle_sql_lir
 
 FLIGHT_QUERY = ('SELECT FLIGHTalias0.FLIGHT_ID FROM FLIGHT AS FLIGHTalias0 '
                 'WHERE FLIGHTalias0.AIRLINE_CODE = "UA"')
@@ -44,6 +44,18 @@ def test_lexer_pairs_quotes_after_a_closing_quote():
     with pytest.raises(ParseError) as err:
         sql.lex_sql('"a"b" x')
     assert err.value.offset == 4
+
+
+# Both quotes, parens, dots, digits, ASCII and non-ASCII letters, and a
+# character of each whitespace class that ``str.isspace`` accepts.
+LEX_ALPHABET = ("\"'().0123456789Aaé中Ж"
+                " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(st.text(alphabet=LEX_ALPHABET, max_size=24))
+def test_lexer_matches_the_character_loop_oracle(text):
+    assert _outcome(sql.lex_sql, text) == _outcome(oracle_lex_sql, text)
 
 
 def test_parse_flight_query():
