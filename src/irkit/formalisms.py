@@ -109,7 +109,7 @@ TABLE: dict[str, Formalism] = {
             _sql_parse_rir(t)).render(),
         to_lir=lambda q: sql_ir.sql_to_lir(q).render(),
         lir_of_rir=lambda z: sql_ir.sql_to_lir(
-            sql_ir.parse_sql_tokens(z.tokens)).render(),
+            sql_ir.query_of_rir(z)).render(),
         key=_normalize_whitespace,
         structure=lambda t: sql_ir.sql_template_signature(
             sql_ir.parse_sql(t)),

@@ -51,30 +51,22 @@ _ALIAS_SHAPED_RE = re.compile(r"[A-Za-z_]\w*?\d+")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 _PLACEHOLDER_RE = re.compile(r"[a-z][a-z_]*\d+")
 _FUNC_OPEN_RE = re.compile(r"(COUNT|MIN|MAX|SUM|AVG)\(", re.IGNORECASE)
+# A token is a run of non-space characters in which each quote opens a
+# string that runs, spaces included, to the next quote of its kind.  A quote
+# with no such partner matches alone.
+_TOKEN_RE = re.compile(r"""(?:[^\s"']+|"[^"]*"|'[^']*')+|["']""")
+_QUOTES = ('"', "'")
 
 
 def lex_sql(text: str) -> list[str]:
     """Whitespace tokenization that keeps quoted strings (which may contain
     spaces) as single tokens, quotes included."""
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        end = i
-        while end < n and not text[end].isspace():
-            if text[end] in "\"'":
-                close = text.find(text[end], end + 1)
-                if close < 0:
-                    raise ParseError("unterminated string literal",
-                                     offset=byte_offset(text, end))
-                end = close + 1
-            else:
-                end += 1
-        tokens.append(text[i:end])
-        i = end
+    tokens = _TOKEN_RE.findall(text)
+    if '"' in tokens or "'" in tokens:
+        for match in _TOKEN_RE.finditer(text):
+            if match.group() in _QUOTES:
+                raise ParseError("unterminated string literal",
+                                 offset=byte_offset(text, match.start()))
     return tokens
 
 
@@ -82,33 +74,27 @@ def render_sql(tokens: Sequence[str]) -> str:
     return " ".join(tokens)
 
 
-def is_value_token(token: str) -> bool:
-    """Quoted strings, numeric literals, and anonymized value placeholders."""
-    if token.startswith(('"', "'")):
-        return True
-    if _NUMBER_RE.fullmatch(token):
-        return True
-    return _PLACEHOLDER_RE.fullmatch(token) is not None
+def _quoted(tokens: Sequence[str]) -> tuple[bool, ...]:
+    """Per token, whether it is a quoted string: one that opens with a
+    quote.  Every later pass reads these flags."""
+    return tuple([tok[:1] in _QUOTES for tok in tokens])
 
 
-def _is_quoted(token: str) -> bool:
-    return token.startswith(('"', "'"))
-
-
-def _paren_depths(tokens: Sequence[str]) -> tuple[int, ...]:
+def _paren_depths(tokens: Sequence[str],
+                  quoted: Sequence[bool]) -> tuple[int, ...]:
     """The paren depth before each token and after the last one.  A quoted
     token counts no parens; any other moves the depth by its number of
     ``(`` minus its number of ``)``, so ``))`` moves it by -2 and ``)(``
     not at all."""
     return tuple(accumulate(
-        (0 if _is_quoted(tok) else tok.count("(") - tok.count(")")
-         for tok in tokens), initial=0))
+        (0 if q else tok.count("(") - tok.count(")")
+         for tok, q in zip(tokens, quoted)), initial=0))
 
 
 def _split_qualified(token: str) -> tuple[str, str]:
     """``(qualifier, ".column")`` for a dotted reference, whose qualifier
-    may name a table alias; ``(token, "")`` for any other token."""
-    if _is_quoted(token) or "." not in token:
+    may name a table alias; ``(token, "")`` for any other unquoted token."""
+    if "." not in token:
         return token, ""
     qualifier, rest = token.split(".", 1)
     if not qualifier or not rest:
@@ -144,6 +130,7 @@ class Block:
 @dataclass(slots=True)
 class SqlQuery:
     tokens: tuple[str, ...]
+    quoted: tuple[bool, ...]  # ``_quoted(tokens)``
     annotations: tuple[str, ...]
     block: Block
     depths: tuple[int, ...]  # ``_paren_depths(tokens)``
@@ -159,10 +146,20 @@ class SqlRir:
 
     The tokens are ones ``lex_sql`` yields (for a prediction) or ones
     ``sql_to_rir`` rewrote from them, so they parse as tokens, with no
-    render and re-lex.
+    render and re-lex.  ``quoted`` is ``_quoted(tokens)``, computed when not
+    given.  ``sql_to_rir`` also passes on the program's ``depths`` and
+    ``block``: removing an alias infix moves no paren and makes no clause
+    keyword, so they are z_r's too.  A z_r read from text has neither.
     """
 
     tokens: tuple[str, ...]
+    quoted: tuple[bool, ...] | None = None
+    depths: tuple[int, ...] | None = None
+    block: Block | None = None
+
+    def __post_init__(self) -> None:
+        if self.quoted is None:
+            object.__setattr__(self, "quoted", _quoted(self.tokens))
 
     def render(self) -> str:
         return render_sql(self.tokens)
@@ -270,11 +267,11 @@ def _collect_aliases(tokens: Sequence[str], block: Block) -> dict[str, str]:
     return declared
 
 
-def _annotate(tokens: Sequence[str],
+def _annotate(tokens: Sequence[str], quoted: Sequence[bool],
               declared: dict[str, str]) -> tuple[str, ...]:
     tags: list[str] = []
-    for tok in tokens:
-        if _is_quoted(tok):
+    for tok, q in zip(tokens, quoted):
+        if q:
             tags.append(VALUE)
         elif tok in _PUNCTUATION:
             tags.append(PUNCTUATION)
@@ -284,7 +281,7 @@ def _annotate(tokens: Sequence[str],
             tags.append(KEYWORD)
         elif _ALIAS_TOKEN_RE.fullmatch(tok) or tok in declared:
             tags.append(TABLE_ALIAS)
-        elif is_value_token(tok):
+        elif _NUMBER_RE.fullmatch(tok) or _PLACEHOLDER_RE.fullmatch(tok):
             tags.append(VALUE)
         elif _split_qualified(tok)[1]:
             tags.append(COLUMN_REF)
@@ -302,12 +299,29 @@ def parse_sql_tokens(tokens: tuple[str, ...]) -> SqlQuery:
     """Segment and annotate a token stream that ``lex_sql`` would yield for
     its rendering: the same query ``parse_sql(render_sql(tokens))`` gives,
     without lexing that text again."""
-    depths = _paren_depths(tokens)
-    _check_tokens(tokens, depths)
-    return _query(tokens, depths, _segment(tokens, depths))
+    return _parse_tokens(tokens, _quoted(tokens))
 
 
-def _check_tokens(tokens: Sequence[str], depths: Sequence[int]) -> None:
+def query_of_rir(z: SqlRir) -> SqlQuery:
+    """The query of z_r's tokens, as ``parse_sql_tokens(z.tokens)`` gives
+    it.  A z_r rewritten from a program keeps that program's depths and
+    block tree, so only the alias-name check runs again: the rewrite can
+    leave a name that fails it (``aliasalias1`` becomes ``alias1``)."""
+    if z.block is None:
+        return _parse_tokens(z.tokens, z.quoted)
+    _check_alias_names(z.tokens, z.quoted)
+    return _query(z.tokens, z.quoted, z.depths, z.block)
+
+
+def _parse_tokens(tokens: tuple[str, ...],
+                  quoted: tuple[bool, ...]) -> SqlQuery:
+    depths = _paren_depths(tokens, quoted)
+    _check_tokens(tokens, quoted, depths)
+    return _query(tokens, quoted, depths, _segment(tokens, depths))
+
+
+def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
+                  depths: Sequence[int]) -> None:
     """The checks of a query that need no segmentation."""
     if not tokens:
         raise ParseError("empty query")
@@ -318,8 +332,14 @@ def _check_tokens(tokens: Sequence[str], depths: Sequence[int]) -> None:
         raise ParseError("unbalanced ')'")
     if depths[-1] != 0:
         raise ParseError("unbalanced '('")
-    for tok in tokens:
-        if _is_quoted(tok) or "alias" not in tok:
+    _check_alias_names(tokens, quoted)
+
+
+def _check_alias_names(tokens: Sequence[str],
+                       quoted: Sequence[bool]) -> None:
+    """Every unquoted name holding ``alias`` is an alias token."""
+    for tok, q in zip(tokens, quoted):
+        if q or "alias" not in tok:
             continue
         head, _ = _split_qualified(tok)
         if "alias" in head and not _ALIAS_TOKEN_RE.fullmatch(head):
@@ -328,11 +348,11 @@ def _check_tokens(tokens: Sequence[str], depths: Sequence[int]) -> None:
                 "pattern")
 
 
-def _query(tokens: tuple[str, ...], depths: tuple[int, ...],
-           block: Block) -> SqlQuery:
+def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...],
+           depths: tuple[int, ...], block: Block) -> SqlQuery:
     declared = _collect_aliases(tokens, block)
-    return SqlQuery(tokens, _annotate(tokens, declared), block, depths,
-                    declared)
+    return SqlQuery(tokens, quoted, _annotate(tokens, quoted, declared),
+                    block, depths, declared)
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +360,28 @@ def _query(tokens: tuple[str, ...], depths: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_alias(token: str) -> str:
-    if "alias" not in token or _is_quoted(token):
-        return token
-    return _ALIAS_RE.sub(r"\1\2", token)
-
-
 def sql_to_rir(q: SqlQuery) -> SqlRir:
-    """Rewrite every ``Xalias<N>`` to ``X<N>``, everywhere it occurs."""
+    """Rewrite every ``Xalias<N>`` to ``X<N>``, everywhere it occurs but in
+    values."""
+    rewritten: dict[str, str] = {}  # token -> the token rewritten
     rewritten_names = set()
     plain_names = set()
-    for tok, tag in zip(q.tokens, q.annotations):
-        if _is_quoted(tok):
+    tokens = list(q.tokens)
+    for i, (tok, tag, quoted) in enumerate(zip(q.tokens, q.annotations,
+                                               q.quoted)):
+        if quoted:
             continue
         head, _ = _split_qualified(tok)
-        if tag != VALUE and _ALIAS_TOKEN_RE.fullmatch(head):
-            rewritten_names.add(_rewrite_alias(head))
+        if tag == VALUE or "alias" not in tok:
+            plain_names.add(head)
+            continue
+        new = rewritten.get(tok)
+        if new is None:
+            new = rewritten[tok] = _ALIAS_RE.sub(r"\1\2", tok)
+        tokens[i] = new
+        if _ALIAS_TOKEN_RE.fullmatch(head):
+            # The rewrite keeps the dot, so it rewrote the head in place.
+            rewritten_names.add(_split_qualified(new)[0])
         else:
             plain_names.add(head)
     collisions = rewritten_names & plain_names
@@ -363,19 +389,17 @@ def sql_to_rir(q: SqlQuery) -> SqlRir:
         raise TransformError(
             "alias rewriting is not reversible here; rewritten name(s) "
             "already present: " + ", ".join(sorted(collisions)))
-    tokens = tuple(tok if tag == VALUE else _rewrite_alias(tok)
-                   for tok, tag in zip(q.tokens, q.annotations))
-    return SqlRir(tokens)
+    return SqlRir(tuple(tokens), q.quoted, q.depths, q.block)
 
 
 def sql_from_rir(z: SqlRir) -> SqlQuery:
     """Re-insert ``alias`` before the trailing digits of every table alias,
     using the FROM declarations to decide which tokens are aliases."""
-    for tok in z.tokens:
-        if not _is_quoted(tok) and _ALIAS_TOKEN_RE.search(tok):
+    for tok, quoted in zip(z.tokens, z.quoted):
+        if not quoted and _ALIAS_TOKEN_RE.search(tok):
             raise InversionError(
                 f"input already contains an alias token: {tok!r}")
-    depths = _paren_depths(z.tokens)
+    depths = _paren_depths(z.tokens, z.quoted)
     block = _segment(z.tokens, depths)
     declared = _collect_aliases(z.tokens, block)
     for alias, table in declared.items():
@@ -389,8 +413,8 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
         return f"{table}alias{name[len(table):]}"
 
     restored: list[str] = []
-    for tok in z.tokens:
-        if _is_quoted(tok):
+    for tok, quoted in zip(z.tokens, z.quoted):
+        if quoted:
             restored.append(tok)
             continue
         if tok in declared:
@@ -405,11 +429,12 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
                 f"alias-shaped qualifier {qualifier!r} has no FROM "
                 "declaration")
         restored.append(tok)
-    # A restored name holds the parens of the name it replaces and is no
-    # clause keyword, so z's depths and block tree are the program's.
+    # A restored name holds the parens and the first character of the name
+    # it replaces and is no clause keyword, so z's quote flags, depths and
+    # block tree are the program's.
     tokens = tuple(restored)
-    _check_tokens(tokens, depths)
-    return _query(tokens, depths, block)
+    _check_tokens(tokens, z.quoted, depths)
+    return _query(tokens, z.quoted, depths, block)
 
 
 # ---------------------------------------------------------------------------

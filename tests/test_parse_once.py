@@ -58,3 +58,16 @@ def test_sparql_transform_reuses_the_dictionary_build_parse(tmp_path,
     n_records = _run("sparql", tmp_path, "transform", "--ir", "rir")
     assert (tmp_path / "relations.json").exists()
     assert calls == {"parse_sparql": n_records}
+
+
+@pytest.mark.parametrize("stage", ["1", "2"])
+def test_sql_lir_d_rir_segments_each_record_once(tmp_path, monkeypatch,
+                                                 stage):
+    # z_{l,r} reuses the block tree that parsing the program built.
+    calls = []
+    segment = sql._segment
+    monkeypatch.setattr(sql, "_segment",
+                        lambda *args: calls.append(1) or segment(*args))
+    n_records = _run("sql", tmp_path, "prepare", "--mode", "lir-d-rir",
+                     "--stage", stage)
+    assert len(calls) == n_records

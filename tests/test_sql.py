@@ -501,16 +501,19 @@ def _check_token_parse(tokens):
     text = sql.render_sql(tokens)
     assert _outcome(sql.parse_sql_tokens, tokens) == _outcome(sql.parse_sql,
                                                               text)
-    for tok in tokens:
-        assert sql._rewrite_alias(tok) == (
-            tok if tok.startswith(('"', "'"))
-            else sql._ALIAS_RE.sub(r"\1\2", tok))
     restored = _outcome(sql.sql_from_rir, sql.SqlRir(tokens))
     if isinstance(restored, sql.SqlQuery):
         assert restored == sql.parse_sql(restored.render())
-    z = _outcome(lambda: sql.sql_to_rir(sql.parse_sql_tokens(tokens)))
+    q = _outcome(sql.parse_sql_tokens, tokens)
+    z = _outcome(sql.sql_to_rir, q) if isinstance(q, sql.SqlQuery) else None
     if isinstance(z, sql.SqlRir):
-        assert (_outcome(sql.parse_sql_tokens, z.tokens)
+        assert z.tokens == tuple(
+            tok if tag == sql.VALUE else sql._ALIAS_RE.sub(r"\1\2", tok)
+            for tok, tag in zip(q.tokens, q.annotations))
+        # z_r's query from the program's block tree is the one parsing its
+        # tokens, or its rendering, builds.
+        assert (_outcome(sql.query_of_rir, z)
+                == _outcome(sql.parse_sql_tokens, z.tokens)
                 == _outcome(sql.parse_sql, z.render()))
 
 
