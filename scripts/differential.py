@@ -1,6 +1,7 @@
 """Differential check of library functions between two source trees.
 
-Runs a named list of irkit functions on the test fixtures and on seeded
+Runs a named list of irkit functions, or of wrappers that reduce their
+output to a form both trees build alike, on the test fixtures and on seeded
 token mutations of them, once against this tree and once against another
 checkout (usually the parent commit), and reports every input on which the
 two disagree: a different output, error type, message, byte offset or
@@ -41,6 +42,12 @@ SPARQL_VOCAB = ("SELECT", "WHERE", "FILTER", "DISTINCT", "count(*)", "{", "}",
 SCAN_VOCAB = ("walk", "look", "run", "jump", "turn", "left", "right",
               "opposite", "around", "twice", "thrice", "and", "after",
               "Jump", "sideways", "ü")
+SQL_VOCAB = ("SELECT", "DISTINCT", "FROM", "AS", "WHERE", "AND", "OR", "IN",
+             "GROUP", "ORDER", "BY", "HAVING", "LIMIT", "BETWEEN", "UNION",
+             "ALL", "(", ")", "))", "COUNT(", "(SELECT", ",", "=", "<",
+             '"UA"', "'a b'", '"', "'", 'x"y', "FLIGHT", "FLIGHTalias0",
+             "FLIGHTalias0.X", "FLIGHT0", "FLIGHT0.X", "aliasalias1",
+             "alias1", "Aalias", "city_name0", "2.5", "Müller", "T.X")
 SEPARATORS = (" ", "  ", "\t", "\n", "\xa0", "　", " \r\n ")
 SEEDS = (1, 2, 3)
 COUNT = 30000  # mutated inputs per function and seed
@@ -67,16 +74,63 @@ def _sparql_rirs() -> list[str]:
     return texts
 
 
+def _sql_programs() -> list[str]:
+    from irkit import data
+    return [r.y for r in data.read_records_jsonl(
+        DATA / "sql_corpus.jsonl", "sql")]
+
+
+def _sql_rirs() -> list[str]:
+    from irkit import sql
+    return [sql.sql_to_rir(sql.parse_sql(y)).render()
+            for y in _sql_programs()]
+
+
 def _scan_commands() -> list[str]:
     from irkit import data
     return [r.x for r in data.read_scan_records(DATA / "scan_sample.txt")]
 
 
-# function name -> (base inputs, vocabulary for insertions and replacements)
+def _query_form(q) -> tuple:
+    """An ``SqlQuery`` as plain tuples, which trees whose ``SqlQuery`` has
+    other fields build alike."""
+    return (q.tokens, q.annotations, q.depths, sorted(q.declared.items()),
+            [(b.start, b.end, [(c.name, c.start, c.end) for c in b.clauses],
+              [(child.start, child.end) for child in b.children])
+             for b in q.block.walk()])
+
+
+def sql_parse(text: str) -> tuple:
+    from irkit import sql
+    return _query_form(sql.parse_sql(text))
+
+
+def sql_from_lexed_rir(text: str) -> tuple:
+    from irkit import sql
+    z = sql.SqlRir(tuple(sql.lex_sql(text)))
+    return _query_form(sql.sql_from_rir(z))
+
+
+def sql_transform(text: str) -> tuple[str, ...]:
+    """What ``transform`` and ``prepare`` write for a program: z_r, z_l,
+    z_{l,r} and the template signature."""
+    from irkit import formalisms, sql
+    q = sql.parse_sql(text)
+    z = sql.sql_to_rir(q)
+    return (z.render(), sql.sql_to_lir(q).render(),
+            formalisms.TABLE["sql"].lir_of_rir(z),
+            sql.sql_template_signature(q))
+
+
+# name -> (base inputs, vocabulary for insertions and replacements, and the
+# function: a wrapper here, or None for the irkit function of that name)
 FUNCTIONS = {
-    "sparql.parse_sparql": (_sparql_programs, SPARQL_VOCAB),
-    "sparql.parse_rir": (_sparql_rirs, SPARQL_VOCAB),
-    "scan.parse_command": (_scan_commands, SCAN_VOCAB),
+    "sparql.parse_sparql": (_sparql_programs, SPARQL_VOCAB, None),
+    "sparql.parse_rir": (_sparql_rirs, SPARQL_VOCAB, None),
+    "scan.parse_command": (_scan_commands, SCAN_VOCAB, None),
+    "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
+    "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_lexed_rir),
+    "sql.transform": (_sql_programs, SQL_VOCAB, sql_transform),
 }
 
 
@@ -117,7 +171,7 @@ def mutate(rng: random.Random, text: str, vocab: tuple[str, ...]) -> str:
 def build_inputs(seed: int) -> dict:
     """Per function: its base inputs, then ``COUNT`` mutations of them."""
     inputs = {}
-    for name, (bases_of, vocab) in FUNCTIONS.items():
+    for name, (bases_of, vocab, _) in FUNCTIONS.items():
         bases = bases_of()
         rng = random.Random(f"{seed}:{name}")
         inputs[name] = bases + [mutate(rng, rng.choice(bases), vocab)
@@ -147,7 +201,8 @@ def worker(src: str) -> None:
     results = {}
     for name, texts in json.load(sys.stdin).items():
         module, fn_name = name.split(".")
-        fn = getattr(importlib.import_module(f"irkit.{module}"), fn_name)
+        fn = FUNCTIONS[name][2] or getattr(
+            importlib.import_module(f"irkit.{module}"), fn_name)
         results[name] = [outcome(fn, text) for text in texts]
     json.dump(results, sys.stdout)
 
