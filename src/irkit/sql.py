@@ -94,14 +94,10 @@ def _paren_depths(tokens: Sequence[str],
 def _split_qualified(token: str) -> tuple[str, str]:
     """``(qualifier, ".column")`` for a dotted reference, whose qualifier
     may name a table alias; ``(token, "")`` for any other unquoted token."""
-    if "." not in token:
-        return token, ""
-    qualifier, rest = token.split(".", 1)
-    if not qualifier or not rest:
-        return token, ""
-    if not (qualifier[0].isalpha() or qualifier[0] == "_"):
-        return token, ""
-    return qualifier, "." + rest
+    qualifier, _, rest = token.partition(".")
+    if rest and (qualifier[:1].isalpha() or qualifier[:1] == "_"):
+        return qualifier, "." + rest
+    return token, ""
 
 
 @dataclass(slots=True)
@@ -363,33 +359,30 @@ def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...],
 def sql_to_rir(q: SqlQuery) -> SqlRir:
     """Rewrite every ``Xalias<N>`` to ``X<N>``, everywhere it occurs but in
     values."""
-    rewritten: dict[str, str] = {}  # token -> the token rewritten
+    # Token -> the token rewritten, for each non-value token holding
+    # "alias".  A tag depends on the token's text alone, so no value is one.
+    rewritten: dict[str, str] = {}
     rewritten_names = set()
     plain_names = set()
-    tokens = list(q.tokens)
-    for i, (tok, tag, quoted) in enumerate(zip(q.tokens, q.annotations,
-                                               q.quoted)):
+    for tok, tag, quoted in zip(q.tokens, q.annotations, q.quoted):
         if quoted:
             continue
         head, _ = _split_qualified(tok)
-        if tag == VALUE or "alias" not in tok:
-            plain_names.add(head)
-            continue
-        new = rewritten.get(tok)
-        if new is None:
-            new = rewritten[tok] = _ALIAS_RE.sub(r"\1\2", tok)
-        tokens[i] = new
-        if _ALIAS_TOKEN_RE.fullmatch(head):
-            # The rewrite keeps the dot, so it rewrote the head in place.
-            rewritten_names.add(_split_qualified(new)[0])
-        else:
-            plain_names.add(head)
+        if tag != VALUE and "alias" in tok:
+            if tok not in rewritten:
+                rewritten[tok] = _ALIAS_RE.sub(r"\1\2", tok)
+            if _ALIAS_TOKEN_RE.fullmatch(head):
+                # The rewrite keeps the dot, so it rewrote the head in place.
+                rewritten_names.add(_split_qualified(rewritten[tok])[0])
+                continue
+        plain_names.add(head)
     collisions = rewritten_names & plain_names
     if collisions:
         raise TransformError(
             "alias rewriting is not reversible here; rewritten name(s) "
             "already present: " + ", ".join(sorted(collisions)))
-    return SqlRir(tuple(tokens), q.quoted, q.depths, q.block)
+    return SqlRir(tuple([rewritten.get(tok, tok) for tok in q.tokens]),
+                  q.quoted, q.depths, q.block)
 
 
 def sql_from_rir(z: SqlRir) -> SqlQuery:
@@ -402,32 +395,24 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
     depths = _paren_depths(z.tokens, z.quoted)
     block = _segment(z.tokens, depths)
     declared = _collect_aliases(z.tokens, block)
+    names = {}  # declared alias -> the name it restores to
     for alias, table in declared.items():
         rest = alias[len(table):] if alias.startswith(table) else ""
         if not rest or not rest.isdigit():
             raise InversionError(
                 f"declared alias {alias!r} is not {table!r} plus a number")
-
-    def restore_name(name: str) -> str:
-        table = declared[name]
-        return f"{table}alias{name[len(table):]}"
-
+        names[alias] = f"{table}alias{rest}"
     restored: list[str] = []
     for tok, quoted in zip(z.tokens, z.quoted):
-        if quoted:
-            restored.append(tok)
-            continue
-        if tok in declared:
-            restored.append(restore_name(tok))
-            continue
-        qualifier, rest = _split_qualified(tok)
-        if qualifier in declared:
-            restored.append(restore_name(qualifier) + rest)
-            continue
-        if rest and _ALIAS_SHAPED_RE.fullmatch(qualifier):
-            raise InversionError(
-                f"alias-shaped qualifier {qualifier!r} has no FROM "
-                "declaration")
+        if not quoted:
+            qualifier, rest = ((tok, "") if tok in names
+                               else _split_qualified(tok))
+            if qualifier in names:
+                tok = names[qualifier] + rest
+            elif rest and _ALIAS_SHAPED_RE.fullmatch(qualifier):
+                raise InversionError(
+                    f"alias-shaped qualifier {qualifier!r} has no FROM "
+                    "declaration")
         restored.append(tok)
     # A restored name holds the parens and the first character of the name
     # it replaces and is no clause keyword, so z's quote flags, depths and
