@@ -38,13 +38,15 @@ def byte_offset(text: str, index: int) -> int:
 
 
 def fail_at(text: str, index: int, message: str,
-            expected: Iterable[str] = ()) -> NoReturn:
-    """Raise a ParseError at the byte offset of whitespace-separated token
-    ``index`` of ``text``, or at the end of ``text`` when it has no such
-    token.  Parsers walk ``text.split()`` by index and rescan ``text`` for
-    token positions only here, when an error has to be reported."""
-    token = next(islice(re.finditer(r"\S+", text), index, None), None)
-    start = len(text) if token is None else token.start()
+            expected: Iterable[str] = (),
+            token: re.Pattern[str] = re.compile(r"\S+")) -> NoReturn:
+    """Raise a ParseError at the byte offset of token ``index`` of ``text``,
+    its tokens being the matches of ``token`` (whitespace-separated words
+    unless given), or at the end of ``text`` when it has no such token.
+    Parsers walk their tokens by index and rescan ``text`` for token
+    positions only here, when an error has to be reported."""
+    match = next(islice(token.finditer(text), index, None), None)
+    start = len(text) if match is None else match.start()
     raise ParseError(message, offset=byte_offset(text, start),
                      expected=tuple(expected))
 

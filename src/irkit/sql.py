@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .errors import (InversionError, ParseError, TransformError,
-                     byte_offset)
+                     byte_offset, fail_at)
 
 # Token annotation tags.  "identifier" covers bare table/column/function
 # names that the coarser transforms never need to distinguish.
@@ -56,6 +56,9 @@ _FUNC_OPEN_RE = re.compile(r"(COUNT|MIN|MAX|SUM|AVG)\(", re.IGNORECASE)
 # with no such partner matches alone.
 _TOKEN_RE = re.compile(r"""(?:[^\s"']+|"[^"]*"|'[^']*')+|["']""")
 _QUOTES = ('"', "'")
+# Raises a ParseError with a message at a token index (past the last: the
+# end) of the text a stream was lexed from or renders to.
+_Fail = Callable[[int, str], NoReturn]
 
 
 def lex_sql(text: str) -> list[str]:
@@ -171,7 +174,8 @@ class SqlLir:
         return render_sql(self.tokens)
 
 
-def _segment(tokens: Sequence[str], depths: Sequence[int]) -> Block:
+def _segment(tokens: Sequence[str], depths: Sequence[int],
+             fail: _Fail) -> Block:
     """The block tree of a token stream, built in one left-to-right pass.
 
     ``depths`` is ``_paren_depths(tokens)``.  A token that moves the depth
@@ -195,7 +199,7 @@ def _segment(tokens: Sequence[str], depths: Sequence[int]) -> Block:
         if (tok == "(" and i < n and tokens[i].upper() == "SELECT"
                 and (group is None or group[1] > 0)):
             if min(depths[i:]) > before:
-                raise ParseError("unbalanced parentheses")
+                fail(i - 1, "unbalanced parentheses")
             stack.append((before, block, group))
             block.children.append(Block(i, n))
             block, group = block.children[-1], None
@@ -212,7 +216,7 @@ def _segment(tokens: Sequence[str], depths: Sequence[int]) -> Block:
             upper, start = tok.upper(), i - 1
             if upper in ("GROUP", "ORDER"):
                 if i >= n or tokens[i].upper() != "BY":
-                    raise ParseError(f"{upper} not followed by BY")
+                    fail(i, f"{upper} not followed by BY")
                 upper, i = upper + "_BY", i + 1
             elif upper in _SET_OPS:
                 upper = "SET_OP"
@@ -220,8 +224,8 @@ def _segment(tokens: Sequence[str], depths: Sequence[int]) -> Block:
                     i += 1
             elif upper not in _CLAUSE_STARTERS:
                 if not block.clauses or block.clauses[-1].name == "SET_OP":
-                    raise ParseError(
-                        f"token {tok!r} appears before any clause keyword")
+                    fail(i - 1,
+                         f"token {tok!r} appears before any clause keyword")
                 continue
             block.clauses.append(Clause(upper, start, i))
             continue
@@ -233,7 +237,7 @@ def _segment(tokens: Sequence[str], depths: Sequence[int]) -> Block:
             if group is not None and (after - group[0]) * group[1] <= 0:
                 group = None
     if group is not None:
-        raise ParseError("unbalanced parentheses")
+        fail(n, "unbalanced parentheses")
     _close(root, n)
     return root
 
@@ -248,7 +252,8 @@ def _close(block: Block, end: int) -> None:
             clause.end = next_start
 
 
-def _collect_aliases(tokens: Sequence[str], block: Block) -> dict[str, str]:
+def _collect_aliases(tokens: Sequence[str], block: Block,
+                     fail: _Fail) -> dict[str, str]:
     """Map declared alias -> table name, from every FROM span."""
     declared: dict[str, str] = {}
     for b in block.walk():
@@ -258,7 +263,7 @@ def _collect_aliases(tokens: Sequence[str], block: Block) -> dict[str, str]:
             for i in range(clause.start, clause.end):
                 if tokens[i].upper() == "AS":
                     if i == clause.start or i + 1 >= clause.end:
-                        raise ParseError("dangling AS in FROM clause")
+                        fail(i, "dangling AS in FROM clause")
                     declared[tokens[i + 1]] = tokens[i - 1]
     return declared
 
@@ -287,66 +292,73 @@ def _annotate(tokens: Sequence[str], quoted: Sequence[bool],
 
 
 def parse_sql(text: str) -> SqlQuery:
-    """Tokenize, segment, and annotate one canonicalized query."""
-    return parse_sql_tokens(tuple(lex_sql(text)))
+    """Tokenize, segment, and annotate one canonicalized query.  A
+    ``ParseError``'s offset is a byte offset in ``text``."""
+    tokens = tuple(lex_sql(text))
+    return _parse_tokens(tokens, _quoted(tokens), lambda i, message: fail_at(
+        text, i, message, token=_TOKEN_RE))
 
 
 def parse_sql_tokens(tokens: tuple[str, ...]) -> SqlQuery:
     """Segment and annotate a token stream that ``lex_sql`` would yield for
-    its rendering: the same query ``parse_sql(render_sql(tokens))`` gives,
-    without lexing that text again."""
-    return _parse_tokens(tokens, _quoted(tokens))
+    its rendering: the same query, and the same errors at the same offsets,
+    that ``parse_sql(render_sql(tokens))`` gives, without lexing that text
+    again."""
+    return _parse_tokens(tokens, _quoted(tokens), _fail_rendered(tokens))
+
+
+def _fail_rendered(tokens: Sequence[str]) -> _Fail:
+    """``_Fail`` at offsets in ``render_sql(tokens)``, rendered only then."""
+    return lambda i, message: fail_at(render_sql(tokens), i, message,
+                                      token=_TOKEN_RE)
 
 
 def query_of_rir(z: SqlRir) -> SqlQuery:
     """The query of z_r's tokens, as ``parse_sql_tokens(z.tokens)`` gives
-    it.  A z_r rewritten from a program keeps that program's depths and
-    block tree, so only the alias-name check runs again: the rewrite can
-    leave a name that fails it (``aliasalias1`` becomes ``alias1``)."""
+    it.  A z_r rewritten from a program reuses that program's depths and
+    block tree, and only the token checks run again: the rewrite can leave
+    a name that fails the alias check (``aliasalias1`` becomes ``alias1``).
+    """
+    fail = _fail_rendered(z.tokens)
     if z.block is None:
-        return _parse_tokens(z.tokens, z.quoted)
-    _check_alias_names(z.tokens, z.quoted)
-    return _query(z.tokens, z.quoted, z.depths, z.block)
+        return _parse_tokens(z.tokens, z.quoted, fail)
+    _check_tokens(z.tokens, z.quoted, z.depths, fail)
+    return _query(z.tokens, z.quoted, z.depths, z.block, fail)
 
 
-def _parse_tokens(tokens: tuple[str, ...],
-                  quoted: tuple[bool, ...]) -> SqlQuery:
+def _parse_tokens(tokens: tuple[str, ...], quoted: tuple[bool, ...],
+                  fail: _Fail) -> SqlQuery:
     depths = _paren_depths(tokens, quoted)
-    _check_tokens(tokens, quoted, depths)
-    return _query(tokens, quoted, depths, _segment(tokens, depths))
+    _check_tokens(tokens, quoted, depths, fail)
+    return _query(tokens, quoted, depths, _segment(tokens, depths, fail),
+                  fail)
 
 
 def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
-                  depths: Sequence[int]) -> None:
-    """The checks of a query that need no segmentation."""
+                  depths: Sequence[int], fail: _Fail) -> None:
+    """The checks of a query that need no segmentation.  An empty query or
+    one left inside parentheses fails at its end."""
     if not tokens:
-        raise ParseError("empty query")
+        fail(0, "empty query")
     if tokens[0].upper() != "SELECT":
-        raise ParseError(f"query starts with {tokens[0]!r}, not SELECT",
-                         offset=0)
-    if min(depths) < 0:
-        raise ParseError("unbalanced ')'")
+        fail(0, f"query starts with {tokens[0]!r}, not SELECT")
+    if min(depths) < 0:  # at the token that first takes the depth below 0
+        fail([d < 0 for d in depths].index(True) - 1, "unbalanced ')'")
     if depths[-1] != 0:
-        raise ParseError("unbalanced '('")
-    _check_alias_names(tokens, quoted)
-
-
-def _check_alias_names(tokens: Sequence[str],
-                       quoted: Sequence[bool]) -> None:
-    """Every unquoted name holding ``alias`` is an alias token."""
+        fail(len(tokens), "unbalanced '('")
     for tok, q in zip(tokens, quoted):
         if q or "alias" not in tok:
             continue
         head, _ = _split_qualified(tok)
         if "alias" in head and not _ALIAS_TOKEN_RE.fullmatch(head):
-            raise ParseError(
-                f"token {tok!r} does not match the <TABLE NAME>alias<N> "
-                "pattern")
+            # Each earlier copy of tok would have failed first.
+            fail(tokens.index(tok), f"token {tok!r} does not match the "
+                 "<TABLE NAME>alias<N> pattern")
 
 
 def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...],
-           depths: tuple[int, ...], block: Block) -> SqlQuery:
-    declared = _collect_aliases(tokens, block)
+           depths: tuple[int, ...], block: Block, fail: _Fail) -> SqlQuery:
+    declared = _collect_aliases(tokens, block, fail)
     return SqlQuery(tokens, quoted, _annotate(tokens, quoted, declared),
                     block, depths, declared)
 
@@ -387,14 +399,16 @@ def sql_to_rir(q: SqlQuery) -> SqlRir:
 
 def sql_from_rir(z: SqlRir) -> SqlQuery:
     """Re-insert ``alias`` before the trailing digits of every table alias,
-    using the FROM declarations to decide which tokens are aliases."""
+    using the FROM declarations to decide which tokens are aliases.  A
+    ``ParseError``'s offset is a byte offset in ``z.render()``."""
+    fail = _fail_rendered(z.tokens)
     for tok, quoted in zip(z.tokens, z.quoted):
         if not quoted and _ALIAS_TOKEN_RE.search(tok):
             raise InversionError(
                 f"input already contains an alias token: {tok!r}")
     depths = _paren_depths(z.tokens, z.quoted)
-    block = _segment(z.tokens, depths)
-    declared = _collect_aliases(z.tokens, block)
+    block = _segment(z.tokens, depths, fail)
+    declared = _collect_aliases(z.tokens, block, fail)
     names = {}  # declared alias -> the name it restores to
     for alias, table in declared.items():
         rest = alias[len(table):] if alias.startswith(table) else ""
@@ -418,8 +432,8 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
     # it replaces and is no clause keyword, so z's quote flags, depths and
     # block tree are the program's.
     tokens = tuple(restored)
-    _check_tokens(tokens, z.quoted, depths)
-    return _query(tokens, z.quoted, depths, block)
+    _check_tokens(tokens, z.quoted, depths, fail)
+    return _query(tokens, z.quoted, depths, block, fail)
 
 
 # ---------------------------------------------------------------------------

@@ -115,16 +115,38 @@ def test_parse_errors(bad):
         sql.parse_sql(bad)
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("  \n", 3),  # empty: the end
+    ("  FROM A", 2),
+    ("\tSELECT  é ) FROM", 12),  # the token that closes past depth 0
+    ('SELECT "a  b"   ( x', 19),  # left inside parentheses: the end
+    ("SELECT x FROM\u3000AS", 16),  # dangling AS
+    ("SELECT  é Aalias.X", 11),
+    ("SELECT é\u3000ORDER  x", 19),  # where BY should be
+    ("SELECT x UNION\xa0\xa0é", 18),
+])
+def test_parse_error_offsets_are_bytes_in_the_text(text, offset):
+    with pytest.raises(ParseError) as err:
+        sql.parse_sql(text)
+    assert err.value.offset == offset
+
+
 _SUB_IN_WHERE = [(0, 17, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 17)],
                   [(10, 16)]),
                  (10, 16, [("SELECT", 10, 12), ("FROM", 12, 16)], [])]
-_UNBALANCED = (ParseError, "unbalanced parentheses")
+
+
+def _error(message, offset):
+    """The outcome of a ParseError at ``offset`` in the rendered stream."""
+    return ParseError, f"{message} (at byte offset {offset})"
+
 
 # name: (token stream, outcome of parse_sql_tokens, outcome of sql_from_rir
 # or None when it is the same).  An outcome is every block in walk order as
 # (start, end, [(clause, start, end)], [child (start, end)]), or the error's
-# type and message.  The streams hold no alias token, so sql_from_rir
-# restores nothing, but it segments before it checks the balance.
+# type and message, which ends with its byte offset in the text.  The
+# streams hold no alias token, so sql_from_rir restores nothing, but it
+# segments before it checks the balance.
 SEGMENTATION_CASES = {
     "subquery-in-where": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN "
@@ -162,34 +184,34 @@ SEGMENTATION_CASES = {
     "group-without-by-in-subquery": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN "
         "( SELECT B0.Y FROM B AS B0 GROUP B0.Y )",
-        (ParseError, "GROUP not followed by BY"), None),
+        _error("GROUP not followed by BY", 72), None),
     "order-without-by-at-end": (
         "SELECT A0.X FROM A AS A0 ORDER",
-        (ParseError, "ORDER not followed by BY"), None),
+        _error("ORDER not followed by BY", 30), None),
     "set-op-then-no-clause": (
         "SELECT A0.X UNION A0.Y",
-        (ParseError, "token 'A0.Y' appears before any clause keyword"), None),
+        _error("token 'A0.Y' appears before any clause keyword", 18), None),
     "unclosed-subquery-then-clause-error": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN ( SELECT B0.Y GROUP B0.Y",
-        (ParseError, "unbalanced '('"), _UNBALANCED),
+        _error("unbalanced '('", 63), _error("unbalanced parentheses", 39)),
     "clause-error-then-unclosed-subquery": (
         "SELECT A0.X GROUP A0.X WHERE A0.Y IN ( SELECT B0.Y",
-        (ParseError, "unbalanced '('"),
-        (ParseError, "GROUP not followed by BY")),
+        _error("unbalanced '('", 50),
+        _error("GROUP not followed by BY", 18)),
     "stray-close-before-subquery": (
         "SELECT A0.X ) ( SELECT B0.Y FROM B AS B0 )",
-        (ParseError, "unbalanced ')'"), _UNBALANCED),
+        _error("unbalanced ')'", 12), _error("unbalanced parentheses", 42)),
     "stray-close-swallows-a-clause": (
         "SELECT A0.X ) GROUP ( SELECT B0.Y GROUP B0.Y )",
-        (ParseError, "unbalanced ')'"),
-        (ParseError, "GROUP not followed by BY")),
+        _error("unbalanced ')'", 12),
+        _error("GROUP not followed by BY", 40)),
     "no-subquery-below-depth-zero": (
         "SELECT A0.X ) ) ( SELECT B0.Y ) GROUP B0.Y",
-        (ParseError, "unbalanced ')'"), _UNBALANCED),
+        _error("unbalanced ')'", 12), _error("unbalanced parentheses", 42)),
     "not-select-first": (
         "FROM A AS A0 WHERE ( SELECT",
-        (ParseError, "query starts with 'FROM', not SELECT "
-                     "(at byte offset 0)"), _UNBALANCED),
+        _error("query starts with 'FROM', not SELECT", 0),
+        _error("unbalanced parentheses", 19)),
 }
 
 
@@ -199,7 +221,7 @@ SEGMENTATION_CASES = {
 MULTI_PAREN_CASES = {
     "close-past-the-opener": (
         "SELECT COUNT( * )) FROM A AS A0",
-        (ParseError, "unbalanced ')'"), None),
+        _error("unbalanced ')'", 16), None),
     "double-open": (
         "SELECT COUNT(( A0.X )) FROM A AS A0",
         [(0, 8, [("SELECT", 0, 4), ("FROM", 4, 8)], [])], None),
@@ -499,9 +521,12 @@ def _check_token_parse(tokens):
     paths built on it against the render-and-re-lex compositions."""
     tokens = tuple(tokens)
     text = sql.render_sql(tokens)
-    assert _outcome(sql.parse_sql_tokens, tokens) == _outcome(sql.parse_sql,
-                                                              text)
+    parsed = _outcome(sql.parse_sql_tokens, tokens)
+    assert parsed == _outcome(sql.parse_sql, text)
     restored = _outcome(sql.sql_from_rir, sql.SqlRir(tokens))
+    for outcome in (parsed, restored):
+        if isinstance(outcome, tuple) and outcome[0] is ParseError:
+            assert outcome[2] is not None  # every parse error has an offset
     if isinstance(restored, sql.SqlQuery):
         assert restored == sql.parse_sql(restored.render())
     q = _outcome(sql.parse_sql_tokens, tokens)
