@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import data, formalisms, metrics, pipeline
 from . import sparql as sparql_ir
@@ -68,23 +68,25 @@ def _tokenizer(spec: str) -> Callable[[str], list[str]]:
 
 
 def _relation_dict(args, required: bool,
-                   corpus: Sequence[ExampleRecord] | None = None,
+                   corpus: Iterable[ExampleRecord] | None = None,
                    ) -> tuple[sparql_ir.RelationDictionary | None,
+                              Iterable[ExampleRecord] | None,
                               list[object] | None]:
-    """The ``--dict`` sidecar, for a formalism whose z_r uses one.  An
-    absent file is built from ``corpus`` and saved, so that later
-    invocations invert consistently.  The second value holds the programs
-    that build parsed, by record position, for the command's loop to
-    reuse; it is None when nothing was built."""
+    """The ``--dict`` sidecar, for a formalism whose z_r uses one, with
+    ``corpus`` and its programs.  An absent file is built from ``corpus``
+    and saved, so that later invocations invert consistently: a pre-pass
+    that returns the records as a list and their programs by position, for
+    the command's loop to reuse.  Otherwise ``corpus`` comes back unread."""
     if not formalisms.get(args.formalism).needs_dict:
-        return None, None
+        return None, corpus, None
     path = args.dict_path
     if path is None:
         if required:
             raise ConfigError("--dict is required for sparql IR transforms")
-        return None, None
+        return None, corpus, None
     if Path(path).exists():
-        return sparql_ir.RelationDictionary.load(path), None
+        return sparql_ir.RelationDictionary.load(path), corpus, None
+    corpus = [] if corpus is None else [r for r in corpus]
     if not corpus:
         raise ConfigError(f"dictionary {path!r} does not exist and there is "
                           "no corpus to build it from")
@@ -95,7 +97,7 @@ def _relation_dict(args, required: bool,
     rdict.save(path)
     print(f"built relation dictionary with {len(rdict.forward)} entries "
           f"-> {path}")
-    return rdict, parsed
+    return rdict, corpus, parsed
 
 
 def _write_quarantine(args, entries: list[QuarantineEntry]) -> int:
@@ -116,7 +118,7 @@ def _gold_pairs(path: str, formalism: str) -> list[tuple[str, str]]:
     suffix = Path(path).suffix.lower()
     if suffix in (".jsonl", ".json", ".txt"):
         return [(r.id, r.y) for r in data.read_records(path, formalism)]
-    return data.read_pairs_tsv(path)
+    return list(data.read_pairs_tsv(path))
 
 
 def _program_column(path: str, formalism: str) -> list[str]:
@@ -124,7 +126,9 @@ def _program_column(path: str, formalism: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands.  transform, invert, prepare and postprocess are each one lazy
+# chain, reader -> ``pipeline.run`` -> ``data.write_*``; only a pre-pass
+# (the dictionary build, ``by_id``, the known ids) holds a whole input.
 # ---------------------------------------------------------------------------
 
 
@@ -142,27 +146,27 @@ def cmd_transform(args: argparse.Namespace) -> int:
         args.ir, lambda p: of_program[args.ir](p.parsed))
     rdict = parsed = None
     if args.ir in ("rir", "lir+rir") and options.shorten_relations:
-        rdict, parsed = _relation_dict(args, required=True, corpus=records)
+        rdict, records, parsed = _relation_dict(args, True, records)
     cfg = pipeline.PipelineConfig(args.formalism, rir_options=options,
                                   relation_dict=rdict)
-    outputs, quarantined = pipeline.quarantine_map(
-        pipeline.programs(records, cfg, parsed), lambda _, p: transform(p),
-        "transform")
-    data.write_pairs_tsv(args.output, outputs)
-    print(f"transform --ir {args.ir}: {len(outputs)} ok, "
+    quarantined: list[QuarantineEntry] = []
+    n_ok = data.write_pairs_tsv(args.output, pipeline.run(
+        pipeline.programs(records, cfg, parsed),
+        lambda i, p: (i, transform(p)), "transform", quarantined))
+    print(f"transform --ir {args.ir}: {n_ok} ok, "
           f"{len(quarantined)} quarantined -> {args.output}")
     return _write_quarantine(args, quarantined)
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
     rows = data.read_pairs_tsv(args.input)
-    rdict, _ = _relation_dict(args, True)
+    rdict = _relation_dict(args, True)[0]
     cfg = pipeline.PipelineConfig(args.formalism, relation_dict=rdict)
-    outputs, quarantined = pipeline.quarantine_map(
-        rows, lambda _, text: pipeline.invert_reversible(text, cfg),
-        "invert", keep_failed=True)
-    data.write_pairs_tsv(args.output, outputs)
-    print(f"invert: {len(outputs) - len(quarantined)} ok, "
+    quarantined: list[QuarantineEntry] = []
+    n_rows = data.write_pairs_tsv(args.output, pipeline.run(
+        rows, lambda i, text: (i, pipeline.invert_reversible(text, cfg)),
+        "invert", quarantined, keep_failed=True))
+    print(f"invert: {n_rows - len(quarantined)} ok, "
           f"{len(quarantined)} flagged -> {args.output}")
     return _write_quarantine(args, quarantined)
 
@@ -173,29 +177,31 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     options = _rir_options(args)
     rdict = parsed = None
     if options.shorten_relations and row.inverts():
-        rdict, parsed = _relation_dict(args, required=True, corpus=records)
+        rdict, records, parsed = _relation_dict(args, True, records)
     cfg = pipeline.PipelineConfig(args.formalism, separator=args.sep,
                                   rir_options=options, relation_dict=rdict,
                                   cat_budget=args.cat_budget)
-    prepare = (pipeline.prepare_stage1 if args.stage == 1
-               else pipeline.prepare_stage2)
-    result = prepare(records, args.mode, cfg, parsed)
-    data.write_stage_tsv(args.output,
-                         [(p.id, p.source, p.target) for p in result.pairs])
+    quarantined: list[QuarantineEntry] = []
+    over_budget: list[str] = []
+    n_staged = data.write_stage_tsv(args.output, (
+        pipeline.prepare_stage1(records, args.mode, cfg, quarantined, parsed,
+                                over_budget) if args.stage == 1
+        else pipeline.prepare_stage2(records, args.mode, cfg, quarantined,
+                                     parsed)))
     print(f"prepare --mode {args.mode} --stage {args.stage}: "
-          f"{len(result.pairs)} staged, {len(result.quarantined)} "
+          f"{n_staged} staged, {len(quarantined)} "
           f"quarantined -> {args.output}")
-    if result.n_over_budget:
-        print(f"note: {result.n_over_budget} target(s) exceed the "
+    if over_budget:
+        print(f"note: {len(over_budget)} target(s) exceed the "
               f"{args.cat_budget}-token budget (kept, not truncated)")
-    return _write_quarantine(args, result.quarantined)
+    return _write_quarantine(args, quarantined)
 
 
 def cmd_postprocess(args: argparse.Namespace) -> int:
     row = pipeline.check_mode(args.mode)
     options = _rir_options(args)
-    rdict, _ = _relation_dict(args, options.shorten_relations
-                              and row.inverts(args.stage))
+    rdict = _relation_dict(args, options.shorten_relations
+                           and row.inverts(args.stage))[0]
     cfg = pipeline.PipelineConfig(args.formalism, separator=args.sep,
                                   rir_options=options, relation_dict=rdict)
     records = (data.read_records(args.data, args.formalism)
@@ -204,23 +210,27 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
     if preds is None and not (args.stage == 1 and row.reads_gold_ir):
         raise ConfigError("--in (model predictions) is required for this "
                           "mode and stage")
-
-    what = "final prediction(s)"
-    if args.stage == 1:
-        result = pipeline.postprocess_stage1(preds, args.mode, cfg, records)
-        rows, flagged = result.final, result.flagged
-        if rows is None:
-            rows, what = result.stage2_sources, "stage-2 source(s)"
+    quarantined: list[QuarantineEntry] = []
+    if args.stage == 2:
+        rows = pipeline.finalize(preds, args.mode, cfg, quarantined, records)
     else:
-        rows, flagged = pipeline.finalize(preds, args.mode, cfg, records)
-    data.write_pairs_tsv(args.output, rows)
-    print(f"postprocess --stage {args.stage}: {len(rows)} {what} "
+        # An input this stage does not use is still read, to validate it.
+        for _ in (records if row.stage2_ir is None and records is not None
+                  else preds if row.reads_gold_ir and preds is not None
+                  else ()):
+            pass
+        rows = pipeline.postprocess_stage1(preds, args.mode, cfg,
+                                           quarantined, records)
+    what = ("stage-2 source(s)" if args.stage == 1 and row.stage2_ir
+            else "final prediction(s)")
+    n_rows = data.write_pairs_tsv(args.output, rows)
+    print(f"postprocess --stage {args.stage}: {n_rows} {what} "
           f"-> {args.output}")
-    return _write_quarantine(args, flagged)
+    return _write_quarantine(args, quarantined)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    preds = data.read_pairs_tsv(args.input)
+    preds = list(data.read_pairs_tsv(args.input))
     golds = _gold_pairs(args.gold, args.formalism)
     report = metrics.exact_match(preds, golds, args.formalism)
     payload = report.to_dict()

@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IrkitError
 
@@ -44,19 +44,31 @@ def check_field(value: str, what: str, record_id: str) -> str:
     return value
 
 
-def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to a temp file beside ``path``, then rename it over
-    ``path``.  A failure part-way, such as a row that fails
-    :func:`check_field`, leaves ``path`` as it was and no temp file."""
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> int:
+    """Write ``chunks`` to a synced temp file beside ``path``, rename it
+    over ``path`` once ``chunks`` is drained (so ``chunks`` may read
+    ``path``) and sync the directory; returns the number of chunks.  A
+    failure part-way, such as a row that fails :func:`check_field` or a
+    malformed input line, leaves ``path`` as it was and no temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+            write, n = handle.write, 0
+            for n, chunk in enumerate(chunks, start=1):
+                write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+    return n
 
 
 def _lines(path: str | Path, strip=str.strip) -> Iterator[tuple[int, str]]:
@@ -82,14 +94,13 @@ def _tsv_rows(path: str | Path, n_columns: int, empty_last: bool = False,
         yield lineno, parts
 
 
-def read_records_jsonl(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
-    records = []
+def read_records_jsonl(path: str | Path,
+                       formalism: str = "") -> Iterator[ExampleRecord]:
     for lineno, line in _lines(path):
         try:
-            records.append(_record_of_json(line, formalism))
+            yield _record_of_json(line, formalism)
         except IrkitError as exc:
             raise IrkitError(f"{path}:{lineno}: {exc}") from None
-    return records
 
 
 def _record_of_json(line: str, formalism: str) -> ExampleRecord:
@@ -111,57 +122,70 @@ def _record_of_json(line: str, formalism: str) -> ExampleRecord:
                          formalism)
 
 
-def read_records_tsv(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
+def read_records_tsv(path: str | Path,
+                     formalism: str = "") -> Iterator[ExampleRecord]:
     """2-column adapter: utterance <tab> program, ids are line numbers."""
-    return [ExampleRecord(str(lineno - 1), x, y, formalism)
-            for lineno, (x, y) in _tsv_rows(path, 2)]
+    return (ExampleRecord(str(lineno - 1), x, y, formalism)
+            for lineno, (x, y) in _tsv_rows(path, 2))
 
 
-def read_scan_records(path: str | Path) -> list[ExampleRecord]:
+def read_scan_records(path: str | Path) -> Iterator[ExampleRecord]:
     """Adapter for ``IN: <command> OUT: <actions>`` lines."""
-    records = []
     for lineno, line in _lines(path):
         match = _SCAN_LINE_RE.fullmatch(line)
         if not match:
             raise IrkitError(f"{path}:{lineno}: not an IN:/OUT: line")
-        records.append(ExampleRecord(str(lineno - 1), match.group("x"),
-                                     match.group("y"), "scan"))
-    return records
+        yield ExampleRecord(str(lineno - 1), match.group("x"),
+                            match.group("y"), "scan")
 
 
-def read_records(path: str | Path, formalism: str = "") -> list[ExampleRecord]:
-    """Pick the adapter from the file extension."""
-    suffix = Path(path).suffix.lower()
-    if suffix in (".jsonl", ".json"):
-        return read_records_jsonl(path, formalism)
-    if suffix == ".tsv":
-        return read_records_tsv(path, formalism)
-    if suffix == ".txt":
-        return read_scan_records(path)
-    raise IrkitError(f"cannot infer record format from {path!r} "
-                     "(expected .jsonl, .tsv, or .txt)")
+class RecordFile:
+    """The records of one dataset file, read lazily: each iteration opens
+    the file and yields one record at a time.  ``len()`` reads it through,
+    and so do a truth test and ``list()``, which ask for the length."""
+
+    def __init__(self, read: Callable[[], Iterator[ExampleRecord]]) -> None:
+        self._read = read
+
+    def __iter__(self) -> Iterator[ExampleRecord]:
+        return self._read()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._read())
 
 
-def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
+def read_records(path: str | Path, formalism: str = "") -> RecordFile:
+    """Pick the adapter from the file extension, which is checked now; the
+    file is read when the result is iterated."""
+    read = {".jsonl": read_records_jsonl, ".json": read_records_jsonl,
+            ".tsv": read_records_tsv, ".txt": lambda p, _: read_scan_records(p)
+            }.get(Path(path).suffix.lower())
+    if read is None:
+        raise IrkitError(f"cannot infer record format from {path!r} "
+                         "(expected .jsonl, .tsv, or .txt)")
+    return RecordFile(lambda: read(path, formalism))
+
+
+def read_pairs_tsv(path: str | Path) -> Iterator[tuple[str, str]]:
     """(id, value) rows; the value may be empty for flagged rows."""
-    return [(i, v) for _, (i, v) in _tsv_rows(path, 2, empty_last=True)]
+    return ((i, v) for _, (i, v) in _tsv_rows(path, 2, empty_last=True))
 
 
 def write_pairs_tsv(path: str | Path,
-                    pairs: Iterable[tuple[str, str]]) -> None:
-    write_atomic(path, (f"{i}\t{check_field(value, 'value', i)}\n"
-                        for i, value in pairs))
+                    pairs: Iterable[tuple[str, str]]) -> int:
+    return write_atomic(path, (f"{i}\t{check_field(value, 'value', i)}\n"
+                               for i, value in pairs))
 
 
-def read_stage_tsv(path: str | Path) -> list[tuple[str, str, str]]:
-    return [(i, s, t) for _, (i, s, t) in _tsv_rows(path, 3)]
+def read_stage_tsv(path: str | Path) -> Iterator[tuple[str, str, str]]:
+    return ((i, s, t) for _, (i, s, t) in _tsv_rows(path, 3))
 
 
 def write_stage_tsv(path: str | Path,
-                    rows: Iterable[tuple[str, str, str]]) -> None:
-    write_atomic(path, (f"{i}\t{check_field(source, 'source', i)}\t"
-                        f"{check_field(target, 'target', i)}\n"
-                        for i, source, target in rows))
+                    rows: Iterable[tuple[str, str, str]]) -> int:
+    return write_atomic(path, (f"{i}\t{check_field(source, 'source', i)}\t"
+                               f"{check_field(target, 'target', i)}\n"
+                               for i, source, target in rows))
 
 
 def write_quarantine(path: str | Path,
@@ -171,8 +195,4 @@ def write_quarantine(path: str | Path,
 
 
 def read_quarantine(path: str | Path) -> list[QuarantineEntry]:
-    entries = []
-    for _, line in _lines(path):
-        obj = json.loads(line)
-        entries.append(QuarantineEntry(obj["id"], obj["stage"], obj["reason"]))
-    return entries
+    return [QuarantineEntry(**json.loads(line)) for _, line in _lines(path)]

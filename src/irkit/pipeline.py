@@ -11,9 +11,10 @@ and never abort a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import (Callable, Iterable, Iterator, NamedTuple, Sequence,
+                    TypeVar)
 
 from . import formalisms
 from . import sparql as sparql_ir
@@ -35,8 +36,7 @@ LIR_CAT = "lir-cat"
 VARIFIED = "varified"
 
 
-@dataclass(frozen=True, slots=True)
-class StagePair:
+class StagePair(NamedTuple):
     id: str
     source: str
     target: str
@@ -54,23 +54,6 @@ class PipelineConfig:
         formalisms.get(self.formalism)
         if not self.separator:
             raise ConfigError("separator must be non-empty")
-
-
-@dataclass(slots=True)
-class PrepareResult:
-    pairs: list[StagePair] = field(default_factory=list)
-    quarantined: list[QuarantineEntry] = field(default_factory=list)
-    n_over_budget: int = 0
-
-
-@dataclass(slots=True)
-class PostprocessResult:
-    """Stage-1 post-processing output: exactly one of ``final`` (single-stage
-    modes) or ``stage2_sources`` (two-stage modes) is populated."""
-
-    final: list[tuple[str, str]] | None = None
-    stage2_sources: list[tuple[str, str]] | None = None
-    flagged: list[QuarantineEntry] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +119,7 @@ class Program:
         return self.formalism.varify(self.parsed)
 
 
-def programs(records: Sequence[ExampleRecord], cfg: PipelineConfig,
+def programs(records: Iterable[ExampleRecord], cfg: PipelineConfig,
              parsed: Sequence[object] | None = None,
              ) -> Iterator[tuple[str, Program]]:
     """``(id, Program)`` per record, each made as the loop reaches it;
@@ -176,14 +159,11 @@ def invert_reversible(text: str, cfg: PipelineConfig) -> str:
     return formalisms.TABLE[cfg.formalism].from_rir(text, cfg)
 
 
-def lossy_of_prediction(text: str, cfg: PipelineConfig,
-                        rir_form: bool) -> str:
-    """Apply the lossy transform to a predicted program (or predicted z_r):
-    the same one that built the gold z of training."""
-    if rir_form:
-        f = formalisms.TABLE[cfg.formalism]
-        return f.lir_of_rir(f.parse_rir(text))
-    return _lir_of_program(text, cfg)
+def _lir_of_rir(text: str, cfg: PipelineConfig) -> str:
+    """z_{l,r} of a predicted z_r: the path ``Program.lir_rir_text`` takes
+    for gold ``y``."""
+    f = formalisms.TABLE[cfg.formalism]
+    return f.lir_of_rir(f.parse_rir(text))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +222,7 @@ MODE_TABLE: dict[str, Mode] = {
     LIR_D_RIR: Mode(Program.lir_rir_text, Program.lir_rir_text,
                     Program.rir_text, _as_is, invert_reversible),
     LIR_I_RIR: Mode(Program.rir_text, Program.lir_rir_text, Program.rir_text,
-                    lambda text, cfg: lossy_of_prediction(text, cfg, True),
-                    invert_reversible),
+                    _lir_of_rir, invert_reversible),
     LIR_ORACLE: Mode(Program.lir_text, Program.lir_text, Program.gold),
     LIR_CAT: Mode(Program.cat_text, final=_split_cat),
     VARIFIED: Mode(Program.varified_text,
@@ -262,26 +241,21 @@ def check_mode(mode: str) -> Mode:
     return MODE_TABLE[mode]
 
 
-def quarantine_map(items: Iterable[tuple[str, T]],
-                   fn: Callable[[str, T], object], stage: str,
-                   keep_failed: bool = False,
-                   ) -> tuple[list[tuple[str, object]], list[QuarantineEntry]]:
-    """Apply ``fn(id, item)`` to each ``(id, item)``.
-
-    An item whose ``fn`` raises an ``IrkitError`` becomes a quarantine entry
-    for ``stage``; its output is dropped, or kept as ``""`` with
-    ``keep_failed`` so that output files keep every id.
-    """
-    outputs: list[tuple[str, object]] = []
-    quarantined: list[QuarantineEntry] = []
+def run(items: Iterable[tuple[str, T]], fn: Callable[[str, T], tuple],
+        stage: str, quarantined: list[QuarantineEntry],
+        keep_failed: bool = False) -> Iterator[tuple]:
+    """The record loop: yield the row ``fn(id, item)`` for each ``(id,
+    item)`` as it is reached.  An item whose ``fn`` raises an ``IrkitError``
+    becomes an entry for ``stage`` in ``quarantined``; its row is dropped,
+    or kept as ``(id, "")`` with ``keep_failed`` so that output files keep
+    every id."""
     for item_id, item in items:
         try:
-            outputs.append((item_id, fn(item_id, item)))
+            yield fn(item_id, item)
         except IrkitError as exc:
             quarantined.append(QuarantineEntry(item_id, stage, str(exc)))
             if keep_failed:
-                outputs.append((item_id, ""))
-    return outputs, quarantined
+                yield item_id, ""
 
 
 # ---------------------------------------------------------------------------
@@ -289,48 +263,46 @@ def quarantine_map(items: Iterable[tuple[str, T]],
 # ---------------------------------------------------------------------------
 
 
-def _staged(records: Sequence[ExampleRecord], cfg: PipelineConfig,
-            parsed: Sequence[object] | None, stage: str,
-            fn: Callable[[str, Program], tuple[str, str]]) -> PrepareResult:
-    pairs, quarantined = quarantine_map(programs(records, cfg, parsed), fn,
-                                        stage)
-    return PrepareResult([StagePair(i, *pair) for i, pair in pairs],
-                         quarantined)
-
-
-def prepare_stage1(records: Sequence[ExampleRecord], mode: str,
-                   cfg: PipelineConfig,
-                   parsed: Sequence[object] | None = None) -> PrepareResult:
+def prepare_stage1(records: Iterable[ExampleRecord], mode: str,
+                   cfg: PipelineConfig, quarantined: list[QuarantineEntry],
+                   parsed: Sequence[object] | None = None,
+                   over_budget: list[str] | None = None,
+                   ) -> Iterator[StagePair]:
     """Build (x, target) pairs for the first seq2seq stage.  ``parsed``
-    holds the records' programs if the caller parsed them already."""
+    holds the records' programs if the caller parsed them already; the ids
+    of lir-cat targets over ``cfg.cat_budget`` tokens go to ``over_budget``."""
     row = check_mode(mode)
     if mode == VARIFIED and formalisms.TABLE[cfg.formalism].varify is None:
         raise ConfigError("the varified mode marks variables and entities "
                           f"and is not defined for {cfg.formalism}")
-    result = _staged(records, cfg, parsed, "stage1", lambda _, p: (
-        check_field(p.record.x, "utterance", p.record.id),
-        check_field(row.stage1_target(p), "target", p.record.id)))
-    if mode == LIR_CAT:
-        result.n_over_budget = sum(len(p.target.split()) > cfg.cat_budget
-                                   for p in result.pairs)
-    return result
+
+    def pair(record_id: str, p: Program) -> StagePair:
+        source = check_field(p.record.x, "utterance", record_id)
+        target = check_field(row.stage1_target(p), "target", record_id)
+        if (mode == LIR_CAT and over_budget is not None
+                and len(target.split()) > cfg.cat_budget):
+            over_budget.append(record_id)
+        return StagePair(record_id, source, target)
+
+    return run(programs(records, cfg, parsed), pair, "stage1", quarantined)
 
 
-def prepare_stage2(records: Sequence[ExampleRecord], mode: str,
-                   cfg: PipelineConfig,
-                   parsed: Sequence[object] | None = None) -> PrepareResult:
+def prepare_stage2(records: Iterable[ExampleRecord], mode: str,
+                   cfg: PipelineConfig, quarantined: list[QuarantineEntry],
+                   parsed: Sequence[object] | None = None,
+                   ) -> Iterator[StagePair]:
     """Build (x ++ sep ++ gold z, target) pairs for the second stage."""
     row = check_mode(mode)
     if row.stage2_ir is None:
         raise ConfigError(f"mode {mode!r} has no second stage")
 
-    def pair(_: str, p: Program) -> tuple[str, str]:
-        r = p.record
-        z = check_field(row.stage2_ir(p), "gold IR", r.id)
-        target = check_field(row.stage2_target(p), "target", r.id)
-        return check_field(r.x, "utterance", r.id) + cfg.separator + z, target
+    def pair(record_id: str, p: Program) -> StagePair:
+        z = check_field(row.stage2_ir(p), "gold IR", record_id)
+        target = check_field(row.stage2_target(p), "target", record_id)
+        x = check_field(p.record.x, "utterance", record_id)
+        return StagePair(record_id, x + cfg.separator + z, target)
 
-    return _staged(records, cfg, parsed, "stage2", pair)
+    return run(programs(records, cfg, parsed), pair, "stage2", quarantined)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +310,11 @@ def prepare_stage2(records: Sequence[ExampleRecord], mode: str,
 # ---------------------------------------------------------------------------
 
 
-def postprocess_stage1(preds: Sequence[tuple[str, str]] | None, mode: str,
+def postprocess_stage1(preds: Iterable[tuple[str, str]] | None, mode: str,
                        cfg: PipelineConfig,
-                       records: Sequence[ExampleRecord] | None = None,
-                       ) -> PostprocessResult:
+                       quarantined: list[QuarantineEntry],
+                       records: Iterable[ExampleRecord] | None = None,
+                       ) -> Iterator[tuple[str, str]]:
     """Turn stage-1 model output into final programs (single-stage modes) or
     into stage-2 source lines (two-stage modes).
 
@@ -352,76 +325,72 @@ def postprocess_stage1(preds: Sequence[tuple[str, str]] | None, mode: str,
     if preds is None and not row.reads_gold_ir:
         raise ConfigError("stage-1 predictions are required for this mode")
     if row.stage2_ir is None:
-        final, flagged = quarantine_map(
-            preds, lambda _, text: row.final(text, cfg), "postprocess1",
-            keep_failed=True)
-        return PostprocessResult(final=final, flagged=flagged)
+        return run(preds, lambda i, text: (i, row.final(text, cfg)),
+                   "postprocess1", quarantined, keep_failed=True)
     if records is None:
         raise ConfigError(f"{mode} post-processing requires the dataset "
                           "records (utterances are part of stage-2 sources)")
-    by_id = {r.id: r for r in records}
 
-    def source(record: ExampleRecord, z: str) -> str:
-        return (check_field(record.x, "utterance", record.id)
-                + cfg.separator + z)
-
-    def predicted(record_id: str, text: str) -> str:
-        if record_id not in by_id:
-            raise IrkitError("prediction id not in dataset")
-        return source(by_id[record_id], row.z_of_output(text, cfg))
+    def source(record: ExampleRecord, z: str) -> tuple[str, str]:
+        return record.id, (check_field(record.x, "utterance", record.id)
+                           + cfg.separator + z)
 
     # Stage 2 of a mode that reads the gold IR gets every record, as
     # ``prepare --stage 2`` does, repeated ids included.
     if row.reads_gold_ir:
-        sources, flagged = quarantine_map(
-            programs(records, cfg),
-            lambda _, p: source(p.record, row.stage2_ir(p)), "postprocess1")
-    else:
-        sources, flagged = quarantine_map(preds, predicted, "postprocess1")
-    return PostprocessResult(stage2_sources=sources, flagged=flagged)
+        return run(programs(records, cfg),
+                   lambda _, p: source(p.record, row.stage2_ir(p)),
+                   "postprocess1", quarantined)
+    by_id = {r.id: r for r in records}
+
+    def predicted(record_id: str, text: str) -> tuple[str, str]:
+        if record_id not in by_id:
+            raise IrkitError("prediction id not in dataset")
+        return source(by_id[record_id], row.z_of_output(text, cfg))
+
+    return run(preds, predicted, "postprocess1", quarantined)
 
 
-def finalize(stage2_preds: Sequence[tuple[str, str]], mode: str,
-             cfg: PipelineConfig,
-             records: Sequence[ExampleRecord] | None = None,
-             ) -> tuple[list[tuple[str, str]], list[QuarantineEntry]]:
+def finalize(stage2_preds: Iterable[tuple[str, str]], mode: str,
+             cfg: PipelineConfig, quarantined: list[QuarantineEntry],
+             records: Iterable[ExampleRecord] | None = None,
+             ) -> Iterator[tuple[str, str]]:
     """Map stage-2 output to final programs.
 
     With ``records`` given, a prediction whose id is not in the dataset or
     repeats an earlier prediction's is flagged and its row dropped, and ids
     missing from the predictions (dropped as invalid upstream) are carried
     through as one empty, flagged row each so that evaluation denominators
-    stay intact.
+    stay intact.  Once the rows are drained, ``quarantined`` gets the
+    id-check entries, then the final step's failures, then the missing ids.
     """
     row = check_mode(mode)
     if row.stage2_ir is None and mode != LIR_CAT:
         raise ConfigError(f"mode {mode!r} has no second stage to finalize")
-    flagged: list[QuarantineEntry] = []
-    if records is not None:
-        known = {r.id for r in records}
-        seen: set[str] = set()
+    known: dict[str, None] = {}  # the dataset ids, in order
+    seen: set[str] = set()
+    checked, failed = [], []  # id-check and final-step entries
 
-        def listed(record_id: str, text: str) -> str:
-            if record_id not in known:
-                raise IrkitError("prediction id not in dataset")
-            if record_id in seen:
-                raise IrkitError("repeated prediction id")
-            seen.add(record_id)
-            return text
+    def listed(record_id: str, text: str) -> tuple[str, str]:
+        if record_id not in known:
+            raise IrkitError("prediction id not in dataset")
+        if record_id in seen:
+            raise IrkitError("repeated prediction id")
+        seen.add(record_id)
+        return record_id, text
 
-        stage2_preds, flagged = quarantine_map(stage2_preds, listed,
-                                               "finalize")
-    final, failed = quarantine_map(
-        stage2_preds, lambda _, text: row.final(text, cfg), "finalize",
-        keep_failed=True)
-    flagged += failed
-    if records is not None:
-        have = {record_id for record_id, _ in final}
-        for record in records:
-            if record.id not in have:
-                have.add(record.id)
-                flagged.append(QuarantineEntry(
-                    record.id, "finalize",
+    def missing() -> Iterator[tuple[str, str]]:
+        quarantined.extend(checked + failed)
+        for record_id in known:
+            if record_id not in seen:
+                quarantined.append(QuarantineEntry(
+                    record_id, "finalize",
                     "no stage-2 prediction (dropped upstream)"))
-                final.append((record.id, ""))
-    return final, flagged
+                yield record_id, ""
+
+    if records is not None:
+        known = dict.fromkeys(r.id for r in records)
+        stage2_preds = run(stage2_preds, listed, "finalize", checked)
+    final = run(stage2_preds, lambda i, text: (i, row.final(text, cfg)),
+                "finalize", failed, keep_failed=True)
+    return chain(final, missing())

@@ -12,7 +12,8 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session")
 def sparql_records():
-    return data.read_records_jsonl(DATA_DIR / "sparql_corpus.jsonl", "sparql")
+    return list(data.read_records_jsonl(DATA_DIR / "sparql_corpus.jsonl",
+                                       "sparql"))
 
 
 @pytest.fixture(scope="session")
@@ -27,9 +28,10 @@ def relation_dict(sparql_queries):
 
 @pytest.fixture(scope="session")
 def sql_records():
-    return data.read_records_jsonl(DATA_DIR / "sql_corpus.jsonl", "sql")
+    return list(data.read_records_jsonl(DATA_DIR / "sql_corpus.jsonl",
+                                       "sql"))
 
 
 @pytest.fixture(scope="session")
 def scan_records():
-    return data.read_scan_records(DATA_DIR / "scan_sample.txt")
+    return list(data.read_scan_records(DATA_DIR / "scan_sample.txt"))

@@ -41,7 +41,8 @@ def test_p1_sparql_reversibility(sparql_records, relation_dict):
     rdict = relation_dict
     root = os.environ.get("CFQ_DATA_DIR")
     if root:  # prefer the real split when it is around
-        records = data.read_records_jsonl(Path(root) / "mcd1_train.jsonl")
+        records = list(data.read_records_jsonl(
+            Path(root) / "mcd1_train.jsonl"))
         rdict = sparql.build_relation_dict(
             sparql.parse_sparql(r.y) for r in records)
     cycles = max(1, 100_000 // len(records))
@@ -119,8 +120,8 @@ def test_p3_scan_iid_split_sizes():
     root = os.environ.get("SCAN_DATA_DIR")
     if not root:
         pytest.skip("SCAN_DATA_DIR not set; full split files not bundled")
-    train = data.read_scan_records(Path(root) / "tasks_train_simple.txt")
-    test = data.read_scan_records(Path(root) / "tasks_test_simple.txt")
+    train = list(data.read_scan_records(Path(root) / "tasks_train_simple.txt"))
+    test = list(data.read_scan_records(Path(root) / "tasks_test_simple.txt"))
     _report("P3 scan iid split sizes",
             (len(train), len(test)) == (16782, 4182),
             f"train={len(train)}, test={len(test)}")
@@ -221,8 +222,8 @@ def test_p6_cfq_diagnostics():
     root = os.environ.get("CFQ_DATA_DIR")
     if not root:
         pytest.skip("CFQ_DATA_DIR not set; dataset not bundled")
-    train = data.read_records_jsonl(Path(root) / "mcd1_train.jsonl")
-    dev = data.read_records_jsonl(Path(root) / "mcd1_dev.jsonl")
+    train = list(data.read_records_jsonl(Path(root) / "mcd1_train.jsonl"))
+    dev = list(data.read_records_jsonl(Path(root) / "mcd1_dev.jsonl"))
     queries = [sparql.parse_sparql(r.y) for r in train]
     rdict = sparql.build_relation_dict(queries)
 

@@ -87,7 +87,7 @@ def test_scan_lir_transform(ws):
     out = ws / "lir.tsv"
     assert run("transform", "--formalism", "scan", "--ir", "lir",
                "--in", src, "--out", out) == 0
-    assert data.read_pairs_tsv(out) == [("0", "JUMP A")]
+    assert list(data.read_pairs_tsv(out)) == [("0", "JUMP A")]
 
 
 def test_transform_quarantines_bad_records(ws):
@@ -118,7 +118,7 @@ def test_sparql_dict_build_skips_an_unparseable_record(ws):
     assert run("invert", "--formalism", "sparql", "--dict", rdict,
                "--in", rir, "--out", back) == 0
     restored = dict(data.read_pairs_tsv(back))
-    records = data.read_records_jsonl(fixture)
+    records = list(data.read_records_jsonl(fixture))
     assert len(restored) == len(records)
     for record in records:
         assert (metrics.comparison_key("sparql", restored[record.id])
@@ -186,7 +186,7 @@ def test_prepare_baseline_emits_x_y(ws):
     assert run("prepare", "--mode", "baseline", "--formalism", "scan",
                "--in", ws / "scan_sample.txt", "--out", out) == 0
     records = data.read_scan_records(ws / "scan_sample.txt")
-    rows = data.read_stage_tsv(out)
+    rows = list(data.read_stage_tsv(out))
     assert [(r.id, r.x, r.y) for r in records] == rows
 
 
@@ -210,8 +210,8 @@ def test_full_two_stage_flow_via_cli(ws):
     assert run("postprocess", "--mode", "lir-d-rir", "--stage", "1",
                "--formalism", "sql", "--data", dataset,
                "--in", preds1, "--out", req) == 0
-    sources = data.read_pairs_tsv(req)
-    staged2 = data.read_stage_tsv(stage2)
+    sources = list(data.read_pairs_tsv(req))
+    staged2 = list(data.read_stage_tsv(stage2))
     assert [s for _, s in sources] == [s for _, s, _ in staged2]
 
     preds2 = ws / "preds2.tsv"
@@ -250,7 +250,7 @@ def test_lir_oracle_postprocess_needs_no_preds(ws):
                "--formalism", "scan", "--data", str(ws / "scan_sample.txt"),
                "--out", str(req)])
     assert rc == 0
-    sources = data.read_pairs_tsv(req)
+    sources = list(data.read_pairs_tsv(req))
     assert len(sources) == 24
     assert all(" ; " in s for _, s in sources)
     # other modes do need predictions
@@ -261,7 +261,7 @@ def test_lir_oracle_postprocess_needs_no_preds(ws):
 
 def test_stage2_sources_flag_an_utterance_with_a_tab(ws):
     fixture = ws / "sql_corpus.jsonl"
-    records = data.read_records_jsonl(fixture)
+    records = list(data.read_records_jsonl(fixture))
     src = ws / "tab.jsonl"
     bad = {"id": "tab-x", "x": "a\tb", "y": records[0].y}
     src.write_text(fixture.read_text() + json.dumps(bad) + "\n")
@@ -296,7 +296,7 @@ def test_stats_reports_lengths_and_novelty(ws):
     assert run("transform", "--formalism", "sparql", "--ir", "rir",
                "--dict", ws / "relations.json",
                "--in", ws / "sparql_corpus.jsonl", "--out", rir) == 0
-    rows = data.read_pairs_tsv(rir)
+    rows = list(data.read_pairs_tsv(rir))
     train = ws / "train.tsv"
     evals = ws / "eval.tsv"
     data.write_pairs_tsv(train, rows[:150])

@@ -20,7 +20,7 @@ DATA_DIR = Path(__file__).parent / "data"
 FIXTURES = {"sparql": "sparql_corpus.jsonl", "sql": "sql_corpus.jsonl",
             "scan": "scan_sample.txt"}
 PROGRAMS = [r.y for formalism, name in FIXTURES.items()
-            for r in data.read_records(DATA_DIR / name, formalism)[:5]]
+            for r in list(data.read_records(DATA_DIR / name, formalism))[:5]]
 
 TOKENS = sorted({tok for program in PROGRAMS for tok in program.split()})
 

@@ -1,0 +1,238 @@
+"""transform, invert, prepare and postprocess stream: a reader yields
+records, one loop maps them and the writer takes the rows as they come.
+
+Memory stays flat in the record count, a reader error part-way leaves the
+previous output, an input a step does not use is still validated, and the
+output replaces the input only once the input is drained.
+"""
+
+import json
+import os
+import stat
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from irkit import data
+from irkit.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
+SCAN_LINES = (DATA_DIR / "scan_sample.txt").read_text(
+    encoding="utf-8").splitlines()
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def scan_corpus(path, n):
+    """The scan fixture replicated to ``n`` lines; ids are line numbers."""
+    path.write_text("".join(SCAN_LINES[i % len(SCAN_LINES)] + "\n"
+                            for i in range(n)), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """Per size: the scan corpus and its z_r as (id, z_r) rows."""
+    root = tmp_path_factory.mktemp("streaming")
+    sizes = {}
+    for n in (1_000, 8_000):
+        scan = scan_corpus(root / f"scan{n}.txt", n)
+        rir = root / f"rir{n}.tsv"
+        assert run("transform", "--formalism", "scan", "--ir", "rir",
+                   "--in", scan, "--out", rir) == 0
+        sizes[n] = scan, rir
+    return sizes
+
+
+COMMANDS = {
+    "transform": lambda scan, rir: ["transform", "--ir", "rir",
+                                    "--in", scan],
+    "invert": lambda scan, rir: ["invert", "--in", rir],
+    "prepare": lambda scan, rir: ["prepare", "--mode", "lir-d-rir",
+                                  "--stage", "2", "--in", scan],
+    "postprocess": lambda scan, rir: ["postprocess", "--mode", "rir",
+                                      "--stage", "1", "--in", rir],
+}
+
+
+def peak_bytes(argv):
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_memory_is_flat_in_the_record_count(corpora, tmp_path, command):
+    def argv(n):
+        return [*COMMANDS[command](*corpora[n]), "--formalism", "scan",
+                "--out", tmp_path / f"out{n}.tsv"]
+
+    assert run(*argv(1_000)) == 0  # first-call caches are not per record
+    small, large = peak_bytes(argv(1_000)), peak_bytes(argv(8_000))
+    assert large <= 1.5 * small, (small, large)
+
+
+def _scan_jsonl(path, n, last_line):
+    lines = [json.dumps({"id": str(i), "x": "jump twice", "y": "JUMP JUMP"})
+             for i in range(n)]
+    # Quarantined by the rir transform and by staging: x and y disagree.
+    lines[1] = json.dumps({"id": "1", "x": "walk", "y": "JUMP JUMP JUMP"})
+    path.write_text("\n".join([*lines, last_line]) + "\n", encoding="utf-8")
+    return path
+
+
+def _scan_rir_tsv(path, n, last_line):
+    path.write_text("".join(f"{i}\t( JUMP ) ( JUMP )\n" for i in range(n))
+                    + "1\t( JUMP\n" + last_line + "\n", encoding="utf-8")
+    return path
+
+
+BAD_LAST_LINE = {
+    "transform": ("in.jsonl", _scan_jsonl, "{not json",
+                  ["transform", "--ir", "rir"]),
+    "prepare": ("in.jsonl", _scan_jsonl, "{not json",
+                ["prepare", "--mode", "rir", "--stage", "1"]),
+    "invert": ("in.tsv", _scan_rir_tsv, "9\tJUMP\textra", ["invert"]),
+}
+
+
+@pytest.mark.parametrize("command", list(BAD_LAST_LINE))
+def test_reader_error_mid_stream_leaves_the_output(tmp_path, monkeypatch,
+                                                   capsys, command):
+    name, make, last_line, argv = BAD_LAST_LINE[command]
+    src = make(tmp_path / name, 3_000, last_line)
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"previous output\n")
+
+    # When the reader reaches the last line, rows have already streamed
+    # into the temp file beside the output.
+    tmp_sizes = []
+    lines = data._lines
+
+    def watched(path, *args):
+        for lineno, line in lines(path, *args):
+            if line.rstrip("\n") == last_line:
+                tmp_sizes.extend(p.stat().st_size
+                                 for p in tmp_path.glob(".*.tmp"))
+            yield lineno, line
+
+    monkeypatch.setattr(data, "_lines", watched)
+    capsys.readouterr()
+    assert run(*argv, "--formalism", "scan", "--in", src,
+               "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert tmp_sizes and tmp_sizes[0] > 0
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [src.name, out.name])
+
+
+@pytest.mark.parametrize("mode, unused", [("rir", "--data"),
+                                          ("lir-oracle", "--in")])
+def test_an_unused_input_is_still_validated(tmp_path, capsys, mode, unused):
+    scan = scan_corpus(tmp_path / "scan.txt", 30)
+    rir = tmp_path / "rir.tsv"
+    assert run("transform", "--formalism", "scan", "--ir", "rir",
+               "--in", scan, "--out", rir) == 0
+    inputs = {"--data": scan, "--in": rir}
+    malformed = {"--data": tmp_path / "bad.jsonl",
+                 "--in": tmp_path / "bad.tsv"}
+    malformed["--data"].write_text('{"id": "0", "x": "walk", "y": "WALK"}\n'
+                                   '{"id": "1", "x": "walk"}\n')
+    malformed["--in"].write_text("0\tWALK\n1\tWALK\tWALK\n")
+    inputs[unused] = malformed[unused]
+    out = tmp_path / "out.tsv"
+    capsys.readouterr()
+    assert run("postprocess", "--mode", mode, "--stage", "1",
+               "--formalism", "scan", "--data", inputs["--data"],
+               "--in", inputs["--in"], "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
+def test_each_input_is_read_once(tmp_path, monkeypatch):
+    opened = []
+    lines = data._lines
+    monkeypatch.setattr(data, "_lines",
+                        lambda path, *args: opened.append(Path(path).name)
+                        or lines(path, *args))
+    corpus = DATA_DIR / "sparql_corpus.jsonl"
+    # The dictionary build is a pre-pass whose records the loop reuses.
+    assert run("transform", "--formalism", "sparql", "--ir", "rir",
+               "--dict", tmp_path / "relations.json", "--in", corpus,
+               "--out", tmp_path / "rir.tsv") == 0
+    assert opened == ["sparql_corpus.jsonl"]
+    opened.clear()
+    scan = scan_corpus(tmp_path / "scan.txt", 30)
+    argv, preds = _postprocess_preds(tmp_path, scan)
+    opened.clear()
+    assert run(*argv, "--formalism", "scan", "--in", preds,
+               "--out", tmp_path / "final.tsv") == 0
+    assert sorted(opened) == ["preds.tsv", "scan.txt"]
+
+
+def _postprocess_preds(tmp_path, scan):
+    staged = tmp_path / "staged.tsv"
+    assert run("prepare", "--mode", "lir-d-rir", "--stage", "2",
+               "--formalism", "scan", "--in", scan, "--out", staged) == 0
+    rows = [(i, target) for i, _, target in data.read_stage_tsv(staged)]
+    # A broken prediction, a missing id and an unknown one.
+    rows = [(rows[0][0], "( JUMP"), *rows[2:], ("ghost", rows[2][1])]
+    preds = tmp_path / "preds.tsv"
+    data.write_pairs_tsv(preds, rows)
+    return ["postprocess", "--mode", "lir-d-rir", "--stage", "2",
+            "--data", scan], preds
+
+
+@pytest.mark.parametrize("command", ["invert", "postprocess"])
+def test_writing_over_the_input_matches_a_fresh_output(tmp_path, command):
+    scan = scan_corpus(tmp_path / "scan.txt", 3_000)
+    if command == "invert":
+        src = tmp_path / "rir.tsv"
+        assert run("transform", "--formalism", "scan", "--ir", "rir",
+                   "--in", scan, "--out", src) == 0
+        rows = list(data.read_pairs_tsv(src))
+        data.write_pairs_tsv(src, [(rows[0][0], "( JUMP"), *rows[1:]])
+        argv = ["invert"]
+    else:
+        argv, src = _postprocess_preds(tmp_path, scan)
+    fresh = tmp_path / "fresh.tsv"
+    assert run(*argv, "--formalism", "scan", "--in", src,
+               "--out", fresh) == 0
+    assert run(*argv, "--formalism", "scan", "--in", src, "--out", src,
+               "--quarantine", tmp_path / "q.jsonl") == 0
+    assert src.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "q.jsonl").read_bytes() == (
+        tmp_path / "fresh.tsv.quarantine.jsonl").read_bytes()
+
+
+def test_write_atomic_syncs_the_file_then_renames_then_syncs_the_dir(
+        tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def traced_fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", "dir" if stat.S_ISDIR(info.st_mode)
+                      else info.st_size))
+        fsync(fd)
+
+    def traced_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    out = tmp_path / "out.tsv"
+    assert data.write_pairs_tsv(out, [("0", "JUMP"), ("1", "WALK")]) == 2
+    assert out.read_text() == "0\tJUMP\n1\tWALK\n"
+    assert calls == [("fsync", len("0\tJUMP\n1\tWALK\n")),
+                     ("replace", "out.tsv"), ("fsync", "dir")]
