@@ -101,12 +101,16 @@ def _relation_dict(args, required: bool,
 
 
 def _write_quarantine(args, entries: list[QuarantineEntry]) -> int:
-    """Write the report (if any) and translate --strict into an exit code."""
+    """Write the report (if any) and translate --strict into an exit code.
+    Without an output path (``evaluate`` with no --out) only the count is
+    printed."""
     if entries:
-        path = args.quarantine or f"{args.output}.quarantine.jsonl"
-        data.write_quarantine(path, entries)
-        print(f"quarantined {len(entries)} record(s) -> {path}",
-              file=sys.stderr)
+        path = args.quarantine or (args.output
+                                   and f"{args.output}.quarantine.jsonl")
+        if path:
+            data.write_quarantine(path, entries)
+        print(f"quarantined {len(entries)} record(s)"
+              + (f" -> {path}" if path else ""), file=sys.stderr)
     return 1 if (entries and args.strict) else 0
 
 
@@ -128,7 +132,7 @@ def _program_column(path: str, formalism: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Commands.  transform, invert, prepare and postprocess are each one lazy
 # chain, reader -> ``pipeline.run`` -> ``data.write_*``; only a pre-pass
-# (the dictionary build, ``by_id``, the known ids) holds a whole input.
+# and the id sets of a join (``data.first_of_each_id``) grow with an input.
 # ---------------------------------------------------------------------------
 
 
@@ -232,7 +236,8 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     preds = list(data.read_pairs_tsv(args.input))
     golds = _gold_pairs(args.gold, args.formalism)
-    report = metrics.exact_match(preds, golds, args.formalism)
+    quarantined: list[QuarantineEntry] = []
+    report = metrics.exact_match(preds, golds, args.formalism, quarantined)
     payload = report.to_dict()
     payload["config"] = {"formalism": args.formalism, "mode": args.mode}
     if args.output:
@@ -240,7 +245,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"exact match: {report.exact_match:.1f} "
           f"({report.n_correct}/{report.n_total} correct, "
           f"{report.n_invalid} invalid)")
-    return 0
+    return _write_quarantine(args, quarantined)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -300,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="exact-match scoring")
     p.add_argument("--gold", required=True,
-                   help="gold records (.jsonl/.tsv/.txt) or (id, y) TSV")
+                   help="gold records (.jsonl/.txt), or (id, y) TSV rows "
+                        "in a file of any other extension, .tsv included")
     p.add_argument("--mode", default="",
                    help="mode label echoed into the report")
     p.add_argument("--formalism", required=True,
@@ -308,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True,
                    help="predictions TSV (id, output)")
     p.add_argument("--out", dest="output", help="report JSON path")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, quarantine=None, strict=False)
 
     p = sub.add_parser("stats", help="length and structural novelty stats")
     p.add_argument("--train",

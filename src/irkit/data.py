@@ -14,13 +14,15 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Sequence,
+                    TypeVar)
 
 from .errors import IrkitError
 
+T = TypeVar("T")
 
-@dataclass(frozen=True, slots=True)
-class ExampleRecord:
+
+class ExampleRecord(NamedTuple):
     id: str
     x: str
     y: str
@@ -32,6 +34,21 @@ class QuarantineEntry:
     id: str
     stage: str
     reason: str
+
+
+def first_of_each_id(items: Iterable[tuple[str, T]], stage: str,
+                     quarantined: list[QuarantineEntry],
+                     ) -> Iterator[tuple[str, T]]:
+    """The id rule of every step that joins files by id: yield the first
+    ``(id, item)`` of each id, in input order, and add a ``repeated id``
+    entry for ``stage`` to ``quarantined`` for each later item of it."""
+    seen: set[str] = set()
+    for item_id, item in items:
+        if item_id in seen:
+            quarantined.append(QuarantineEntry(item_id, stage, "repeated id"))
+        else:
+            seen.add(item_id)
+            yield item_id, item
 
 
 _SCAN_LINE_RE = re.compile(r"IN:\s*(?P<x>.*?)\s*OUT:\s*(?P<y>.*)")

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import formalisms
+from .data import QuarantineEntry, first_of_each_id
 from .errors import IrkitError
 
 CORRECT = "correct"
@@ -38,35 +39,30 @@ def comparison_key(formalism: str, text: str) -> str:
     return formalisms.get(formalism).key(text)
 
 
-def exact_match(preds: Sequence[tuple[str, str]],
-                golds: Sequence[tuple[str, str]],
-                formalism: str) -> EvalReport:
+def exact_match(preds: Iterable[tuple[str, str]],
+                golds: Iterable[tuple[str, str]],
+                formalism: str,
+                quarantined: list[QuarantineEntry]) -> EvalReport:
     """Score predictions against golds keyed by id.
 
     Predictions that are empty (flagged upstream) or that fail the
-    formalism's normalization are counted as invalid and score zero; the two
-    files must cover exactly the same ids, each once.
+    formalism's normalization are counted as invalid and score zero.  Golds
+    and predictions are each read under :func:`data.first_of_each_id`, so a
+    repeated id counts once and each repeat goes to ``quarantined``; the
+    two files must then cover exactly the same ids.
     """
-    pred_map: dict[str, str] = {}
-    for record_id, text in preds:
-        if record_id in pred_map:
-            raise IrkitError(f"duplicate prediction id {record_id!r}")
-        pred_map[record_id] = text
-    gold_ids: set[str] = set()
-    for record_id, _ in golds:
-        if record_id in gold_ids:
-            raise IrkitError(f"duplicate gold id {record_id!r}")
-        gold_ids.add(record_id)
-    missing = [i for i, _ in golds if i not in pred_map]
-    extra = [i for i in pred_map if i not in gold_ids]
+    pred_map = dict(first_of_each_id(preds, "evaluate", quarantined))
+    gold_map = dict(first_of_each_id(golds, "gold", quarantined))
+    missing = [i for i in gold_map if i not in pred_map]
+    extra = [i for i in pred_map if i not in gold_map]
     if missing or extra:
         raise IrkitError(
             "prediction/gold id mismatch: "
             f"{len(missing)} missing (first: {missing[:3]}), "
             f"{len(extra)} extra (first: {extra[:3]})")
 
-    report = EvalReport(0.0, len(golds), 0, 0)
-    for record_id, gold in golds:
+    report = EvalReport(0.0, len(gold_map), 0, 0)
+    for record_id, gold in gold_map.items():
         gold_key = comparison_key(formalism, gold)
         pred = pred_map[record_id]
         verdict = WRONG

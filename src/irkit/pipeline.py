@@ -13,15 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import (Callable, Iterable, Iterator, NamedTuple, Sequence,
-                    TypeVar)
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formalisms
 from . import sparql as sparql_ir
-from .data import ExampleRecord, QuarantineEntry, check_field
+from .data import (ExampleRecord, QuarantineEntry, T, check_field,
+                   first_of_each_id)
 from .errors import ConfigError, IrkitError
-
-T = TypeVar("T")
 
 FORMALISMS = tuple(formalisms.TABLE)
 
@@ -341,14 +339,16 @@ def postprocess_stage1(preds: Iterable[tuple[str, str]] | None, mode: str,
         return run(programs(records, cfg),
                    lambda _, p: source(p.record, row.stage2_ir(p)),
                    "postprocess1", quarantined)
-    by_id = {r.id: r for r in records}
+    by_id = dict(first_of_each_id(((r.id, r) for r in records), "data",
+                                  quarantined))
 
     def predicted(record_id: str, text: str) -> tuple[str, str]:
         if record_id not in by_id:
             raise IrkitError("prediction id not in dataset")
         return source(by_id[record_id], row.z_of_output(text, cfg))
 
-    return run(preds, predicted, "postprocess1", quarantined)
+    return run(first_of_each_id(preds, "postprocess1", quarantined),
+               predicted, "postprocess1", quarantined)
 
 
 def finalize(stage2_preds: Iterable[tuple[str, str]], mode: str,
@@ -357,40 +357,39 @@ def finalize(stage2_preds: Iterable[tuple[str, str]], mode: str,
              ) -> Iterator[tuple[str, str]]:
     """Map stage-2 output to final programs.
 
-    With ``records`` given, a prediction whose id is not in the dataset or
-    repeats an earlier prediction's is flagged and its row dropped, and ids
-    missing from the predictions (dropped as invalid upstream) are carried
-    through as one empty, flagged row each so that evaluation denominators
-    stay intact.  Once the rows are drained, ``quarantined`` gets the
-    id-check entries, then the final step's failures, then the missing ids.
+    With ``records`` given, the predictions and the records are joined by
+    id, each under :func:`first_of_each_id`.  A prediction whose id is not
+    in the dataset is flagged and its row dropped, and ids missing from the
+    predictions (dropped as invalid upstream) are carried through as one
+    empty, flagged row each so that evaluation denominators stay intact.
+    Once the rows are drained, ``quarantined`` gets the id-check entries,
+    then the final step's failures, then the missing ids.
     """
     row = check_mode(mode)
     if row.stage2_ir is None and mode != LIR_CAT:
         raise ConfigError(f"mode {mode!r} has no second stage to finalize")
-    known: dict[str, None] = {}  # the dataset ids, in order
-    seen: set[str] = set()
+    unmatched: dict[str, bool] = {}  # dataset ids with no prediction yet
     checked, failed = [], []  # id-check and final-step entries
 
     def listed(record_id: str, text: str) -> tuple[str, str]:
-        if record_id not in known:
+        if not unmatched.pop(record_id, False):
             raise IrkitError("prediction id not in dataset")
-        if record_id in seen:
-            raise IrkitError("repeated prediction id")
-        seen.add(record_id)
         return record_id, text
 
     def missing() -> Iterator[tuple[str, str]]:
         quarantined.extend(checked + failed)
-        for record_id in known:
-            if record_id not in seen:
-                quarantined.append(QuarantineEntry(
-                    record_id, "finalize",
-                    "no stage-2 prediction (dropped upstream)"))
-                yield record_id, ""
+        for record_id in unmatched:
+            quarantined.append(QuarantineEntry(
+                record_id, "finalize",
+                "no stage-2 prediction (dropped upstream)"))
+            yield record_id, ""
 
     if records is not None:
-        known = dict.fromkeys(r.id for r in records)
-        stage2_preds = run(stage2_preds, listed, "finalize", checked)
+        unmatched = dict(first_of_each_id(((r.id, True) for r in records),
+                                          "data", checked))
+        stage2_preds = run(first_of_each_id(stage2_preds, "finalize",
+                                            checked),
+                           listed, "finalize", checked)
     final = run(stage2_preds, lambda i, text: (i, row.final(text, cfg)),
                 "finalize", failed, keep_failed=True)
     return chain(final, missing())

@@ -193,7 +193,7 @@ def test_p5_oracle_pipeline_identity(sparql_records, sql_records,
                 continue
             final = run_gold_pipeline(records, mode, cfg)
             report = metrics.exact_match(final, [(r.id, r.y) for r in records],
-                                         formalism)
+                                         formalism, [])
             if report.exact_match != 100.0:
                 _report("P5 oracle pipeline identity", False,
                         f"{mode}/{formalism}: {report.exact_match}")

@@ -286,6 +286,65 @@ def test_evaluate_counts_invalid(ws):
     assert payload["n_invalid"] == 1
 
 
+def test_two_stage_flow_keeps_the_first_row_of_a_repeated_id(ws, capsys):
+    dataset = ws / "repeats.jsonl"
+    rows = [{"id": "a", "x": "jump", "y": "JUMP"},
+            {"id": "a", "x": "walk", "y": "WALK"},
+            {"id": "b", "x": "run", "y": "RUN"},
+            {"id": 1, "x": "look", "y": "LOOK"},
+            {"id": "1", "x": "jump twice", "y": "JUMP JUMP"}]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    common = ["--mode", "lir-d", "--formalism", "scan", "--data", dataset]
+
+    # Staging maps one record at a time: every row is staged.
+    for stage in (1, 2):
+        assert run("prepare", "--mode", "lir-d", "--stage", stage,
+                   "--formalism", "scan", "--in", dataset,
+                   "--out", ws / f"stage{stage}.tsv") == 0
+        assert [r[0] for r in data.read_stage_tsv(ws / f"stage{stage}.tsv")] \
+            == ["a", "a", "b", "1", "1"]
+    assert not list(ws.glob("stage*.quarantine.jsonl"))
+
+    preds1 = ws / "preds1.tsv"
+    data.write_pairs_tsv(preds1, [("a", "JUMP"), ("a", "WALK"),
+                                  ("b", "RUN")])
+    sources = ws / "sources.tsv"
+    assert run("postprocess", "--stage", 1, *common, "--in", preds1,
+               "--out", sources) == 0
+    assert list(data.read_pairs_tsv(sources)) == [("a", "jump ; JUMP"),
+                                                  ("b", "run ; RUN")]
+    flagged = data.read_quarantine(ws / "sources.tsv.quarantine.jsonl")
+    assert [(e.id, e.stage, e.reason) for e in flagged] == [
+        ("a", "data", "repeated id"), ("1", "data", "repeated id"),
+        ("a", "postprocess1", "repeated id")]
+
+    preds2 = ws / "preds2.tsv"
+    data.write_pairs_tsv(preds2, [(r[0], r[2]) for r in
+                                  data.read_stage_tsv(ws / "stage2.tsv")])
+    final = ws / "final.tsv"
+    assert run("postprocess", "--stage", 2, *common, "--in", preds2,
+               "--out", final) == 0
+    assert list(data.read_pairs_tsv(final)) == [("a", "JUMP"), ("b", "RUN"),
+                                                ("1", "LOOK")]
+
+    report = ws / "report.json"
+    assert run("evaluate", "--formalism", "scan", "--in", final,
+               "--gold", dataset, "--out", report) == 0
+    payload = json.loads(report.read_text())
+    assert (payload["n_total"], payload["exact_match"]) == (3, 100.0)
+    flagged = data.read_quarantine(ws / "report.json.quarantine.jsonl")
+    assert [(e.id, e.stage) for e in flagged] == [("a", "gold"),
+                                                  ("1", "gold")]
+    # Without --out only the count is reported; nothing to flag, no file.
+    capsys.readouterr()
+    assert run("evaluate", "--formalism", "scan", "--in", final,
+               "--gold", dataset) == 0
+    assert capsys.readouterr().err == "quarantined 2 record(s)\n"
+    assert run("evaluate", "--formalism", "scan", "--in", final,
+               "--gold", final, "--out", ws / "clean.json") == 0
+    assert not (ws / "clean.json.quarantine.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from irkit.errors import IrkitError
 
 def test_verbatim_match():
     report = metrics.exact_match([("0", "JUMP JUMP")], [("0", "JUMP JUMP")],
-                                 "scan")
+                                 "scan", [])
     assert report.exact_match == 100.0
     assert report.per_example == [("0", metrics.CORRECT)]
 
@@ -21,27 +21,28 @@ def test_verbatim_match():
 def test_sparql_match_up_to_normalization():
     gold = "SELECT count(*) WHERE { ?x0 r M0 . ?x1 r M0 }"
     pred = "SELECT count(*) WHERE { ?x1 r M0 . ?x0 r M0 . ?x1 r M0 }"
-    report = metrics.exact_match([("0", pred)], [("0", gold)], "sparql")
+    report = metrics.exact_match([("0", pred)], [("0", gold)], "sparql",
+                                 [])
     assert report.n_correct == 1
 
 
 def test_scan_off_by_one_is_wrong():
     report = metrics.exact_match([("0", "JUMP JUMP JUMP")],
-                                 [("0", "JUMP JUMP")], "scan")
+                                 [("0", "JUMP JUMP")], "scan", [])
     assert report.n_correct == 0
     assert report.n_invalid == 0
 
 
 def test_whitespace_is_normalized_for_sql():
     report = metrics.exact_match([("0", "SELECT  1")], [("0", "SELECT 1")],
-                                 "sql")
+                                 "sql", [])
     assert report.n_correct == 1
 
 
 def test_invalid_predictions_score_zero():
     golds = [("0", "SELECT count(*) WHERE { ?x0 r M0 }"), ("1", "SELECT count(*) WHERE { ?x0 r M0 }")]
     preds = [("0", ""), ("1", "SELECT count(*) WHERE {{ nope")]
-    report = metrics.exact_match(preds, golds, "sparql")
+    report = metrics.exact_match(preds, golds, "sparql", [])
     assert report.n_correct == 0
     assert report.n_invalid == 2
     assert report.exact_match == 0.0
@@ -49,25 +50,39 @@ def test_invalid_predictions_score_zero():
 
 def test_id_mismatch_is_an_error():
     with pytest.raises(IrkitError):
-        metrics.exact_match([("0", "x")], [("1", "x")], "scan")
+        metrics.exact_match([("0", "x")], [("1", "x")], "scan", [])
     with pytest.raises(IrkitError):
-        metrics.exact_match([("0", "x"), ("1", "x")], [("0", "x")], "scan")
+        metrics.exact_match([("0", "x"), ("1", "x")], [("0", "x")], "scan",
+                            [])
 
 
-def test_duplicate_prediction_id_is_an_error():
-    with pytest.raises(IrkitError):
-        metrics.exact_match([("0", "x"), ("0", "y")], [("0", "x")], "scan")
+def test_repeated_prediction_id_keeps_the_first():
+    flagged = []
+    report = metrics.exact_match(
+        [("0", "JUMP"), ("0", "WALK"), ("1", "RUN"), ("0", "JUMP")],
+        [("0", "JUMP"), ("1", "RUN")], "scan", flagged)
+    assert report.per_example == [("0", metrics.CORRECT),
+                                  ("1", metrics.CORRECT)]
+    assert [(e.id, e.stage, e.reason) for e in flagged] == [
+        ("0", "evaluate", "repeated id"), ("0", "evaluate", "repeated id")]
 
 
-def test_duplicate_gold_id_is_an_error():
-    with pytest.raises(IrkitError, match="duplicate gold id"):
-        metrics.exact_match([("a", "x")], [("a", "x"), ("a", "x")], "scan")
+def test_repeated_gold_id_keeps_the_first():
+    flagged = []
+    report = metrics.exact_match(
+        [("a", "JUMP"), ("b", "RUN")],
+        [("a", "JUMP"), ("b", "RUN"), ("a", "WALK")], "scan", flagged)
+    assert (report.n_total, report.n_correct) == (2, 2)
+    assert report.per_example == [("a", metrics.CORRECT),
+                                  ("b", metrics.CORRECT)]
+    assert [(e.id, e.stage, e.reason) for e in flagged] == [
+        ("a", "gold", "repeated id")]
 
 
 def test_report_counts_reconcile():
     golds = [(str(i), "JUMP") for i in range(4)]
     preds = [("0", "JUMP"), ("1", "WALK"), ("2", ""), ("3", "JUMP")]
-    report = metrics.exact_match(preds, golds, "scan")
+    report = metrics.exact_match(preds, golds, "scan", [])
     assert report.n_total == 4
     assert report.n_correct == 2
     assert report.n_invalid == 1
@@ -81,7 +96,7 @@ def test_scoring_is_reflexive(formalism, sparql_records, sql_records,
     records = {"sparql": sparql_records, "sql": sql_records,
                "scan": scan_records}[formalism]
     golds = [(r.id, r.y) for r in records]
-    report = metrics.exact_match(golds, golds, formalism)
+    report = metrics.exact_match(golds, golds, formalism, [])
     assert report.exact_match == 100.0
 
 

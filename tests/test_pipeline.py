@@ -261,6 +261,33 @@ def test_lir_oracle_stages_every_record_of_a_repeated_id():
     assert flagged == []
 
 
+def test_two_stage_postprocess_uses_the_first_record_of_an_id():
+    cfg = pipeline.PipelineConfig("scan")
+    records = [ExampleRecord("a", "jump", "JUMP"),
+               ExampleRecord("a", "walk", "WALK"),
+               ExampleRecord("b", "run", "RUN")]
+    flagged = []
+    post = list(pipeline.postprocess_stage1([("a", "JUMP"), ("b", "RUN")],
+                                            pipeline.LIR_D, cfg, flagged,
+                                            records))
+    assert post == [("a", "jump ; JUMP"), ("b", "run ; RUN")]
+    assert [(e.id, e.stage, e.reason) for e in flagged] == [
+        ("a", "data", "repeated id")]
+
+
+def test_two_stage_postprocess_flags_a_repeated_prediction_once():
+    cfg = pipeline.PipelineConfig("scan")
+    records = [ExampleRecord("a", "jump", "JUMP"),
+               ExampleRecord("b", "run", "RUN")]
+    flagged = []
+    post = list(pipeline.postprocess_stage1(
+        [("a", "JUMP"), ("a", "WALK"), ("b", "RUN")], pipeline.LIR_D, cfg,
+        flagged, records))
+    assert post == [("a", "jump ; JUMP"), ("b", "run ; RUN")]
+    assert [(e.id, e.stage, e.reason) for e in flagged] == [
+        ("a", "postprocess1", "repeated id")]
+
+
 def test_two_stage_postprocess_requires_records(corpora):
     records, cfg = corpora["sql"]
     with pytest.raises(ConfigError):
@@ -291,7 +318,7 @@ def test_finalize_drops_unknown_and_repeated_ids():
     assert final == [("a", "JUMP"), ("b", "WALK")]
     assert [(e.id, e.stage, e.reason) for e in flagged] == [
         ("zz", "finalize", "prediction id not in dataset"),
-        ("a", "finalize", "repeated prediction id")]
+        ("a", "finalize", "repeated id")]
     # Without the dataset there is nothing to check the ids against.
     flagged = []
     assert list(pipeline.finalize(preds, pipeline.LIR_D, cfg, flagged)) \
@@ -309,7 +336,21 @@ def test_finalize_flags_each_missing_id_once():
                                    flagged, records))
     assert final == [("b", "RUN"), ("a", "")]
     assert [(e.id, e.reason) for e in flagged] == [
+        ("a", "repeated id"),
         ("a", "no stage-2 prediction (dropped upstream)")]
+
+
+def test_finalize_flags_a_repeated_dataset_id():
+    cfg = pipeline.PipelineConfig("scan")
+    records = [ExampleRecord("a", "jump", "JUMP"),
+               ExampleRecord("b", "run", "RUN"),
+               ExampleRecord("a", "walk", "WALK")]
+    flagged = []
+    final = list(pipeline.finalize([("a", "JUMP"), ("b", "RUN")],
+                                   pipeline.LIR_D, cfg, flagged, records))
+    assert final == [("a", "JUMP"), ("b", "RUN")]
+    assert [(e.id, e.stage, e.reason) for e in flagged] == [
+        ("a", "data", "repeated id")]
 
 
 def test_finalize_splits_lir_cat():
@@ -340,8 +381,10 @@ def test_gold_route_identity(mode, formalism, corpora):
     records, cfg = corpora[formalism]
     final = run_gold_pipeline(records, mode, cfg)
     golds = [(r.id, r.y) for r in records]
-    report = metrics.exact_match(final, golds, formalism)
+    flagged = []
+    report = metrics.exact_match(final, golds, formalism, flagged)
     assert report.exact_match == 100.0
+    assert flagged == []
     assert report.n_invalid == 0
 
 
