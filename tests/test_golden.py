@@ -34,7 +34,7 @@ STAGE2_POSTPROCESS = (*sorted(pipeline.TWO_STAGE_MODES), pipeline.LIR_CAT)
 BROKEN_PREDICTION = 'BROKEN ( "'
 
 
-def _malformed(formalism, first_y):
+def _malformed(formalism, first):
     if formalism == "scan":
         return ["IN: jump\tleft OUT: LTURN JUMP",
                 "IN: jump twice OUT: JUMP JUMP JUMP",
@@ -43,10 +43,12 @@ def _malformed(formalism, first_y):
     bad_y = {"sparql": ("SELECT count(*) WHERE { ?x0 ns:a.b",
                         "SELECT count(*) WHERE { ?x0 ns:no.such.rel M0 }"),
              "sql": ("FROM nowhere", 'SELECT "unterminated')}[formalism]
+    first_y = first.y
     rows = [{"id": "bad-tab-x", "x": "a\tb", "y": first_y},
             {"id": "bad-tab-y", "x": "a b", "y": first_y.replace(" ", "\t", 1)},
             {"id": "bad-y-1", "x": "a b", "y": bad_y[0]},
-            {"id": "bad-y-2", "x": "a b", "y": bad_y[1]}]
+            {"id": "bad-y-2", "x": "a b", "y": bad_y[1]},
+            {"id": first.id, "x": "a repeated id", "y": first_y}]
     return [json.dumps(row) for row in rows]
 
 
@@ -66,10 +68,11 @@ def _run(*argv):
 
 
 def _corrupt(pairs):
-    """Gold predictions with one broken, one missing and one unknown id."""
+    """Gold predictions with one broken, one missing, one unknown and one
+    repeated id."""
     pairs = list(pairs)
     return ([(pairs[0][0], BROKEN_PREDICTION)] + pairs[2:]
-            + [("ghost", pairs[2][1])])
+            + [("ghost", pairs[2][1]), (pairs[3][0], pairs[4][1])])
 
 
 def _digest(out_dir, code):
@@ -127,7 +130,7 @@ def build_workspace(root):
     for formalism, name in FIXTURES.items():
         shutil.copy(DATA_DIR / name, root / name)
         records = list(data.read_records(root / name, formalism))
-        extra = _malformed(formalism, records[0].y)
+        extra = _malformed(formalism, records[0])
         text = (root / name).read_text(encoding="utf-8")
         _corpus(root, formalism).write_text(
             text + "\n".join(extra) + "\n", encoding="utf-8")
