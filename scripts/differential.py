@@ -93,8 +93,11 @@ def _scan_commands() -> list[str]:
 
 def _query_form(q) -> tuple:
     """An ``SqlQuery`` as plain tuples, which trees whose ``SqlQuery`` has
-    other fields build alike."""
-    return (q.tokens, q.annotations, q.depths, sorted(q.declared.items()),
+    other fields build alike.  A tree that predates the value flags gives
+    them as the tokens it annotates ``"value"``."""
+    values = (q.values if hasattr(q, "values")
+              else tuple(tag == "value" for tag in q.annotations))
+    return (q.tokens, values, q.depths, sorted(q.declared.items()),
             [(b.start, b.end, [(c.name, c.start, c.end) for c in b.clauses],
               [(child.start, child.end) for child in b.children])
              for b in q.block.walk()])

@@ -4,7 +4,7 @@ The target dialect is the canonicalized style used by the classic text-to-SQL
 corpora: uppercase keywords, explicit ``<TABLE NAME>alias<N>`` table aliases,
 space-separated tokens, values as quoted strings, numbers, or lowercase
 anonymized placeholders (``city_name0``).  The parser segments clauses and
-annotates tokens; it does not build a full SQL grammar tree.
+flags the tokens that are values; it does not build a full SQL grammar tree.
 """
 
 from __future__ import annotations
@@ -17,40 +17,20 @@ from typing import Callable, Iterator, NoReturn, Sequence
 from .errors import (InversionError, ParseError, TransformError,
                      byte_offset, fail_at)
 
-# Token annotation tags.  "identifier" covers bare table/column/function
-# names that the coarser transforms never need to distinguish.
-KEYWORD = "keyword"
-TABLE_ALIAS = "table_alias"
-COLUMN_REF = "column_ref"
-VALUE = "value"
-OPERATOR = "operator"
-PUNCTUATION = "punctuation"
-IDENTIFIER = "identifier"
-
 JOIN_ONLY = "join_only"
 SEMANTIC = "semantic"
 
 TABLE_MASK = "T"
 
-KEYWORDS = frozenset("""
-    SELECT DISTINCT FROM AS WHERE AND OR NOT IN GROUP ORDER BY HAVING LIMIT
-    ASC DESC BETWEEN LIKE IS NULL JOIN ON UNION INTERSECT EXCEPT EXISTS ALL
-    ANY MIN MAX COUNT SUM AVG
-""".split())
-
 _CLAUSE_STARTERS = {"SELECT", "FROM", "WHERE", "GROUP", "ORDER", "HAVING",
                     "LIMIT"}
 _SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
-_OPERATORS = frozenset({"=", "<", ">", "<=", ">=", "<>", "!=", "+", "-",
-                        "*", "/"})
-_PUNCTUATION = frozenset({"(", ")", ",", ";"})
 
 _ALIAS_RE = re.compile(r"([A-Za-z_]\w*?)alias(\d+)")
 _ALIAS_TOKEN_RE = re.compile(r"[A-Za-z_]\w*?alias\d+")
 _ALIAS_SHAPED_RE = re.compile(r"[A-Za-z_]\w*?\d+")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 _PLACEHOLDER_RE = re.compile(r"[a-z][a-z_]*\d+")
-_FUNC_OPEN_RE = re.compile(r"(COUNT|MIN|MAX|SUM|AVG)\(", re.IGNORECASE)
 # A token is a run of non-space characters in which each quote opens a
 # string that runs, spaces included, to the next quote of its kind.  A quote
 # with no such partner matches alone.
@@ -130,7 +110,7 @@ class Block:
 class SqlQuery:
     tokens: tuple[str, ...]
     quoted: tuple[bool, ...]  # ``_quoted(tokens)``
-    annotations: tuple[str, ...]
+    values: tuple[bool, ...]  # ``_values(tokens, quoted, declared)``
     block: Block
     depths: tuple[int, ...]  # ``_paren_depths(tokens)``
     declared: dict[str, str]  # declared alias -> table, from every FROM
@@ -268,43 +248,24 @@ def _collect_aliases(tokens: Sequence[str], block: Block,
     return declared
 
 
-def _annotate(tokens: Sequence[str], quoted: Sequence[bool],
-              declared: dict[str, str]) -> tuple[str, ...]:
-    tags: list[str] = []
-    for tok, q in zip(tokens, quoted):
-        if q:
-            tags.append(VALUE)
-        elif tok in _PUNCTUATION:
-            tags.append(PUNCTUATION)
-        elif tok in _OPERATORS:
-            tags.append(OPERATOR)
-        elif tok.upper() in KEYWORDS or _FUNC_OPEN_RE.fullmatch(tok):
-            tags.append(KEYWORD)
-        elif _ALIAS_TOKEN_RE.fullmatch(tok) or tok in declared:
-            tags.append(TABLE_ALIAS)
-        elif _NUMBER_RE.fullmatch(tok) or _PLACEHOLDER_RE.fullmatch(tok):
-            tags.append(VALUE)
-        elif _split_qualified(tok)[1]:
-            tags.append(COLUMN_REF)
-        else:
-            tags.append(IDENTIFIER)
-    return tuple(tags)
+def _values(tokens: Sequence[str], quoted: Sequence[bool],
+            declared: dict[str, str]) -> tuple[bool, ...]:
+    """Per token, whether it is a value: a quoted string, or a number or a
+    lowercase placeholder (``city_name0``) that is neither a declared alias
+    nor a ``<TABLE NAME>alias<N>`` token."""
+    return tuple([q or (tok not in declared
+                        and (_NUMBER_RE.fullmatch(tok) is not None
+                             or _PLACEHOLDER_RE.fullmatch(tok) is not None)
+                        and _ALIAS_TOKEN_RE.fullmatch(tok) is None)
+                  for tok, q in zip(tokens, quoted)])
 
 
 def parse_sql(text: str) -> SqlQuery:
-    """Tokenize, segment, and annotate one canonicalized query.  A
-    ``ParseError``'s offset is a byte offset in ``text``."""
+    """Tokenize, segment, and flag the values of one canonicalized query.
+    A ``ParseError``'s offset is a byte offset in ``text``."""
     tokens = tuple(lex_sql(text))
-    return _parse_tokens(tokens, _quoted(tokens), lambda i, message: fail_at(
+    return _query(tokens, _quoted(tokens), lambda i, message: fail_at(
         text, i, message, token=_TOKEN_RE))
-
-
-def parse_sql_tokens(tokens: tuple[str, ...]) -> SqlQuery:
-    """Segment and annotate a token stream that ``lex_sql`` would yield for
-    its rendering: the same query, and the same errors at the same offsets,
-    that ``parse_sql(render_sql(tokens))`` gives, without lexing that text
-    again."""
-    return _parse_tokens(tokens, _quoted(tokens), _fail_rendered(tokens))
 
 
 def _fail_rendered(tokens: Sequence[str]) -> _Fail:
@@ -314,24 +275,13 @@ def _fail_rendered(tokens: Sequence[str]) -> _Fail:
 
 
 def query_of_rir(z: SqlRir) -> SqlQuery:
-    """The query of z_r's tokens, as ``parse_sql_tokens(z.tokens)`` gives
-    it.  A z_r rewritten from a program reuses that program's depths and
-    block tree, and only the token checks run again: the rewrite can leave
-    a name that fails the alias check (``aliasalias1`` becomes ``alias1``).
-    """
-    fail = _fail_rendered(z.tokens)
-    if z.block is None:
-        return _parse_tokens(z.tokens, z.quoted, fail)
-    _check_tokens(z.tokens, z.quoted, z.depths, fail)
-    return _query(z.tokens, z.quoted, z.depths, z.block, fail)
-
-
-def _parse_tokens(tokens: tuple[str, ...], quoted: tuple[bool, ...],
-                  fail: _Fail) -> SqlQuery:
-    depths = _paren_depths(tokens, quoted)
-    _check_tokens(tokens, quoted, depths, fail)
-    return _query(tokens, quoted, depths, _segment(tokens, depths, fail),
-                  fail)
+    """The query of z_r's tokens, as ``parse_sql(z.render())`` gives it,
+    errors and offsets too, for tokens that ``lex_sql`` yields.  A z_r
+    rewritten from a program reuses that program's depths and block tree,
+    and only the token checks run again: the rewrite can leave a name that
+    fails the alias check (``aliasalias1`` becomes ``alias1``)."""
+    return _query(z.tokens, z.quoted, _fail_rendered(z.tokens), z.depths,
+                  z.block)
 
 
 def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
@@ -356,11 +306,20 @@ def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
                  "<TABLE NAME>alias<N> pattern")
 
 
-def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...],
-           depths: tuple[int, ...], block: Block, fail: _Fail) -> SqlQuery:
+def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...], fail: _Fail,
+           depths: tuple[int, ...] | None = None,
+           block: Block | None = None) -> SqlQuery:
+    """The one analysis of a token stream: the token checks, then the
+    block tree (segmented here unless ``block``, with its ``depths``, is
+    given), the FROM aliases and the value flags."""
+    if depths is None:
+        depths = _paren_depths(tokens, quoted)
+    _check_tokens(tokens, quoted, depths, fail)
+    if block is None:
+        block = _segment(tokens, depths, fail)
     declared = _collect_aliases(tokens, block, fail)
-    return SqlQuery(tokens, quoted, _annotate(tokens, quoted, declared),
-                    block, depths, declared)
+    return SqlQuery(tokens, quoted, _values(tokens, quoted, declared), block,
+                    depths, declared)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +331,16 @@ def sql_to_rir(q: SqlQuery) -> SqlRir:
     """Rewrite every ``Xalias<N>`` to ``X<N>``, everywhere it occurs but in
     values."""
     # Token -> the token rewritten, for each non-value token holding
-    # "alias".  A tag depends on the token's text alone, so no value is one.
+    # "alias".  In one query a value flag depends on the text alone, so no
+    # value is one.
     rewritten: dict[str, str] = {}
     rewritten_names = set()
     plain_names = set()
-    for tok, tag, quoted in zip(q.tokens, q.annotations, q.quoted):
+    for tok, value, quoted in zip(q.tokens, q.values, q.quoted):
         if quoted:
             continue
         head, _ = _split_qualified(tok)
-        if tag != VALUE and "alias" in tok:
+        if not value and "alias" in tok:
             if tok not in rewritten:
                 rewritten[tok] = _ALIAS_RE.sub(r"\1\2", tok)
             if _ALIAS_TOKEN_RE.fullmatch(head):
@@ -430,10 +390,9 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
         restored.append(tok)
     # A restored name holds the parens and the first character of the name
     # it replaces and is no clause keyword, so z's quote flags, depths and
-    # block tree are the program's.
-    tokens = tuple(restored)
-    _check_tokens(tokens, z.quoted, depths, fail)
-    return _query(tokens, z.quoted, depths, block, fail)
+    # block tree are the program's.  Its aliases are collected again, as a
+    # table token can be restored too (``FROM A AS A0 , A0 AS A01``).
+    return _query(tuple(restored), z.quoted, fail, depths, block)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +401,8 @@ def sql_from_rir(z: SqlRir) -> SqlQuery:
 
 
 def _is_qualified_column(q: SqlQuery, index: int) -> bool:
-    return (q.annotations[index] == COLUMN_REF
-            and _split_qualified(q.tokens[index])[1] != "")
+    tok = q.tokens[index]
+    return _split_qualified(tok)[1] != "" and tok not in q.declared
 
 
 def iter_conditions(q: SqlQuery, clause: Clause,
@@ -516,7 +475,7 @@ def sql_to_lir(q: SqlQuery) -> SqlLir:
     for i, tok in enumerate(q.tokens):
         if not keep[i]:
             continue
-        if q.annotations[i] == VALUE:
+        if q.values[i]:
             masked.append(tok)
             continue
         if tok in declared or _ALIAS_TOKEN_RE.fullmatch(tok):
@@ -534,8 +493,8 @@ def sql_to_lir(q: SqlQuery) -> SqlLir:
 def sql_template_signature(q: SqlQuery) -> str:
     """Query text with every value replaced by a typed placeholder."""
     out: list[str] = []
-    for tok, tag in zip(q.tokens, q.annotations):
-        if tag != VALUE:
+    for tok, value in zip(q.tokens, q.values):
+        if not value:
             out.append(tok)
         elif _NUMBER_RE.fullmatch(tok):
             out.append("NUM")

@@ -13,7 +13,7 @@ FLIGHT_QUERY = ('SELECT FLIGHTalias0.FLIGHT_ID FROM FLIGHT AS FLIGHTalias0 '
 
 
 # ---------------------------------------------------------------------------
-# Lexing, parsing, annotations
+# Lexing, parsing, value flags
 # ---------------------------------------------------------------------------
 
 
@@ -61,26 +61,36 @@ def test_lexer_matches_the_character_loop_oracle(text):
 def test_parse_flight_query():
     q = sql.parse_sql(FLIGHT_QUERY)
     assert q.render() == FLIGHT_QUERY
-    aliases = {tok for tok, tag in zip(q.tokens, q.annotations)
-               if tag == sql.TABLE_ALIAS}
-    assert aliases == {"FLIGHTalias0"}
+    assert q.declared == {"FLIGHTalias0": "FLIGHT"}
     assert [c.name for c in q.block.clauses] == ["SELECT", "FROM", "WHERE"]
 
 
 def test_parse_select_one():
     q = sql.parse_sql("SELECT 1")
     assert [c.name for c in q.block.clauses] == ["SELECT"]
-    assert q.annotations == (sql.KEYWORD, sql.VALUE)
+    assert q.values == (False, True)
 
 
-def test_annotations():
-    q = sql.parse_sql(FLIGHT_QUERY)
-    by_token = dict(zip(q.tokens, q.annotations))
-    assert by_token['"UA"'] == sql.VALUE
-    assert by_token["="] == sql.OPERATOR
-    assert by_token["FLIGHTalias0.FLIGHT_ID"] == sql.COLUMN_REF
-    assert by_token["FLIGHT"] == sql.IDENTIFIER
-    assert by_token["SELECT"] == sql.KEYWORD
+# (query, token, whether each copy of the token is a value): one case per
+# rule of ``sql._values``.
+VALUE_CASES = [
+    ('SELECT X FROM A WHERE A.Y = "NEW YORK"', '"NEW YORK"', True),
+    ("SELECT X FROM A WHERE A.Y = 2", "2", True),
+    ("SELECT X FROM A WHERE A.Y = 2.5", "2.5", True),
+    ("SELECT X FROM A WHERE A.Y = city_name0", "city_name0", True),
+    ("SELECT X FROM A WHERE A.Y = cityalias0", "cityalias0", False),
+    ("SELECT c1.X FROM city AS c1", "c1", False),  # declared lowercase alias
+    ("SELECT X FROM A AS 2 WHERE A.Y = 2", "2", False),  # declared number
+    ("SELECT A.X FROM A", "A.X", False),  # qualified column
+    ("SELECT X FROM A", "SELECT", False),
+]
+
+
+def test_values():
+    for text, token, value in VALUE_CASES:
+        q = sql.parse_sql(text)
+        flags = {v for tok, v in zip(q.tokens, q.values) if tok == token}
+        assert flags == {value}, (text, token)
 
 
 def test_subquery_block_nesting():
@@ -141,7 +151,7 @@ def _error(message, offset):
     return ParseError, f"{message} (at byte offset {offset})"
 
 
-# name: (token stream, outcome of parse_sql_tokens, outcome of sql_from_rir
+# name: (token stream, outcome of query_of_rir, outcome of sql_from_rir
 # or None when it is the same).  An outcome is every block in walk order as
 # (start, end, [(clause, start, end)], [child (start, end)]), or the error's
 # type and message, which ends with its byte offset in the text.  The
@@ -259,7 +269,7 @@ def test_multi_paren_token_segmentation(name):
 
 def _check_segmentation(text, parsed, from_rir):
     tokens = tuple(text.split())
-    assert _segmentation(sql.parse_sql_tokens, tokens) == parsed
+    assert _segmentation(_query_of_tokens, tokens) == parsed
     assert (_segmentation(lambda t: sql.sql_from_rir(sql.SqlRir(t)), tokens)
             == (parsed if from_rir is None else from_rir))
 
@@ -516,29 +526,34 @@ def _outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "offset", None)
 
 
+def _query_of_tokens(tokens):
+    """The query of a predicted z_r's tokens, which has no block tree."""
+    return sql.query_of_rir(sql.SqlRir(tuple(tokens)))
+
+
 def _check_token_parse(tokens):
-    """``parse_sql_tokens`` against parsing the rendered text, and the
-    paths built on it against the render-and-re-lex compositions."""
+    """``query_of_rir`` of a bare token stream against parsing the rendered
+    text, and the paths built on it against the render-and-re-lex
+    compositions."""
     tokens = tuple(tokens)
     text = sql.render_sql(tokens)
-    parsed = _outcome(sql.parse_sql_tokens, tokens)
-    assert parsed == _outcome(sql.parse_sql, text)
+    q = _outcome(_query_of_tokens, tokens)
+    assert q == _outcome(sql.parse_sql, text)
     restored = _outcome(sql.sql_from_rir, sql.SqlRir(tokens))
-    for outcome in (parsed, restored):
+    for outcome in (q, restored):
         if isinstance(outcome, tuple) and outcome[0] is ParseError:
             assert outcome[2] is not None  # every parse error has an offset
     if isinstance(restored, sql.SqlQuery):
         assert restored == sql.parse_sql(restored.render())
-    q = _outcome(sql.parse_sql_tokens, tokens)
     z = _outcome(sql.sql_to_rir, q) if isinstance(q, sql.SqlQuery) else None
     if isinstance(z, sql.SqlRir):
         assert z.tokens == tuple(
-            tok if tag == sql.VALUE else sql._ALIAS_RE.sub(r"\1\2", tok)
-            for tok, tag in zip(q.tokens, q.annotations))
+            tok if value else sql._ALIAS_RE.sub(r"\1\2", tok)
+            for tok, value in zip(q.tokens, q.values))
         # z_r's query from the program's block tree is the one parsing its
         # tokens, or its rendering, builds.
         assert (_outcome(sql.query_of_rir, z)
-                == _outcome(sql.parse_sql_tokens, z.tokens)
+                == _outcome(_query_of_tokens, z.tokens)
                 == _outcome(sql.parse_sql, z.render()))
 
 
