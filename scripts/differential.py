@@ -57,7 +57,7 @@ SHOW = 3  # differences printed per function and seed
 def _sparql_programs() -> list[str]:
     from irkit import data
     return [r.y for r in data.read_records_jsonl(
-        DATA / "sparql_corpus.jsonl", "sparql")]
+        DATA / "sparql_corpus.jsonl")]
 
 
 def _sparql_rirs() -> list[str]:
@@ -77,7 +77,7 @@ def _sparql_rirs() -> list[str]:
 def _sql_programs() -> list[str]:
     from irkit import data
     return [r.y for r in data.read_records_jsonl(
-        DATA / "sql_corpus.jsonl", "sql")]
+        DATA / "sql_corpus.jsonl")]
 
 
 def _sql_rirs() -> list[str]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -86,7 +87,7 @@ def _relation_dict(args, required: bool,
         return None, corpus, None
     if Path(path).exists():
         return sparql_ir.RelationDictionary.load(path), corpus, None
-    corpus = [] if corpus is None else [r for r in corpus]
+    corpus = [] if corpus is None else list(corpus)
     if not corpus:
         raise ConfigError(f"dictionary {path!r} does not exist and there is "
                           "no corpus to build it from")
@@ -118,15 +119,15 @@ def _write_json(path: str, payload: dict) -> None:
     data.write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-def _gold_pairs(path: str, formalism: str) -> list[tuple[str, str]]:
+def _gold_pairs(path: str) -> list[tuple[str, str]]:
     suffix = Path(path).suffix.lower()
     if suffix in (".jsonl", ".json", ".txt"):
-        return [(r.id, r.y) for r in data.read_records(path, formalism)]
+        return [(r.id, r.y) for r in data.read_records(path)]
     return list(data.read_pairs_tsv(path))
 
 
-def _program_column(path: str, formalism: str) -> list[str]:
-    return [value for _, value in _gold_pairs(path, formalism)]
+def _program_column(path: str) -> list[str]:
+    return [value for _, value in _gold_pairs(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def _program_column(path: str, formalism: str) -> list[str]:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    records = data.read_records(args.input, args.formalism)
+    records = data.read_records(args.input)
     formalism = formalisms.get(args.formalism)
     options = _rir_options(args)
     of_program = {"varify": formalism.varify, "template": formalism.template}
@@ -176,7 +177,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    records = data.read_records(args.input, args.formalism)
+    records = data.read_records(args.input)
     row = pipeline.check_mode(args.mode)
     options = _rir_options(args)
     rdict = parsed = None
@@ -208,8 +209,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
                            and row.inverts(args.stage))[0]
     cfg = pipeline.PipelineConfig(args.formalism, separator=args.sep,
                                   rir_options=options, relation_dict=rdict)
-    records = (data.read_records(args.data, args.formalism)
-               if args.data else None)
+    records = data.read_records(args.data) if args.data else None
     preds = data.read_pairs_tsv(args.input) if args.input else None
     if preds is None and not (args.stage == 1 and row.reads_gold_ir):
         raise ConfigError("--in (model predictions) is required for this "
@@ -235,10 +235,10 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     preds = list(data.read_pairs_tsv(args.input))
-    golds = _gold_pairs(args.gold, args.formalism)
+    golds = _gold_pairs(args.gold)
     quarantined: list[QuarantineEntry] = []
     report = metrics.exact_match(preds, golds, args.formalism, quarantined)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["config"] = {"formalism": args.formalism, "mode": args.mode}
     if args.output:
         _write_json(args.output, payload)
@@ -249,7 +249,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    programs = _program_column(args.input, args.formalism)
+    programs = _program_column(args.input)
     tokenizer = _tokenizer(args.tokenizer)
     payload: dict = {
         "config": {"formalism": args.formalism, "tokenizer": args.tokenizer},
@@ -257,11 +257,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "avg_length": metrics.avg_length(programs, tokenizer),
     }
     if args.train:
-        train = _program_column(args.train, args.formalism)
+        train = _program_column(args.train)
         structure = metrics.new_structure_rate(train, programs,
                                                args.formalism)
-        payload.update(structure.to_dict())
-        print(f"new structure rate: {structure.rate:.1f}")
+        payload.update(asdict(structure))
+        print(f"new structure rate: {structure.new_structure_rate:.1f}")
     print(f"avg length ({args.tokenizer}): {payload['avg_length']:.1f}")
     if args.output:
         _write_json(args.output, payload)

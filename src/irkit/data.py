@@ -26,7 +26,6 @@ class ExampleRecord(NamedTuple):
     id: str
     x: str
     y: str
-    formalism: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,16 +110,15 @@ def _tsv_rows(path: str | Path, n_columns: int, empty_last: bool = False,
         yield lineno, parts
 
 
-def read_records_jsonl(path: str | Path,
-                       formalism: str = "") -> Iterator[ExampleRecord]:
+def read_records_jsonl(path: str | Path) -> Iterator[ExampleRecord]:
     for lineno, line in _lines(path):
         try:
-            yield _record_of_json(line, formalism)
+            yield _record_of_json(line)
         except IrkitError as exc:
             raise IrkitError(f"{path}:{lineno}: {exc}") from None
 
 
-def _record_of_json(line: str, formalism: str) -> ExampleRecord:
+def _record_of_json(line: str) -> ExampleRecord:
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:
@@ -135,14 +133,12 @@ def _record_of_json(line: str, formalism: str) -> ExampleRecord:
         raise IrkitError(f"missing field {exc}") from None
     if not (isinstance(x, str) and isinstance(y, str)):
         raise IrkitError("x and y must be strings")
-    return ExampleRecord(check_field(record_id, "id", record_id), x, y,
-                         formalism)
+    return ExampleRecord(check_field(record_id, "id", record_id), x, y)
 
 
-def read_records_tsv(path: str | Path,
-                     formalism: str = "") -> Iterator[ExampleRecord]:
+def read_records_tsv(path: str | Path) -> Iterator[ExampleRecord]:
     """2-column adapter: utterance <tab> program, ids are line numbers."""
-    return (ExampleRecord(str(lineno - 1), x, y, formalism)
+    return (ExampleRecord(str(lineno - 1), x, y)
             for lineno, (x, y) in _tsv_rows(path, 2))
 
 
@@ -153,13 +149,12 @@ def read_scan_records(path: str | Path) -> Iterator[ExampleRecord]:
         if not match:
             raise IrkitError(f"{path}:{lineno}: not an IN:/OUT: line")
         yield ExampleRecord(str(lineno - 1), match.group("x"),
-                            match.group("y"), "scan")
+                            match.group("y"))
 
 
 class RecordFile:
     """The records of one dataset file, read lazily: each iteration opens
-    the file and yields one record at a time.  ``len()`` reads it through,
-    and so do a truth test and ``list()``, which ask for the length."""
+    the file and yields one record at a time."""
 
     def __init__(self, read: Callable[[], Iterator[ExampleRecord]]) -> None:
         self._read = read
@@ -167,20 +162,17 @@ class RecordFile:
     def __iter__(self) -> Iterator[ExampleRecord]:
         return self._read()
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self._read())
 
-
-def read_records(path: str | Path, formalism: str = "") -> RecordFile:
+def read_records(path: str | Path) -> RecordFile:
     """Pick the adapter from the file extension, which is checked now; the
     file is read when the result is iterated."""
     read = {".jsonl": read_records_jsonl, ".json": read_records_jsonl,
-            ".tsv": read_records_tsv, ".txt": lambda p, _: read_scan_records(p)
+            ".tsv": read_records_tsv, ".txt": read_scan_records,
             }.get(Path(path).suffix.lower())
     if read is None:
         raise IrkitError(f"cannot infer record format from {path!r} "
                          "(expected .jsonl, .tsv, or .txt)")
-    return RecordFile(lambda: read(path, formalism))
+    return RecordFile(lambda: read(path))
 
 
 def read_pairs_tsv(path: str | Path) -> Iterator[tuple[str, str]]:

@@ -23,15 +23,6 @@ class EvalReport:
     n_invalid: int
     per_example: list[tuple[str, str]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "exact_match": self.exact_match,
-            "n_total": self.n_total,
-            "n_correct": self.n_correct,
-            "n_invalid": self.n_invalid,
-            "per_example": [list(item) for item in self.per_example],
-        }
-
 
 def comparison_key(formalism: str, text: str) -> str:
     """Scoring form of a program: conjunct-normalized for sparql, plain
@@ -91,20 +82,11 @@ def exact_match(preds: Iterable[tuple[str, str]],
 
 @dataclass(slots=True)
 class StructureRateReport:
-    rate: float
+    new_structure_rate: float
     n_eval: int
     n_new: int
     n_unparseable_train: int
     n_unparseable_eval: int
-
-    def to_dict(self) -> dict:
-        return {
-            "new_structure_rate": self.rate,
-            "n_eval": self.n_eval,
-            "n_new": self.n_new,
-            "n_unparseable_train": self.n_unparseable_train,
-            "n_unparseable_eval": self.n_unparseable_eval,
-        }
 
 
 def structure_key(formalism: str, text: str) -> str:

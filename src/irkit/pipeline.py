@@ -140,11 +140,6 @@ def parse_each(texts: Iterable[str], formalism: str) -> list[object]:
     return parsed
 
 
-def reversible_ir(record: ExampleRecord, cfg: PipelineConfig) -> str:
-    """z_r of one record as a surface string."""
-    return Program(record, cfg).rir_text()
-
-
 def _lir_of_program(text: str, cfg: PipelineConfig) -> str:
     """z_l of a predicted program: the path ``Program.lir_text`` takes for
     gold ``y``."""

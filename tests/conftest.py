@@ -12,8 +12,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session")
 def sparql_records():
-    return list(data.read_records_jsonl(DATA_DIR / "sparql_corpus.jsonl",
-                                       "sparql"))
+    return list(data.read_records_jsonl(DATA_DIR / "sparql_corpus.jsonl"))
 
 
 @pytest.fixture(scope="session")
@@ -28,8 +27,7 @@ def relation_dict(sparql_queries):
 
 @pytest.fixture(scope="session")
 def sql_records():
-    return list(data.read_records_jsonl(DATA_DIR / "sql_corpus.jsonl",
-                                       "sql"))
+    return list(data.read_records_jsonl(DATA_DIR / "sql_corpus.jsonl"))
 
 
 @pytest.fixture(scope="session")

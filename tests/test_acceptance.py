@@ -232,9 +232,10 @@ def test_p6_cfq_diagnostics():
             sparql.parse_sparql(r.y), rdict)) for r in records]
 
     base_rate = metrics.new_structure_rate(
-        [r.y for r in train], [r.y for r in dev], "sparql").rate
+        [r.y for r in train], [r.y for r in dev],
+        "sparql").new_structure_rate
     rir_rate = metrics.new_structure_rate(
-        rirs(train), rirs(dev), "sparql").rate
+        rirs(train), rirs(dev), "sparql").new_structure_rate
     ok = abs(base_rate - 91.7) <= 2.0 and abs(rir_rate - 80.9) <= 2.0
     detail = f"baseline {base_rate:.1f} (target 91.7), IR {rir_rate:.1f} (target 80.9)"
 
@@ -280,10 +281,10 @@ def test_p7_option_flags(sparql_records, relation_dict):
     unmerged_rate = metrics.new_structure_rate(rirs(train), rirs(dev),
                                                "sparql")
     _report("P7 option flags",
-            (base_rate.rate, base_rate.n_new)
-            == (unmerged_rate.rate, unmerged_rate.n_new),
-            f"unmerged rate {unmerged_rate.rate:.1f} == baseline rate "
-            f"{base_rate.rate:.1f}")
+            (base_rate.new_structure_rate, base_rate.n_new)
+            == (unmerged_rate.new_structure_rate, unmerged_rate.n_new),
+            f"unmerged rate {unmerged_rate.new_structure_rate:.1f} == "
+            f"baseline rate {base_rate.new_structure_rate:.1f}")
 
 
 # ---------------------------------------------------------------------------

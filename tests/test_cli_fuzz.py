@@ -19,8 +19,8 @@ from irkit.cli import main
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURES = {"sparql": "sparql_corpus.jsonl", "sql": "sql_corpus.jsonl",
             "scan": "scan_sample.txt"}
-PROGRAMS = [r.y for formalism, name in FIXTURES.items()
-            for r in list(data.read_records(DATA_DIR / name, formalism))[:5]]
+PROGRAMS = [r.y for name in FIXTURES.values()
+            for r in list(data.read_records(DATA_DIR / name))[:5]]
 
 TOKENS = sorted({tok for program in PROGRAMS for tok in program.split()})
 
@@ -53,7 +53,7 @@ STAGE = st.sampled_from(["1", "2"])
 @pytest.fixture(scope="module")
 def relations(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "relations.json"
-    records = data.read_records(DATA_DIR / FIXTURES["sparql"], "sparql")
+    records = data.read_records(DATA_DIR / FIXTURES["sparql"])
     sparql.build_relation_dict(
         sparql.parse_sparql(r.y) for r in records).save(path)
     return path

@@ -129,7 +129,7 @@ def build_workspace(root):
     root.mkdir(parents=True, exist_ok=True)
     for formalism, name in FIXTURES.items():
         shutil.copy(DATA_DIR / name, root / name)
-        records = list(data.read_records(root / name, formalism))
+        records = list(data.read_records(root / name))
         extra = _malformed(formalism, records[0])
         text = (root / name).read_text(encoding="utf-8")
         _corpus(root, formalism).write_text(

@@ -113,21 +113,21 @@ def _rirs(queries, rdict):
 def test_rate_zero_when_eval_subset(sparql_queries, relation_dict):
     rirs = _rirs(sparql_queries[:30], relation_dict)
     report = metrics.new_structure_rate(rirs, rirs[:10], "sparql")
-    assert report.rate == 0.0
+    assert report.new_structure_rate == 0.0
 
 
 def test_rate_hundred_when_disjoint():
     train = ["SELECT count(*) WHERE { ?x0 r M0 }"]
     evals = ["SELECT count(*) WHERE { ?x0 r M0 . ?x0 q M1 }"]
     report = metrics.new_structure_rate(train, evals, "sparql")
-    assert report.rate == 100.0
+    assert report.new_structure_rate == 100.0
 
 
 def test_rate_ignores_entity_identity():
     train = ["SELECT count(*) WHERE { ?x0 r M0 }"]
     evals = ["SELECT count(*) WHERE { ?x5 r m_0zzz }"]
     report = metrics.new_structure_rate(train, evals, "sparql")
-    assert report.rate == 0.0
+    assert report.new_structure_rate == 0.0
 
 
 def test_rate_is_antitone_in_train_set(sparql_queries, relation_dict):
@@ -136,9 +136,10 @@ def test_rate_is_antitone_in_train_set(sparql_queries, relation_dict):
     evals = rirs[150:]
     pool = rirs[:150]
     small = rng.sample(pool, 40)
-    rate_small = metrics.new_structure_rate(small, evals, "sparql").rate
-    rate_large = metrics.new_structure_rate(pool, evals, "sparql").rate
-    assert rate_large <= rate_small
+    rate_small = metrics.new_structure_rate(small, evals, "sparql")
+    rate_large = metrics.new_structure_rate(pool, evals, "sparql")
+    assert (rate_large.new_structure_rate
+            <= rate_small.new_structure_rate)
 
 
 def test_unparseable_inputs_are_reported():
@@ -147,13 +148,13 @@ def test_unparseable_inputs_are_reported():
         ["also garbage }"], "sparql")
     assert report.n_unparseable_train == 1
     assert report.n_unparseable_eval == 1
-    assert report.rate == 100.0
+    assert report.new_structure_rate == 100.0
 
 
 def test_rate_bounds(sparql_queries, relation_dict):
     rirs = _rirs(sparql_queries[:60], relation_dict)
     report = metrics.new_structure_rate(rirs[:40], rirs[20:], "sparql")
-    assert 0.0 <= report.rate <= 100.0
+    assert 0.0 <= report.new_structure_rate <= 100.0
     assert report.n_new <= report.n_eval
 
 

@@ -33,7 +33,7 @@ def calls(monkeypatch):
 
 def _run(formalism, tmp_path, *argv):
     path = DATA_DIR / FIXTURES[formalism]
-    n_records = len(data.read_records(path, formalism))
+    n_records = sum(1 for _ in data.read_records(path))
     dict_args = (["--dict", str(tmp_path / "relations.json")]
                  if formalism == "sparql" else [])
     assert cli.main([*argv, "--formalism", formalism, *dict_args,

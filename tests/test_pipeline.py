@@ -298,7 +298,7 @@ def test_two_stage_postprocess_requires_records(corpora):
 def test_finalize_restores_sql_aliases(sql_records):
     cfg = pipeline.PipelineConfig("sql")
     record = sql_records[1]
-    z_r = pipeline.reversible_ir(record, cfg)
+    z_r = pipeline.Program(record, cfg).rir_text()
     assert "FLIGHT0" in z_r
     flagged = []
     final = list(pipeline.finalize([(record.id, z_r)], pipeline.LIR_D_RIR,

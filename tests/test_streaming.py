@@ -171,6 +171,10 @@ def test_each_input_is_read_once(tmp_path, monkeypatch):
                "--out", tmp_path / "rir.tsv") == 0
     assert opened == ["sparql_corpus.jsonl"]
     opened.clear()
+    # list() of the records iterates once and asks for no length first.
+    assert list(data.read_records(corpus))
+    assert opened == ["sparql_corpus.jsonl"]
+    opened.clear()
     scan = scan_corpus(tmp_path / "scan.txt", 30)
     argv, preds = _postprocess_preds(tmp_path, scan)
     opened.clear()
