@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -113,6 +113,13 @@ def _write_quarantine(args, entries: list[QuarantineEntry]) -> int:
         print(f"quarantined {len(entries)} record(s)"
               + (f" -> {path}" if path else ""), file=sys.stderr)
     return 1 if (entries and args.strict) else 0
+
+
+def _fields(report) -> dict:
+    """A report dataclass's fields by name, as they are: JSON writes a
+    tuple as a list, and ``dataclasses.asdict`` would deep-copy every
+    string of ``per_example``."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -238,7 +245,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     golds = _gold_pairs(args.gold)
     quarantined: list[QuarantineEntry] = []
     report = metrics.exact_match(preds, golds, args.formalism, quarantined)
-    payload = asdict(report)
+    payload = _fields(report)
     payload["config"] = {"formalism": args.formalism, "mode": args.mode}
     if args.output:
         _write_json(args.output, payload)
@@ -260,7 +267,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         train = _program_column(args.train)
         structure = metrics.new_structure_rate(train, programs,
                                                args.formalism)
-        payload.update(asdict(structure))
+        payload.update(_fields(structure))
         print(f"new structure rate: {structure.new_structure_rate:.1f}")
     print(f"avg length ({args.tokenizer}): {payload['avg_length']:.1f}")
     if args.output:
