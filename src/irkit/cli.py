@@ -275,12 +275,33 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when argparse first
+    dispatches to it, so that a run builds the arguments of the one command
+    it runs: until then ``add_argument`` records its call and returns
+    None."""
+
+    def __init__(self, *args, **kwargs):
+        self._deferred: list[tuple[tuple, dict]] = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        self._deferred.append((args, kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        for deferred in self._deferred:
+            super().add_argument(*deferred[0], **deferred[1])
+        self._deferred.clear()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irkit",
         description="Reversible and lossy program IRs for two-stage "
                     "semantic parsing pipelines.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Command)
 
     p = sub.add_parser("transform", help="apply an IR transform to programs")
     p.add_argument("--ir", required=True,

@@ -26,7 +26,6 @@ _CLAUSE_STARTERS = {"SELECT", "FROM", "WHERE", "GROUP", "ORDER", "HAVING",
                     "LIMIT"}
 _SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
 
-_ALIAS_RE = re.compile(r"([A-Za-z_]\w*?)alias(\d+)")
 _ALIAS_TOKEN_RE = re.compile(r"[A-Za-z_]\w*?alias\d+")
 _ALIAS_SHAPED_RE = re.compile(r"[A-Za-z_]\w*?\d+")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
@@ -70,8 +69,9 @@ def _paren_depths(tokens: Sequence[str],
     ``(`` minus its number of ``)``, so ``))`` moves it by -2 and ``)(``
     not at all."""
     return tuple(accumulate(
-        (0 if q else tok.count("(") - tok.count(")")
-         for tok, q in zip(tokens, quoted)), initial=0))
+        [0 if q or "(" not in tok and ")" not in tok
+         else tok.count("(") - tok.count(")")
+         for tok, q in zip(tokens, quoted)], initial=0))
 
 
 def _split_qualified(token: str) -> tuple[str, str]:
@@ -125,20 +125,12 @@ class SqlRir:
 
     The tokens are ones ``lex_sql`` yields (for a prediction) or ones
     ``sql_to_rir`` rewrote from them, so they parse as tokens, with no
-    render and re-lex.  ``quoted`` is ``_quoted(tokens)``, computed when not
-    given.  ``sql_to_rir`` also passes on the program's ``depths`` and
-    ``block``: removing an alias infix moves no paren and makes no clause
-    keyword, so they are z_r's too.  A z_r read from text has neither.
+    render and re-lex.  ``query`` is z_r's query when ``sql_to_rir`` made
+    z_r from a program (see ``_renames``); a z_r read from text has none.
     """
 
     tokens: tuple[str, ...]
-    quoted: tuple[bool, ...] | None = None
-    depths: tuple[int, ...] | None = None
-    block: Block | None = None
-
-    def __post_init__(self) -> None:
-        if self.quoted is None:
-            object.__setattr__(self, "quoted", _quoted(self.tokens))
+    query: SqlQuery | None = None
 
     def render(self) -> str:
         return render_sql(self.tokens)
@@ -252,8 +244,11 @@ def _values(tokens: Sequence[str], quoted: Sequence[bool],
             declared: dict[str, str]) -> tuple[bool, ...]:
     """Per token, whether it is a value: a quoted string, or a number or a
     lowercase placeholder (``city_name0``) that is neither a declared alias
-    nor a ``<TABLE NAME>alias<N>`` token."""
-    return tuple([q or (tok not in declared
+    nor a ``<TABLE NAME>alias<N>`` token.  Only a token that starts with a
+    decimal digit (``\\d``, which is not ASCII-only) or a lowercase ASCII
+    letter can be either."""
+    return tuple([q or ((tok[:1].isdecimal() or "a" <= tok[:1] <= "z")
+                        and tok not in declared
                         and (_NUMBER_RE.fullmatch(tok) is not None
                              or _PLACEHOLDER_RE.fullmatch(tok) is not None)
                         and _ALIAS_TOKEN_RE.fullmatch(tok) is None)
@@ -277,11 +272,10 @@ def _fail_rendered(tokens: Sequence[str]) -> _Fail:
 def query_of_rir(z: SqlRir) -> SqlQuery:
     """The query of z_r's tokens, as ``parse_sql(z.render())`` gives it,
     errors and offsets too, for tokens that ``lex_sql`` yields.  A z_r
-    rewritten from a program reuses that program's depths and block tree,
-    and only the token checks run again: the rewrite can leave a name that
-    fails the alias check (``aliasalias1`` becomes ``alias1``)."""
-    return _query(z.tokens, z.quoted, _fail_rendered(z.tokens), z.depths,
-                  z.block)
+    rewritten from a program carries its query, and nothing is analysed
+    again."""
+    return z.query or _query(z.tokens, _quoted(z.tokens),
+                             _fail_rendered(z.tokens))
 
 
 def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
@@ -307,17 +301,19 @@ def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
 
 
 def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...], fail: _Fail,
-           depths: tuple[int, ...] | None = None,
-           block: Block | None = None) -> SqlQuery:
+           depths: tuple[int, ...] | None = None, block: Block | None = None,
+           declared: dict[str, str] | None = None) -> SqlQuery:
     """The one analysis of a token stream: the token checks, then the
     block tree (segmented here unless ``block``, with its ``depths``, is
-    given), the FROM aliases and the value flags."""
+    given), the FROM aliases (collected here unless given) and the value
+    flags."""
     if depths is None:
         depths = _paren_depths(tokens, quoted)
     _check_tokens(tokens, quoted, depths, fail)
     if block is None:
         block = _segment(tokens, depths, fail)
-    declared = _collect_aliases(tokens, block, fail)
+    if declared is None:
+        declared = _collect_aliases(tokens, block, fail)
     return SqlQuery(tokens, quoted, _values(tokens, quoted, declared), block,
                     depths, declared)
 
@@ -327,72 +323,92 @@ def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...], fail: _Fail,
 # ---------------------------------------------------------------------------
 
 
-def sql_to_rir(q: SqlQuery) -> SqlRir:
-    """Rewrite every ``Xalias<N>`` to ``X<N>``, everywhere it occurs but in
-    values."""
-    # Token -> the token rewritten, for each non-value token holding
-    # "alias".  In one query a value flag depends on the text alone, so no
-    # value is one.
-    rewritten: dict[str, str] = {}
-    rewritten_names = set()
-    plain_names = set()
-    for tok, value, quoted in zip(q.tokens, q.values, q.quoted):
-        if quoted:
+def _renames(tokens: Sequence[str], declared: dict[str, str],
+             to_rir: bool) -> dict[str, str]:
+    """The alias rule, and its renames: each distinct unquoted token that
+    is a declared alias, or is qualified by one, -> its rewrite.
+
+    A program declares an alias as ``<its table>alias<N>`` and its z_r as
+    ``<its table><N>``; ``declared`` is the program's if ``to_rir``, else
+    z_r's.  A declaration of another form or an undeclared alias-shaped
+    qualifier (``FLIGHT0.X``) raises ``TransformError`` to z_r and
+    ``InversionError`` from it; to z_r, so does a program that its z_r
+    would not restore.  Renaming a program that passes keeps its parens
+    and value flags and makes no keyword: its query, renamed, is z_r's."""
+    error = TransformError if to_rir else InversionError
+    infix, other = ("alias", "") if to_rir else ("", "alias")
+    names: dict[str, str] = {}  # declared alias -> its other-side name
+    aliases: dict[str, str] = {}  # other-side name -> its declared alias
+    for alias, table in declared.items():
+        number = alias[len(table) + len(infix):]
+        if not alias.startswith(table + infix) or not number.isdigit():
+            raise error(f"declared alias {alias!r} is not {table + infix!r} "
+                        "plus a number")
+        name = names[alias] = table + other + number
+        if to_rir and (alias[:1] in _QUOTES or "alias" in name
+                       and _ALIAS_TOKEN_RE.search(name)):
+            raise error(f"declared alias {alias!r} does not rewrite to a "
+                        f"plain name: {name!r}")
+        if to_rir and name in aliases:
+            raise error(f"declared aliases {aliases[name]!r} and {alias!r} "
+                        f"both rewrite to {name!r}")
+        aliases[name] = alias
+    # Every declared alias is a token; a quoted one is not renamed.
+    renames = {alias: name for alias, name in names.items()
+               if alias[:1] not in _QUOTES}
+    for tok in dict.fromkeys(tokens):
+        if ("." not in tok and not (to_rir and ("alias" in tok
+                                                or tok in aliases))
+                or tok in names or tok[:1] in _QUOTES):
             continue
-        head, _ = _split_qualified(tok)
-        if not value and "alias" in tok:
-            if tok not in rewritten:
-                rewritten[tok] = _ALIAS_RE.sub(r"\1\2", tok)
-            if _ALIAS_TOKEN_RE.fullmatch(head):
-                # The rewrite keeps the dot, so it rewrote the head in place.
-                rewritten_names.add(_split_qualified(rewritten[tok])[0])
-                continue
-        plain_names.add(head)
-    collisions = rewritten_names & plain_names
-    if collisions:
-        raise TransformError(
-            "alias rewriting is not reversible here; rewritten name(s) "
-            "already present: " + ", ".join(sorted(collisions)))
-    return SqlRir(tuple([rewritten.get(tok, tok) for tok in q.tokens]),
-                  q.quoted, q.depths, q.block)
+        head, rest = _split_qualified(tok)
+        if rest and head in names:
+            renames[tok] = names[head] + rest
+        new = renames.get(tok, tok)
+        clash = head if new == tok else new
+        if to_rir and clash in aliases:
+            raise error("alias rewriting is not reversible here; rewritten "
+                        f"name(s) already present: {clash}")
+        if new == tok and rest and _ALIAS_SHAPED_RE.fullmatch(head):
+            raise error(f"alias-shaped qualifier {head!r} has no FROM "
+                        "declaration")
+        if to_rir and "alias" in new and _ALIAS_TOKEN_RE.search(new):
+            raise error(f"token {tok!r} holds an alias that no declaration "
+                        "renames")
+    return renames
+
+
+def sql_to_rir(q: SqlQuery) -> SqlRir:
+    """Rename each declared ``Xalias<N>`` to ``X<N>``, as a token and as a
+    qualifier, in a program that meets the alias rule (``_renames``)."""
+    renames = _renames(q.tokens, q.declared, True)
+    tokens = tuple([renames.get(tok, tok) for tok in q.tokens])
+    return SqlRir(tokens, SqlQuery(
+        tokens, q.quoted, q.values, q.block, q.depths,
+        {renames[alias]: table for alias, table in q.declared.items()}))
 
 
 def sql_from_rir(z: SqlRir) -> SqlQuery:
     """Re-insert ``alias`` before the trailing digits of every table alias,
     using the FROM declarations to decide which tokens are aliases.  A
     ``ParseError``'s offset is a byte offset in ``z.render()``."""
-    fail = _fail_rendered(z.tokens)
-    for tok, quoted in zip(z.tokens, z.quoted):
-        if not quoted and _ALIAS_TOKEN_RE.search(tok):
+    fail, quoted = _fail_rendered(z.tokens), _quoted(z.tokens)
+    for tok, q in zip(z.tokens, quoted):
+        if not q and "alias" in tok and _ALIAS_TOKEN_RE.search(tok):
             raise InversionError(
                 f"input already contains an alias token: {tok!r}")
-    depths = _paren_depths(z.tokens, z.quoted)
+    depths = _paren_depths(z.tokens, quoted)
     block = _segment(z.tokens, depths, fail)
     declared = _collect_aliases(z.tokens, block, fail)
-    names = {}  # declared alias -> the name it restores to
-    for alias, table in declared.items():
-        rest = alias[len(table):] if alias.startswith(table) else ""
-        if not rest or not rest.isdigit():
-            raise InversionError(
-                f"declared alias {alias!r} is not {table!r} plus a number")
-        names[alias] = f"{table}alias{rest}"
-    restored: list[str] = []
-    for tok, quoted in zip(z.tokens, z.quoted):
-        if not quoted:
-            qualifier, rest = ((tok, "") if tok in names
-                               else _split_qualified(tok))
-            if qualifier in names:
-                tok = names[qualifier] + rest
-            elif rest and _ALIAS_SHAPED_RE.fullmatch(qualifier):
-                raise InversionError(
-                    f"alias-shaped qualifier {qualifier!r} has no FROM "
-                    "declaration")
-        restored.append(tok)
+    renames = _renames(z.tokens, declared, False)
     # A restored name holds the parens and the first character of the name
     # it replaces and is no clause keyword, so z's quote flags, depths and
-    # block tree are the program's.  Its aliases are collected again, as a
-    # table token can be restored too (``FROM A AS A0 , A0 AS A01``).
-    return _query(tuple(restored), z.quoted, fail, depths, block)
+    # block tree are the program's.  A table token can be restored too
+    # (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
+    return _query(tuple([renames.get(tok, tok) for tok in z.tokens]),
+                  quoted, fail, depths, block,
+                  {renames.get(alias, alias): renames.get(table, table)
+                   for alias, table in declared.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,18 @@ def ws(tmp_path):
     return tmp_path
 
 
+@pytest.mark.parametrize("command", ["transform", "invert", "prepare",
+                                     "postprocess", "evaluate", "stats"])
+def test_command_help_lists_its_arguments(command, capsys):
+    # A command's arguments are added when argparse dispatches to it.
+    with pytest.raises(SystemExit) as exit_:
+        run(command, "--help")
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: irkit {command} [-h]")
+    assert "--formalism" in out and "--in" in out
+
+
 # ---------------------------------------------------------------------------
 # transform / invert
 # ---------------------------------------------------------------------------

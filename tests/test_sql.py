@@ -1,12 +1,22 @@
+import importlib.util
+import random
+import re
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irkit import pipeline, sql
+from irkit import formalisms, pipeline, sql
 from irkit.errors import (InversionError, IrkitError, ParseError,
                           TransformError)
 
 from oracles import oracle_lex_sql, oracle_sql_lir
+
+# The rewrite to z_r as one regex substitution, which agrees with the alias
+# rename map on every program that ``sql_to_rir`` accepts.
+ALIAS_RE = re.compile(r"([A-Za-z_]\w*?)alias(\d+)")
 
 FLIGHT_QUERY = ('SELECT FLIGHTalias0.FLIGHT_ID FROM FLIGHT AS FLIGHTalias0 '
                 'WHERE FLIGHTalias0.AIRLINE_CODE = "UA"')
@@ -83,6 +93,8 @@ VALUE_CASES = [
     ("SELECT X FROM A AS 2 WHERE A.Y = 2", "2", False),  # declared number
     ("SELECT A.X FROM A", "A.X", False),  # qualified column
     ("SELECT X FROM A", "SELECT", False),
+    # A number may start with any decimal digit that ``\d`` matches.
+    ("SELECT X FROM A WHERE A.Y = \u0663", "\u0663", True),
 ]
 
 
@@ -330,6 +342,111 @@ def test_rewrite_collision_is_an_error():
         sql.sql_to_rir(q)
 
 
+# (program, the TransformError message): one case per way a program fails
+# the alias rule of ``sql._renames``.
+ALIAS_RULE_REJECTIONS = [
+    ("SELECT A0.X FROM A AS A0",
+     "declared alias 'A0' is not 'Aalias' plus a number"),
+    ("SELECT FLIGHTalias0.X FROM FLIGHT AS F",
+     "declared alias 'F' is not 'FLIGHTalias' plus a number"),
+    ("SELECT X FROM A WHERE A.Y = cityalias0",
+     "token 'cityalias0' holds an alias that no declaration renames"),
+    ("SELECT FLIGHT0.X FROM FLIGHT",
+     "alias-shaped qualifier 'FLIGHT0' has no FROM declaration"),
+    ("SELECT Aalias0.X FROM A AS Aalias0 , Aalias0 AS Aalias0alias1",
+     "declared alias 'Aalias0alias1' does not rewrite to a plain name: "
+     "'Aalias01'"),
+    ("SELECT X FROM Balias0 AS Balias0alias1",
+     "declared alias 'Balias0alias1' does not rewrite to a plain name: "
+     "'Balias01'"),
+    ('SELECT X FROM "T" AS "T"alias0',
+     """declared alias '"T"alias0' does not rewrite to a plain name: """
+     """'"T"0'"""),
+    ("SELECT X FROM A AS Aalias12 , A1 AS A1alias2",
+     "declared aliases 'Aalias12' and 'A1alias2' both rewrite to 'A12'"),
+    ("SELECT Aalias0.Balias1 FROM A AS Aalias0",
+     "token 'Aalias0.Balias1' holds an alias that no declaration renames"),
+    ("SELECT Aalias0.X1 FROM A AS Aalias0 , A0.X AS A0.Xalias1",
+     "alias rewriting is not reversible here; rewritten name(s) already "
+     "present: A0.X1"),
+]
+
+
+@pytest.mark.parametrize("text, message", ALIAS_RULE_REJECTIONS)
+def test_alias_rule_rejections(text, message):
+    q = sql.parse_sql(text)
+    with pytest.raises(TransformError) as err:
+        sql.sql_to_rir(q)
+    assert str(err.value) == message
+
+
+def _differential():
+    path = Path(__file__).parents[1] / "scripts" / "differential.py"
+    spec = importlib.util.spec_from_file_location("differential", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_transform_inverts_exactly_and_keeps_lossy_irs_equal(sql_records):
+    # The fixture programs and seeded token mutations of them, as
+    # scripts/differential.py builds its sql inputs.
+    differential = _differential()
+    programs = [record.y for record in sql_records]
+    rng = random.Random("sql alias rule")
+    texts = programs + [differential.mutate(rng, rng.choice(programs),
+                                            differential.SQL_VOCAB)
+                        for _ in range(10000)]
+    accepted = rejected = 0
+    for text in texts:
+        try:
+            q = sql.parse_sql(text)
+        except ParseError:
+            continue
+        try:
+            z = sql.sql_to_rir(q)
+        except TransformError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert sql.sql_from_rir(z) == q, text
+        assert (formalisms.TABLE["sql"].lir_of_rir(z)
+                == sql.sql_to_lir(q).render()), text
+    assert accepted > len(programs) and rejected > 0
+
+
+def test_query_of_a_programs_rir_analyses_nothing_again(sql_records,
+                                                        monkeypatch):
+    calls = []
+    for name in ("_values", "_check_tokens", "_collect_aliases"):
+        monkeypatch.setattr(sql, name, lambda *args, _fn=getattr(sql, name):
+                            calls.append(_fn.__name__) or _fn(*args))
+    for record in sql_records:
+        z = sql.sql_to_rir(sql.parse_sql(record.y))
+        analysed = _query_of_tokens(z.tokens)
+        calls.clear()
+        assert sql.query_of_rir(z) == analysed
+        assert calls == []
+
+
+def test_to_rir_makes_no_regex_substitution(sql_records):
+    queries = [sql.parse_sql(record.y) for record in sql_records]
+    called = set()
+
+    def profile(frame, event, arg):
+        called.add(arg.__name__ if event == "c_call"
+                   else frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for q in queries:
+            sql.sql_to_rir(q)
+    finally:
+        sys.setprofile(None)
+    assert "_renames" in called
+    assert not called & {"sub", "subn"}
+
+
 def test_from_rir_requires_declared_alias():
     z = sql.SqlRir(tuple(
         "SELECT FLIGHT0.X FROM FLIGHT AS FLIGHT0 WHERE B1.Y = 2".split()))
@@ -548,7 +665,7 @@ def _check_token_parse(tokens):
     z = _outcome(sql.sql_to_rir, q) if isinstance(q, sql.SqlQuery) else None
     if isinstance(z, sql.SqlRir):
         assert z.tokens == tuple(
-            tok if value else sql._ALIAS_RE.sub(r"\1\2", tok)
+            tok if value else ALIAS_RE.sub(r"\1\2", tok)
             for tok, value in zip(q.tokens, q.values))
         # z_r's query from the program's block tree is the one parsing its
         # tokens, or its rendering, builds.
