@@ -102,6 +102,32 @@ def all_scan_commands() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# SPARQL lossy forms: one pass over the rendered tokens
+# ---------------------------------------------------------------------------
+
+_SPARQL_ENTITY_RE = re.compile(r"M\d+|m_\w+")
+
+
+def _is_sparql_var_or_entity(tok: str) -> bool:
+    return tok.startswith("?") or _SPARQL_ENTITY_RE.fullmatch(tok) is not None
+
+
+def oracle_sparql_lir(text: str) -> str:
+    """Anonymize a rendered program or IR token by token: each variable and
+    entity becomes ``var``.  Exact on programs whose relations are neither
+    variable- nor entity-shaped, as in the fixtures."""
+    return " ".join("var" if _is_sparql_var_or_entity(tok) else tok
+                    for tok in text.split())
+
+
+def oracle_sparql_varify(text: str) -> str:
+    """Prefix each variable and entity token of a rendered program with
+    ``var``, under the same condition as :func:`oracle_sparql_lir`."""
+    return " ".join(f"var {tok}" if _is_sparql_var_or_entity(tok) else tok
+                    for tok in text.split())
+
+
+# ---------------------------------------------------------------------------
 # Relation truncation: brute-force shortest-unique-suffix search
 # ---------------------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from irkit import sparql as sp
 from irkit.errors import InversionError, ParseError, TransformError
 
-from oracles import oracle_truncations
+from oracles import (oracle_sparql_lir, oracle_sparql_varify,
+                     oracle_truncations)
 
 ALL_ON = sp.RirOptions()
 ALL_OFF = sp.RirOptions(merge_conjuncts=False, shorten_relations=False,
@@ -513,6 +515,16 @@ def test_varify_strips_back_to_original(sparql_records):
         assert sp.strip_var_markers(sp.varify(q(record.y))) == record.y
 
 
+def test_lossy_forms_match_token_oracles(sparql_records, relation_dict):
+    for record in sparql_records:
+        query = q(record.y)
+        assert sp.sparql_to_lir(query) == oracle_sparql_lir(record.y)
+        assert sp.varify(query) == oracle_sparql_varify(record.y)
+        for flags in itertools.product((True, False), repeat=3):
+            z = sp.sparql_to_rir(query, relation_dict, sp.RirOptions(*flags))
+            assert sp.sparql_to_lir(z) == oracle_sparql_lir(sp.render_rir(z))
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -580,6 +592,33 @@ def test_signature_invariant_under_renaming(sparql_queries, relation_dict):
         za = sp.sparql_to_rir(query, relation_dict, ALL_ON)
         zb = sp.sparql_to_rir(renamed, relation_dict, ALL_ON)
         assert sp.structure_signature(za) == sp.structure_signature(zb)
+
+
+# Each group's subject and objects first appear in that group, so the
+# numbering shows the order in which terms are renamed: head variables,
+# then each item in turn, a subject before its objects and a filter's left
+# operand before its right.
+@pytest.mark.parametrize("parse, text, signature", [
+    (sp.parse_rir, "SELECT count(*) WHERE { ( ?x1 r ( ?x2 , ?x3 ) ) }",
+     "SELECT count(*) WHERE { ( V0 r ( V1 , V2 ) ) }"),
+    (sp.parse_rir,
+     "SELECT DISTINCT ?x9 WHERE { ( ?x1 r ( ?x2 , ?x3 ) ) "
+     "( FILTER ( ?x4 != ?x5 ) ) ( ?x6 s ( ?x9 , M0 ) ) }",
+     "SELECT DISTINCT V0 WHERE { ( FILTER ( V4 != V5 ) ) "
+     "( V1 r ( V2 , V3 ) ) ( V6 s ( V0 , ENT ) ) }"),
+    (sp.parse_rir,
+     "SELECT DISTINCT ?x9 WHERE { ?x1 r ?x2 , ?x3 . "
+     "FILTER ( ?x4 != ?x5 ) . ?x6 s ?x9 , M0 }",
+     "SELECT DISTINCT V0 WHERE { FILTER ( V4 != V5 ) . "
+     "V1 r V2 , V3 . V6 s V0 , ENT }"),
+    (sp.parse_sparql,
+     "SELECT DISTINCT ?x9 WHERE { ?x1 r ?x2 . FILTER ( ?x3 != ?x4 ) . "
+     "?x5 s ?x9 }",
+     "SELECT DISTINCT V0 WHERE { FILTER ( V3 != V4 ) . V1 r V2 . V5 s V0 }"),
+])
+def test_signature_numbers_variables_in_reading_order(parse, text,
+                                                      signature):
+    assert sp.structure_signature(parse(text)) == signature
 
 
 def test_signature_accepts_plain_queries(sparql_queries):
