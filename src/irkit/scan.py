@@ -9,8 +9,7 @@ modifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import InversionError, TransformError, fail_at
 
@@ -31,21 +30,18 @@ _VOCABULARY = (_VERBS | _DIRECTIONS | _MODIFIERS
                | frozenset(_REPEATS) | _CONJUNCTIONS)
 
 
-@dataclass(frozen=True, slots=True)
-class VerbPhrase:
+class VerbPhrase(NamedTuple):
     verb: str
     direction: str | None = None
     modifier: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Repeat:
+class Repeat(NamedTuple):
     phrase: VerbPhrase
     times: int
 
 
-@dataclass(frozen=True, slots=True)
-class Conjunction:
+class Conjunction(NamedTuple):
     op: str  # "and" or "after"
     left: Union[VerbPhrase, Repeat]
     right: Union[VerbPhrase, Repeat]

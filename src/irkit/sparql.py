@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .data import write_atomic
 from .errors import ConfigError, InversionError, TransformError, fail_at
@@ -39,42 +39,43 @@ def is_entity(token: str) -> bool:
     return _ENTITY_RE.fullmatch(token) is not None
 
 
-@dataclass(frozen=True, slots=True)
-class SelectHead:
+class SelectHead(NamedTuple):
     kind: str  # COUNT or DISTINCT
     variables: tuple[str, ...] = ()
 
-    def render(self) -> str:
+    def render(self, term: Callable[[str], str] | None = None) -> str:
         if self.kind == COUNT:
             return "SELECT count(*)"
-        return "SELECT DISTINCT " + " ".join(self.variables)
+        return "SELECT DISTINCT " + " ".join(
+            self.variables if term is None else map(term, self.variables))
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     relation: str
     object: str
 
-    def render(self) -> str:
-        return f"{self.subject} {self.relation} {self.object}"
+    def render(self, term: Callable[[str], str] | None = None) -> str:
+        if term is None:
+            return f"{self.subject} {self.relation} {self.object}"
+        return f"{term(self.subject)} {self.relation} {term(self.object)}"
 
 
-@dataclass(frozen=True, slots=True)
-class Filter:
+class Filter(NamedTuple):
     left: str
     op: str
     right: str
 
-    def render(self) -> str:
-        return f"FILTER ( {self.left} {self.op} {self.right} )"
+    def render(self, term: Callable[[str], str] | None = None) -> str:
+        if term is None:
+            return f"FILTER ( {self.left} {self.op} {self.right} )"
+        return f"FILTER ( {term(self.left)} {self.op} {term(self.right)} )"
 
 
 Conjunct = Union[Triple, Filter]
 
 
-@dataclass(frozen=True, slots=True)
-class SparqlQuery:
+class SparqlQuery(NamedTuple):
     head: SelectHead
     conjuncts: tuple[Conjunct, ...]
 
@@ -82,8 +83,7 @@ class SparqlQuery:
         return tuple(c for c in self.conjuncts if isinstance(c, Triple))
 
 
-@dataclass(frozen=True, slots=True)
-class TripleGroup:
+class TripleGroup(NamedTuple):
     """One or more triples sharing a subject and relation."""
 
     subject: str
@@ -94,8 +94,7 @@ class TripleGroup:
 Group = Union[TripleGroup, Filter]
 
 
-@dataclass(frozen=True, slots=True)
-class SparqlRir:
+class SparqlRir(NamedTuple):
     head: SelectHead
     groups: tuple[Group, ...]
     bracketed: bool
@@ -169,12 +168,15 @@ def _parse(text: str, ir: bool) -> tuple[SelectHead, list, bool]:
     i = _expect(text, toks, i, "WHERE")
     i = _expect(text, toks, i, "{")
     bracketed = ir and i < n and toks[i] == "("
+    separator = "(" if bracketed else "."
     items: list = []
     while i >= n or toks[i] != "}":
         if i >= n:
             fail_at(text, i, "unterminated body", ("}",))
         if bracketed or items:
-            i = _expect(text, toks, i, "(" if bracketed else ".")
+            if toks[i] != separator:
+                _expect(text, toks, i, separator)  # raises
+            i += 1
         if i < n and toks[i] == "FILTER":
             i = _expect(text, toks, i + 1, "(")
             left = _term(text, toks, i, "term")
@@ -182,25 +184,27 @@ def _parse(text: str, ir: bool) -> tuple[SelectHead, list, bool]:
             op, right = toks[i - 1], _term(text, toks, i, "term")
             i = _expect(text, toks, i + 1, ")")
             items.append(Filter(left, op, right))
+        elif not ir:
+            triple = toks[i:i + 3]
+            if len(triple) < 3 or not _RESERVED.isdisjoint(triple):
+                for j, what in enumerate(("subject", "relation", "object")):
+                    _term(text, toks, i + j, what)  # raises at the first
+            items.append(Triple._make(triple))
+            i += 3
         else:
             subject = _term(text, toks, i, "subject")
             relation = _term(text, toks, i + 1, "relation")
             i += 2
-            if not ir:
-                items.append(Triple(subject, relation,
-                                    _term(text, toks, i, "object")))
-                i += 1
-            else:
-                nested = bracketed and i < n and toks[i] == "("
-                i += nested
-                objects = [_term(text, toks, i, "object")]
-                i += 1
-                while (nested or not bracketed) and i < n and toks[i] == ",":
-                    objects.append(_term(text, toks, i + 1, "object"))
-                    i += 2
-                if nested:
-                    i = _expect(text, toks, i, ")")
-                items.append(TripleGroup(subject, relation, tuple(objects)))
+            nested = bracketed and i < n and toks[i] == "("
+            i += nested
+            objects = [_term(text, toks, i, "object")]
+            i += 1
+            while (nested or not bracketed) and i < n and toks[i] == ",":
+                objects.append(_term(text, toks, i + 1, "object"))
+                i += 2
+            if nested:
+                i = _expect(text, toks, i, ")")
+            items.append(TripleGroup(subject, relation, tuple(objects)))
         if bracketed:
             i = _expect(text, toks, i, ")")
     if i + 1 < n:
@@ -212,14 +216,9 @@ def _check_head_vars(text: str, head: SelectHead,
                      conjuncts: Iterable[Conjunct]) -> None:
     if head.kind != DISTINCT:
         return
-    seen: set[str] = set()
-    for c in conjuncts:
-        if isinstance(c, Triple):
-            seen.add(c.subject)
-            seen.add(c.object)
-        else:
-            seen.add(c.left)
-            seen.add(c.right)
+    # A triple's subject and object and a filter's operands are its fields
+    # 0 and 2.
+    seen = {t for c in conjuncts for t in (c[0], c[2])}
     missing = [v for v in head.variables if v not in seen]
     if missing:
         fail_at(text, len(text.split()),
@@ -233,28 +232,44 @@ def parse_sparql(text: str) -> SparqlQuery:
     return SparqlQuery(head, tuple(conjuncts))
 
 
-def _render_group(g: Conjunct | Group, bracketed: bool) -> str:
-    if isinstance(g, TripleGroup):
-        objects = " , ".join(g.objects)
+def _render_group(g: Conjunct | Group, bracketed: bool,
+                  term: Callable[[str], str] | None) -> str:
+    if type(g) is TripleGroup:
+        subject, objects = g.subject, g.objects
+        if term is not None:  # the subject is mapped before its objects
+            subject, objects = term(subject), map(term, objects)
+        objects = " , ".join(objects)
         if bracketed and len(g.objects) > 1:
             objects = f"( {objects} )"
-        core = f"{g.subject} {g.relation} {objects}"
+        core = f"{subject} {g.relation} {objects}"
     else:
-        core = g.render()
+        core = g.render(term)
     return f"( {core} )" if bracketed else core
 
 
-def _render_program(head: SelectHead, parts: Iterable[str],
-                    bracketed: bool) -> str:
+def _render_program(program: SparqlQuery | SparqlRir,
+                    term: Callable[[str], str] | None = None,
+                    sort: bool = False) -> str:
+    """The surface form of ``program``, with ``term`` applied to each head
+    variable, subject, object and filter operand in reading order, and with
+    its items sorted by their rendered string if ``sort``."""
+    head = program.head.render(term)
+    if type(program) is SparqlQuery:
+        bracketed, parts = False, [c.render(term) for c in program.conjuncts]
+    else:
+        bracketed = program.bracketed
+        parts = [_render_group(g, bracketed, term) for g in program.groups]
+    if sort:
+        parts.sort()
     body = (" " if bracketed else " . ").join(parts)
     if body:
-        return f"{head.render()} WHERE {{ {body} }}"
-    return f"{head.render()} WHERE {{ }}"
+        return f"{head} WHERE {{ {body} }}"
+    return f"{head} WHERE {{ }}"
 
 
 def render_sparql(q: SparqlQuery) -> str:
     """Canonical surface form: single spaces, ``.`` between conjuncts."""
-    return _render_program(q.head, [c.render() for c in q.conjuncts], False)
+    return _render_program(q)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +420,7 @@ def sparql_to_rir(q: SparqlQuery,
 
 def render_rir(z: SparqlRir) -> str:
     """Surface form: bracketed groups are space-joined, plain ones dotted."""
-    return _render_program(
-        z.head, [_render_group(g, z.bracketed) for g in z.groups],
-        z.bracketed)
+    return _render_program(z)
 
 
 def parse_rir(text: str) -> SparqlRir:
@@ -437,43 +450,17 @@ def sparql_from_rir(z: SparqlRir,
 
 
 def _anonymize_term(t: str) -> str:
-    if is_variable(t) or is_entity(t):
+    # Only a token opening with ``?``, ``M`` or ``m`` can be a variable or
+    # an entity, so the regex runs on those alone.
+    first = t[:1]
+    if first == "?" or first in "Mm" and _ENTITY_RE.fullmatch(t):
         return VAR_TOKEN
     return t
 
 
-def _items(program: SparqlQuery | SparqlRir) -> tuple:
-    if isinstance(program, SparqlQuery):
-        return program.conjuncts
-    return program.groups
-
-
-def _map_terms(program: SparqlQuery | SparqlRir, fn):
-    """``program`` with ``fn`` applied to each head variable, subject,
-    object and filter operand, in reading order."""
-    head = program.head
-    if head.kind == DISTINCT:
-        head = SelectHead(DISTINCT, tuple(map(fn, head.variables)))
-    mapped = []
-    for c in _items(program):
-        if isinstance(c, Triple):
-            mapped.append(Triple(fn(c.subject), c.relation, fn(c.object)))
-        elif isinstance(c, Filter):
-            mapped.append(Filter(fn(c.left), c.op, fn(c.right)))
-        else:
-            mapped.append(TripleGroup(fn(c.subject), c.relation,
-                                      tuple(map(fn, c.objects))))
-    if isinstance(program, SparqlQuery):
-        return SparqlQuery(head, tuple(mapped))
-    return SparqlRir(head, tuple(mapped), program.bracketed)
-
-
 def sparql_to_lir(program: SparqlQuery | SparqlRir) -> str:
     """Replace every variable and entity (head included) with ``var``."""
-    anonymized = _map_terms(program, _anonymize_term)
-    if isinstance(anonymized, SparqlQuery):
-        return render_sparql(anonymized)
-    return render_rir(anonymized)
+    return _render_program(program, _anonymize_term)
 
 
 def varify(q: SparqlQuery) -> str:
@@ -484,7 +471,7 @@ def varify(q: SparqlQuery) -> str:
             return f"{VAR_TOKEN} {t}"
         return t
 
-    return render_sparql(_map_terms(q, mark))
+    return _render_program(q, mark)
 
 
 def strip_var_markers(text: str) -> str:
@@ -523,9 +510,4 @@ def structure_signature(program: SparqlQuery | SparqlRir) -> str:
             return names[t]
         return t
 
-    renamed = _map_terms(program, rename)
-    bracketed = isinstance(program, SparqlRir) and program.bracketed
-    return _render_program(
-        renamed.head,
-        sorted(_render_group(g, bracketed) for g in _items(renamed)),
-        bracketed)
+    return _render_program(program, rename, sort=True)
