@@ -74,6 +74,29 @@ def _sparql_rirs() -> list[str]:
     return texts
 
 
+def sparql_transform(text: str) -> tuple[str, ...]:
+    """What ``transform`` and ``prepare`` write for a program: z_r and
+    z_{l,r} under each combination of options (with the dictionary of this
+    program's relations), z_l and the VARified form, and the structure
+    signatures of the program and of its default z_r."""
+    from irkit import formalisms, sparql
+    q = sparql.parse_sparql(text)
+    rdict = sparql.build_relation_dict([q])
+    rirs = [sparql.sparql_to_rir(q, rdict, sparql.RirOptions(*flags))
+            for flags in itertools.product((True, False), repeat=3)]
+    return (*map(sparql.render_rir, rirs),
+            *map(formalisms.TABLE["sparql"].lir_of_rir, rirs),
+            sparql.sparql_to_lir(q), sparql.varify(q),
+            sparql.structure_signature(q), sparql.structure_signature(rirs[0]))
+
+
+def sparql_lossy_of_rir(text: str) -> tuple[str, str]:
+    """z_l and the structure signature of a parsed z_r."""
+    from irkit import sparql
+    z = sparql.parse_rir(text)
+    return sparql.sparql_to_lir(z), sparql.structure_signature(z)
+
+
 def _sql_programs() -> list[str]:
     from irkit import data
     return [r.y for r in data.read_records_jsonl(
@@ -130,6 +153,8 @@ def sql_transform(text: str) -> tuple[str, ...]:
 FUNCTIONS = {
     "sparql.parse_sparql": (_sparql_programs, SPARQL_VOCAB, None),
     "sparql.parse_rir": (_sparql_rirs, SPARQL_VOCAB, None),
+    "sparql.transform": (_sparql_programs, SPARQL_VOCAB, sparql_transform),
+    "sparql.lossy_of_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_lossy_of_rir),
     "scan.parse_command": (_scan_commands, SCAN_VOCAB, None),
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
     "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_lexed_rir),
