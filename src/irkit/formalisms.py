@@ -94,8 +94,9 @@ TABLE: dict[str, Formalism] = {
                                       cfg.relation_dict)),
         to_lir=lambda q: sparql_ir.sparql_to_lir(q),
         lir_of_rir=lambda z: sparql_ir.sparql_to_lir(z),
-        key=lambda t: sparql_ir.render_sparql(
-            sparql_ir.normalize_sparql(sparql_ir.parse_sparql(t))),
+        # render_sparql(normalize_sparql(q)), rendering each conjunct once
+        key=lambda t: sparql_ir._render_program(
+            sparql_ir.parse_sparql(t), sort=True, dedupe=True),
         structure=lambda t: sparql_ir.structure_signature(
             sparql_ir.parse_rir(t)),
         needs_dict=True,

@@ -59,6 +59,8 @@ def exact_match(preds: Iterable[tuple[str, str]],
         verdict = WRONG
         if not pred.strip():
             verdict = INVALID
+        elif pred == gold:  # its key is gold_key, so it is not computed
+            verdict = CORRECT
         else:
             try:
                 if comparison_key(formalism, pred) == gold_key:

@@ -249,16 +249,18 @@ def _render_group(g: Conjunct | Group, bracketed: bool,
 
 def _render_program(program: SparqlQuery | SparqlRir,
                     term: Callable[[str], str] | None = None,
-                    sort: bool = False) -> str:
+                    sort: bool = False, dedupe: bool = False) -> str:
     """The surface form of ``program``, with ``term`` applied to each head
-    variable, subject, object and filter operand in reading order, and with
-    its items sorted by their rendered string if ``sort``."""
+    variable, subject, object and filter operand in reading order, and its
+    rendered items deduplicated if ``dedupe`` and sorted if ``sort``."""
     head = program.head.render(term)
     if type(program) is SparqlQuery:
         bracketed, parts = False, [c.render(term) for c in program.conjuncts]
     else:
         bracketed = program.bracketed
         parts = [_render_group(g, bracketed, term) for g in program.groups]
+    if dedupe:
+        parts = list(dict.fromkeys(parts))
     if sort:
         parts.sort()
     body = (" " if bracketed else " . ").join(parts)
@@ -394,28 +396,25 @@ def sparql_to_rir(q: SparqlQuery,
     """Group shared-subject/relation triples, truncate relations, bracket."""
     if options.shorten_relations and rdict is None:
         raise TransformError("relation truncation requires a dictionary")
-
-    def rel(name: str) -> str:
-        return rdict.shorten(name) if options.shorten_relations else name
-
-    groups: list[Group] = []
-    by_key: dict[tuple[str, str], int] = {}
+    shorten, merge = options.shorten_relations, options.merge_conjuncts
+    # Filters, and groups as (subject, relation, objects), built at the end
+    items: list = []
+    objects_of: dict[tuple[str, str], list[str]] = {}
     for c in q.conjuncts:
-        if isinstance(c, Filter):
-            groups.append(c)
+        if type(c) is Filter:
+            items.append(c)
             continue
-        relation = rel(c.relation)
-        if options.merge_conjuncts:
-            key = (c.subject, relation)
-            slot = by_key.get(key)
-            if slot is not None:
-                g = groups[slot]
-                groups[slot] = TripleGroup(g.subject, g.relation,
-                                           g.objects + (c.object,))
-                continue
-            by_key[key] = len(groups)
-        groups.append(TripleGroup(c.subject, relation, (c.object,)))
-    return SparqlRir(q.head, tuple(groups), options.brackets)
+        subject, relation, obj = c
+        if shorten:
+            relation = rdict.shorten(relation)
+        if merge and (subject, relation) in objects_of:
+            objects_of[subject, relation].append(obj)
+        else:
+            objects_of[subject, relation] = objects = [obj]
+            items.append((subject, relation, objects))
+    return SparqlRir(q.head, tuple([
+        g if type(g) is Filter else TripleGroup(g[0], g[1], tuple(g[2]))
+        for g in items]), options.brackets)
 
 
 def render_rir(z: SparqlRir) -> str:

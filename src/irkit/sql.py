@@ -30,10 +30,13 @@ _ALIAS_TOKEN_RE = re.compile(r"[A-Za-z_]\w*?alias\d+")
 _ALIAS_SHAPED_RE = re.compile(r"[A-Za-z_]\w*?\d+")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 _PLACEHOLDER_RE = re.compile(r"[a-z][a-z_]*\d+")
-# A token is a run of non-space characters in which each quote opens a
-# string that runs, spaces included, to the next quote of its kind.  A quote
-# with no such partner matches alone.
-_TOKEN_RE = re.compile(r"""(?:[^\s"']+|"[^"]*"|'[^']*')+|["']""")
+# A token is a run of units: runs of non-space characters, and strings from a
+# quote, spaces included, to the next quote of its kind.  A quote with no
+# partner matches alone.  A unit's extent is forced by its first character,
+# so where each ``str.split()`` piece is a run of units, the pieces are the
+# tokens.
+_UNITS_RE = re.compile(r"""(?:[^\s"']+|"[^"]*"|'[^']*')+""")
+_TOKEN_RE = re.compile(_UNITS_RE.pattern + r"""|["']""")
 _QUOTES = ('"', "'")
 # Raises a ParseError with a message at a token index (past the last: the
 # end) of the text a stream was lexed from or renders to.
@@ -43,6 +46,10 @@ _Fail = Callable[[int, str], NoReturn]
 def lex_sql(text: str) -> list[str]:
     """Whitespace tokenization that keeps quoted strings (which may contain
     spaces) as single tokens, quotes included."""
+    tokens = text.split()
+    if ('"' not in text and "'" not in text) or all(
+            _UNITS_RE.fullmatch(t) for t in tokens if '"' in t or "'" in t):
+        return tokens
     tokens = _TOKEN_RE.findall(text)
     if '"' in tokens or "'" in tokens:
         for match in _TOKEN_RE.finditer(text):

@@ -90,6 +90,56 @@ def test_report_counts_reconcile():
     assert report.exact_match == 50.0
 
 
+def _count_parses(monkeypatch):
+    calls = []
+    parse = sparql.parse_sparql
+    monkeypatch.setattr(sparql, "parse_sparql",
+                        lambda text: calls.append(text) or parse(text))
+    return calls
+
+
+def test_prediction_equal_to_its_gold_is_not_parsed(monkeypatch,
+                                                     sparql_records):
+    calls = _count_parses(monkeypatch)
+    golds = [(r.id, r.y) for r in sparql_records]
+    report = metrics.exact_match(golds, golds, "sparql", [])
+    assert report.n_correct == len(golds)
+    assert calls == [y for _, y in golds]  # one parse per record: the gold
+
+
+def test_unparseable_gold_equal_to_its_prediction_still_aborts():
+    gold = "SELECT count(*) WHERE {{ nope"
+    with pytest.raises(IrkitError) as err:
+        metrics.exact_match([("0", gold)], [("0", gold)], "sparql", [])
+    assert str(err.value) == ("unexpected token '{{' (at byte offset 22); "
+                              "expected one of: {")
+
+
+@pytest.mark.parametrize("formalism", ["sql", "scan"])
+def test_empty_prediction_of_an_empty_gold_is_invalid(formalism):
+    report = metrics.exact_match([("0", "")], [("0", "")], formalism, [])
+    assert report.per_example == [("0", metrics.INVALID)]
+
+
+def test_verdicts_of_a_mix_of_predictions(monkeypatch):
+    gold = "SELECT DISTINCT ?x0 WHERE { ?x0 r M0 . ?x0 s M1 }"
+    preds = [gold,
+             "SELECT  DISTINCT ?x0 WHERE { ?x0 s M1 . ?x0 r M0 . ?x0 s M1 }",
+             "SELECT DISTINCT ?x0 WHERE { ?x0 r M0 }",
+             " ",
+             "SELECT DISTINCT ?x0 WHERE { ?x0 r M0 . }"]
+    calls = _count_parses(monkeypatch)
+    ids = [str(i) for i in range(len(preds))]
+    report = metrics.exact_match(list(zip(ids, preds)),
+                                 [(i, gold) for i in ids], "sparql", [])
+    assert [verdict for _, verdict in report.per_example] == [
+        metrics.CORRECT, metrics.CORRECT, metrics.WRONG, metrics.INVALID,
+        metrics.INVALID]
+    # Each gold, and each prediction that is neither empty nor the gold.
+    assert calls == [gold, gold, preds[1], gold, preds[2], gold, gold,
+                     preds[4]]
+
+
 @pytest.mark.parametrize("formalism", ["sparql", "sql", "scan"])
 def test_scoring_is_reflexive(formalism, sparql_records, sql_records,
                               scan_records):

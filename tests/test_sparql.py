@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irkit import formalisms
 from irkit import sparql as sp
 from irkit.errors import InversionError, ParseError, TransformError
 
@@ -555,6 +556,21 @@ def test_normalize_is_permutation_invariant(data, sparql_queries):
     permuted = data.draw(st.permutations(list(query.conjuncts)))
     shuffled = sp.SparqlQuery(query.head, tuple(permuted))
     assert sp.normalize_sparql(shuffled) == sp.normalize_sparql(query)
+
+
+def test_key_renders_the_normalized_program(sparql_queries):
+    key = formalisms.TABLE["sparql"].key
+    rng = random.Random(13)
+    texts = ["SELECT count(*) WHERE { }"]
+    for query in sparql_queries:
+        conjuncts = list(query.conjuncts)
+        conjuncts.insert(rng.randrange(len(conjuncts) + 1),
+                         rng.choice(conjuncts))
+        rng.shuffle(conjuncts)
+        texts += [sp.render_sparql(query), sp.render_sparql(
+            sp.SparqlQuery(query.head, tuple(conjuncts)))]
+    for text in texts:
+        assert key(text) == sp.render_sparql(sp.normalize_sparql(q(text)))
 
 
 # ---------------------------------------------------------------------------

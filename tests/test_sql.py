@@ -68,6 +68,33 @@ def test_lexer_matches_the_character_loop_oracle(text):
     assert _outcome(sql.lex_sql, text) == _outcome(oracle_lex_sql, text)
 
 
+_REGEX_TOKEN_RE = re.compile(r"""(?:[^\s"']+|"[^"]*"|'[^']*')+|["']""")
+
+
+def _regex_lex(text):
+    """The lexer as one regex over the whole text: every match is a token,
+    and the first lone quote raises at its byte offset."""
+    tokens = _REGEX_TOKEN_RE.findall(text)
+    for match in _REGEX_TOKEN_RE.finditer(text):
+        if match.group() in ('"', "'"):
+            raise ParseError("unterminated string literal",
+                             offset=len(text[:match.start()].encode()))
+    return tokens
+
+
+@pytest.mark.parametrize("text", [
+    '"a b"', 'x"a b"y', '"a"b"c d"', '"', "'a b", 'a " b "c',
+])
+def test_lexer_split_agrees_with_the_regex_on_quotes(text):
+    assert _outcome(sql.lex_sql, text) == _outcome(_regex_lex, text)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(st.text(alphabet="Aa1.()\"' \t\n\xa0　\x1c", max_size=24))
+def test_lexer_split_agrees_with_the_regex(text):
+    assert _outcome(sql.lex_sql, text) == _outcome(_regex_lex, text)
+
+
 def test_parse_flight_query():
     q = sql.parse_sql(FLIGHT_QUERY)
     assert q.render() == FLIGHT_QUERY
