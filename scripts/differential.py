@@ -97,6 +97,12 @@ def sparql_lossy_of_rir(text: str) -> tuple[str, str]:
     return sparql.sparql_to_lir(z), sparql.structure_signature(z)
 
 
+def sparql_key(text: str) -> str:
+    """The exact-match scoring form of a program."""
+    from irkit import formalisms
+    return formalisms.TABLE["sparql"].key(text)
+
+
 def _sql_programs() -> list[str]:
     from irkit import data
     return [r.y for r in data.read_records_jsonl(
@@ -155,6 +161,7 @@ FUNCTIONS = {
     "sparql.parse_rir": (_sparql_rirs, SPARQL_VOCAB, None),
     "sparql.transform": (_sparql_programs, SPARQL_VOCAB, sparql_transform),
     "sparql.lossy_of_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_lossy_of_rir),
+    "sparql.key": (_sparql_programs, SPARQL_VOCAB, sparql_key),
     "scan.parse_command": (_scan_commands, SCAN_VOCAB, None),
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
     "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_lexed_rir),
