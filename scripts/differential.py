@@ -54,6 +54,27 @@ COUNT = 30000  # mutated inputs per function and seed
 SHOW = 3  # differences printed per function and seed
 
 
+def _sparql_form(q) -> tuple:
+    """A parsed sparql program or z_r as plain tuples, which trees that
+    keep a program's triples in ``Triple``s and a z_r in a ``SparqlRir``
+    build alike: a triple is a group of one object."""
+    items = q.conjuncts if hasattr(q, "conjuncts") else q.groups
+    return (tuple(q.head), getattr(q, "bracketed", False),
+            [("FILTER", *c) if hasattr(c, "op") else
+             (c[0], c[1], c.objects if hasattr(c, "objects") else (c[2],))
+             for c in items])
+
+
+def sparql_parse(text: str) -> tuple:
+    from irkit import sparql
+    return _sparql_form(sparql.parse_sparql(text))
+
+
+def sparql_parse_rir(text: str) -> tuple:
+    from irkit import sparql
+    return _sparql_form(sparql.parse_rir(text))
+
+
 def _sparql_programs() -> list[str]:
     from irkit import data
     return [r.y for r in data.read_records_jsonl(
@@ -157,8 +178,8 @@ def sql_transform(text: str) -> tuple[str, ...]:
 # name -> (base inputs, vocabulary for insertions and replacements, and the
 # function: a wrapper here, or None for the irkit function of that name)
 FUNCTIONS = {
-    "sparql.parse_sparql": (_sparql_programs, SPARQL_VOCAB, None),
-    "sparql.parse_rir": (_sparql_rirs, SPARQL_VOCAB, None),
+    "sparql.parse_sparql": (_sparql_programs, SPARQL_VOCAB, sparql_parse),
+    "sparql.parse_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_parse_rir),
     "sparql.transform": (_sparql_programs, SPARQL_VOCAB, sparql_transform),
     "sparql.lossy_of_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_lossy_of_rir),
     "sparql.key": (_sparql_programs, SPARQL_VOCAB, sparql_key),

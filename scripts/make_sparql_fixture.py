@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -67,6 +68,39 @@ PHRASES = {
 
 N_SHAPES = 48
 N_RECORDS = 200
+
+
+# The generator's own program form, which the benchmark generator
+# (perfbench/generate.py) also draws its sparql programs through.
+class Head(NamedTuple):
+    kind: str  # "count" or "distinct"
+    variables: tuple[str, ...] = ()
+
+
+class Triple(NamedTuple):
+    subject: str
+    relation: str
+    object: str
+
+
+class Filter(NamedTuple):
+    left: str
+    op: str
+    right: str
+
+
+class Program(NamedTuple):
+    head: Head
+    conjuncts: tuple[Triple | Filter, ...]
+
+    def render(self) -> str:
+        """The canonical surface form, as irkit renders it."""
+        head = ("SELECT count(*)" if self.head.kind == "count" else
+                "SELECT DISTINCT " + " ".join(self.head.variables))
+        body = " . ".join(f"FILTER ( {c.left} {c.op} {c.right} )"
+                          if type(c) is Filter else " ".join(c)
+                          for c in self.conjuncts)
+        return f"{head} WHERE {{ {body} }}"
 
 
 def make_shape(rng: random.Random):
@@ -124,7 +158,7 @@ def entity(rng: random.Random) -> str:
                            for _ in range(6))
 
 
-def instantiate(shape, rng: random.Random) -> sp.SparqlQuery:
+def instantiate(shape, rng: random.Random) -> Program:
     head_spec, conjuncts, used_vars, n_ents = shape
     order = list(used_vars)
     rng.shuffle(order)
@@ -143,24 +177,24 @@ def instantiate(shape, rng: random.Random) -> sp.SparqlQuery:
     for c in conjuncts:
         if c[0] == "filter":
             left, right = c[1]
-            out.append(sp.Filter(var_names[left], "!=", var_names[right]))
+            out.append(Filter(var_names[left], "!=", var_names[right]))
         else:
             subject, relation, obj = c
-            out.append(sp.Triple(term(subject), relation, term(obj)))
+            out.append(Triple(term(subject), relation, term(obj)))
     if head_spec[0] == "count":
-        head = sp.SelectHead(sp.COUNT)
+        head = Head("count")
     else:
-        head = sp.SelectHead(sp.DISTINCT, (var_names[head_spec[1]],))
-    return sp.SparqlQuery(head, tuple(out))
+        head = Head("distinct", (var_names[head_spec[1]],))
+    return Program(head, tuple(out))
 
 
-def utterance(q: sp.SparqlQuery, rng: random.Random) -> str:
+def utterance(q: Program, rng: random.Random) -> str:
     bits = []
-    for c in q.triples()[:4]:
+    for c in [c for c in q.conjuncts if type(c) is Triple][:4]:
         tail = c.relation.rsplit(".", 1)[-1]
         bits.append(f"{c.subject.lstrip('?')} {PHRASES.get(tail, tail)} "
                     f"{c.object}")
-    lead = "How many entities were" if q.head.kind == sp.COUNT else "Which"
+    lead = "How many entities were" if q.head.kind == "count" else "Which"
     return f"{lead} {' and '.join(bits)}"
 
 
@@ -177,7 +211,7 @@ def main() -> None:
     for i in range(N_RECORDS):
         shape = rng.choices(shapes, weights)[0]
         q = instantiate(shape, rng)
-        text = sp.render_sparql(q)
+        text = q.render()
         assert sp.render_sparql(sp.parse_sparql(text)) == text
         records.append({"id": f"cfq{i:03d}", "x": utterance(q, rng),
                         "y": text})

@@ -47,7 +47,7 @@ def _normalize_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
-def _sparql_rir(p) -> sparql_ir.SparqlRir:
+def _sparql_rir(p) -> sparql_ir.SparqlQuery:
     return sparql_ir.sparql_to_rir(p.parsed, p.cfg.relation_dict,
                                    p.cfg.rir_options)
 

@@ -19,7 +19,7 @@ from . import formalisms
 from . import sparql as sparql_ir
 from .data import (ExampleRecord, QuarantineEntry, T, check_field,
                    first_of_each_id)
-from .errors import ConfigError, IrkitError
+from .errors import ConfigError, IrkitError, TransformError
 
 FORMALISMS = tuple(formalisms.TABLE)
 
@@ -111,7 +111,13 @@ class Program:
         return self.formalism.lir_of_rir(self.rir)
 
     def cat_text(self) -> str:
-        return self.lir_text() + self.cfg.separator + self.record.y
+        """z_l, the separator and ``y``, which the final step of lir-cat
+        splits at the first separator."""
+        text = self.lir_text() + self.cfg.separator + self.record.y
+        if _split_cat(text, self.cfg) != self.record.y:
+            raise TransformError("z_l holds the separator, so the program "
+                                 "could not be split from it")
+        return text
 
     def varified_text(self) -> str:
         return self.formalism.varify(self.parsed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -50,15 +51,13 @@ class SelectHead(NamedTuple):
             self.variables if term is None else map(term, self.variables))
 
 
-class Triple(NamedTuple):
+class TripleGroup(NamedTuple):
+    """A subject and relation with one or more objects.  A program's triple
+    is a group with one object."""
+
     subject: str
     relation: str
-    object: str
-
-    def render(self, term: Callable[[str], str] | None = None) -> str:
-        if term is None:
-            return f"{self.subject} {self.relation} {self.object}"
-        return f"{term(self.subject)} {self.relation} {term(self.object)}"
+    objects: tuple[str, ...]
 
 
 class Filter(NamedTuple):
@@ -66,38 +65,24 @@ class Filter(NamedTuple):
     op: str
     right: str
 
-    def render(self, term: Callable[[str], str] | None = None) -> str:
-        if term is None:
-            return f"FILTER ( {self.left} {self.op} {self.right} )"
-        return f"FILTER ( {term(self.left)} {self.op} {term(self.right)} )"
 
+Item = Union[TripleGroup, Filter]
 
-Conjunct = Union[Triple, Filter]
+# ``TripleGroup._make`` of a (subject, relation, objects) tuple, without its
+# Python-level frame: parsing and the transforms build one group per triple.
+_make_group = partial(tuple.__new__, TripleGroup)
 
 
 class SparqlQuery(NamedTuple):
+    """A program, or a reversible IR (z_r) of one.
+
+    A parsed program is the z_r with every transform switched off: one
+    object per group, relations in full and no brackets.
+    """
+
     head: SelectHead
-    conjuncts: tuple[Conjunct, ...]
-
-    def triples(self) -> tuple[Triple, ...]:
-        return tuple(c for c in self.conjuncts if isinstance(c, Triple))
-
-
-class TripleGroup(NamedTuple):
-    """One or more triples sharing a subject and relation."""
-
-    subject: str
-    relation: str
-    objects: tuple[str, ...]
-
-
-Group = Union[TripleGroup, Filter]
-
-
-class SparqlRir(NamedTuple):
-    head: SelectHead
-    groups: tuple[Group, ...]
-    bracketed: bool
+    groups: tuple[Item, ...]
+    bracketed: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,13 +123,12 @@ def _term(text: str, toks: list[str], i: int, what: str) -> str:
     return tok
 
 
-def _parse(text: str, ir: bool) -> tuple[SelectHead, list, bool]:
-    """The head and the items up to the closing brace, which must end the
-    input, and whether the items are bracketed.
+def _parse(text: str, ir: bool) -> SparqlQuery:
+    """The query up to the closing brace, which must end the input.
 
     Items are separated by ``.``, or each wrapped in ``( )`` when bracketed.
-    A program's items are triples and filters.  With ``ir`` they are groups
-    and filters, bracketing is detected from the first group, and a group's
+    A program's groups each hold one object and are never bracketed.  With
+    ``ir``, bracketing is detected from the first group, and a group's
     objects are a comma list, or in a bracketed IR a bracketed comma list or
     one bare object.
     """
@@ -169,7 +153,7 @@ def _parse(text: str, ir: bool) -> tuple[SelectHead, list, bool]:
     i = _expect(text, toks, i, "{")
     bracketed = ir and i < n and toks[i] == "("
     separator = "(" if bracketed else "."
-    items: list = []
+    items: list[Item] = []
     while i >= n or toks[i] != "}":
         if i >= n:
             fail_at(text, i, "unterminated body", ("}",))
@@ -189,7 +173,8 @@ def _parse(text: str, ir: bool) -> tuple[SelectHead, list, bool]:
             if len(triple) < 3 or not _RESERVED.isdisjoint(triple):
                 for j, what in enumerate(("subject", "relation", "object")):
                     _term(text, toks, i + j, what)  # raises at the first
-            items.append(Triple._make(triple))
+            subject, relation, obj = triple
+            items.append(_make_group((subject, relation, (obj,))))
             i += 3
         else:
             subject = _term(text, toks, i, "subject")
@@ -204,61 +189,61 @@ def _parse(text: str, ir: bool) -> tuple[SelectHead, list, bool]:
                 i += 2
             if nested:
                 i = _expect(text, toks, i, ")")
-            items.append(TripleGroup(subject, relation, tuple(objects)))
+            items.append(_make_group((subject, relation, tuple(objects))))
         if bracketed:
             i = _expect(text, toks, i, ")")
     if i + 1 < n:
         fail_at(text, i + 1, "trailing tokens after closing brace")
-    return head, items, bracketed
-
-
-def _check_head_vars(text: str, head: SelectHead,
-                     conjuncts: Iterable[Conjunct]) -> None:
-    if head.kind != DISTINCT:
-        return
-    # A triple's subject and object and a filter's operands are its fields
-    # 0 and 2.
-    seen = {t for c in conjuncts for t in (c[0], c[2])}
-    missing = [v for v in head.variables if v not in seen]
-    if missing:
-        fail_at(text, len(text.split()),
-                f"head variable(s) {', '.join(missing)} never used in body")
+    return SparqlQuery(head, tuple(items), bracketed)
 
 
 def parse_sparql(text: str) -> SparqlQuery:
     """Parse one query; raises :class:`ParseError` on malformed input."""
-    head, conjuncts, _ = _parse(text, False)
-    _check_head_vars(text, head, conjuncts)
-    return SparqlQuery(head, tuple(conjuncts))
+    q = _parse(text, False)
+    if q.head.kind == DISTINCT:
+        # Each group of a program holds one object.
+        seen = {g[0] for g in q.groups}
+        seen.update(g.right if type(g) is Filter else g.objects[0]
+                    for g in q.groups)
+        missing = [v for v in q.head.variables if v not in seen]
+        if missing:
+            fail_at(text, len(text.split()), "head variable(s) "
+                    f"{', '.join(missing)} never used in body")
+    return q
 
 
-def _render_group(g: Conjunct | Group, bracketed: bool,
+def _render_group(g: Item, bracketed: bool,
                   term: Callable[[str], str] | None) -> str:
-    if type(g) is TripleGroup:
+    if type(g) is Filter:
+        left, right = g.left, g.right
+        if term is not None:
+            left, right = term(left), term(right)
+        core = f"FILTER ( {left} {g.op} {right} )"
+    elif len(g.objects) == 1:  # a program's triple, rendered in one step
+        if term is None:
+            core = f"{g.subject} {g.relation} {g.objects[0]}"
+        else:  # the subject is mapped before the object
+            core = f"{term(g.subject)} {g.relation} {term(g.objects[0])}"
+    else:
         subject, objects = g.subject, g.objects
         if term is not None:  # the subject is mapped before its objects
             subject, objects = term(subject), map(term, objects)
         objects = " , ".join(objects)
-        if bracketed and len(g.objects) > 1:
+        if bracketed:
             objects = f"( {objects} )"
         core = f"{subject} {g.relation} {objects}"
-    else:
-        core = g.render(term)
     return f"( {core} )" if bracketed else core
 
 
-def _render_program(program: SparqlQuery | SparqlRir,
+def _render_program(program: SparqlQuery,
                     term: Callable[[str], str] | None = None,
                     sort: bool = False, dedupe: bool = False) -> str:
     """The surface form of ``program``, with ``term`` applied to each head
     variable, subject, object and filter operand in reading order, and its
     rendered items deduplicated if ``dedupe`` and sorted if ``sort``."""
     head = program.head.render(term)
-    if type(program) is SparqlQuery:
-        bracketed, parts = False, [c.render(term) for c in program.conjuncts]
-    else:
-        bracketed = program.bracketed
-        parts = [_render_group(g, bracketed, term) for g in program.groups]
+    bracketed = program.bracketed
+    parts = [_render_group(g, bracketed, term) for g in program.groups]
     if dedupe:
         parts = list(dict.fromkeys(parts))
     if sort:
@@ -356,8 +341,8 @@ def build_relation_dict(corpus: Iterable[SparqlQuery]) -> RelationDictionary:
     n_queries = 0
     for q in corpus:
         n_queries += 1
-        for t in q.triples():
-            relations.add(t.relation)
+        relations.update(g.relation for g in q.groups
+                         if type(g) is TripleGroup)
     if n_queries == 0:
         raise TransformError("cannot build a relation dictionary from an "
                              "empty corpus")
@@ -392,19 +377,22 @@ def build_relation_dict(corpus: Iterable[SparqlQuery]) -> RelationDictionary:
 
 def sparql_to_rir(q: SparqlQuery,
                   rdict: RelationDictionary | None = None,
-                  options: RirOptions = RirOptions()) -> SparqlRir:
-    """Group shared-subject/relation triples, truncate relations, bracket."""
+                  options: RirOptions = RirOptions()) -> SparqlQuery:
+    """Group shared-subject/relation triples, truncate relations, bracket.
+
+    ``q`` is a program: each of its groups holds one object.
+    """
     if options.shorten_relations and rdict is None:
         raise TransformError("relation truncation requires a dictionary")
     shorten, merge = options.shorten_relations, options.merge_conjuncts
     # Filters, and groups as (subject, relation, objects), built at the end
     items: list = []
     objects_of: dict[tuple[str, str], list[str]] = {}
-    for c in q.conjuncts:
+    for c in q.groups:
         if type(c) is Filter:
             items.append(c)
             continue
-        subject, relation, obj = c
+        subject, relation, (obj,) = c
         if shorten:
             relation = rdict.shorten(relation)
         if merge and (subject, relation) in objects_of:
@@ -412,35 +400,36 @@ def sparql_to_rir(q: SparqlQuery,
         else:
             objects_of[subject, relation] = objects = [obj]
             items.append((subject, relation, objects))
-    return SparqlRir(q.head, tuple([
-        g if type(g) is Filter else TripleGroup(g[0], g[1], tuple(g[2]))
+    return SparqlQuery(q.head, tuple([
+        g if type(g) is Filter else _make_group((g[0], g[1], tuple(g[2])))
         for g in items]), options.brackets)
 
 
-def render_rir(z: SparqlRir) -> str:
+def render_rir(z: SparqlQuery) -> str:
     """Surface form: bracketed groups are space-joined, plain ones dotted."""
     return _render_program(z)
 
 
-def parse_rir(text: str) -> SparqlRir:
+def parse_rir(text: str) -> SparqlQuery:
     """Parse an IR surface string; bracketing is detected from the first
     group."""
-    head, groups, bracketed = _parse(text, True)
-    return SparqlRir(head, tuple(groups), bracketed)
+    return _parse(text, True)
 
 
-def sparql_from_rir(z: SparqlRir,
+def sparql_from_rir(z: SparqlQuery,
                     rdict: RelationDictionary | None = None) -> SparqlQuery:
     """Expand groups back into triples and restore full relation names."""
-    conjuncts: list[Conjunct] = []
+    items: list[Item] = []
     for g in z.groups:
-        if isinstance(g, Filter):
-            conjuncts.append(g)
+        if type(g) is Filter:
+            items.append(g)
             continue
-        relation = rdict.restore(g.relation) if rdict else g.relation
-        for obj in g.objects:
-            conjuncts.append(Triple(g.subject, relation, obj))
-    return SparqlQuery(z.head, tuple(conjuncts))
+        subject, relation, objects = g
+        if rdict:
+            relation = rdict.restore(relation)
+        for obj in objects:
+            items.append(_make_group((subject, relation, (obj,))))
+    return SparqlQuery(z.head, tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +446,23 @@ def _anonymize_term(t: str) -> str:
     return t
 
 
-def sparql_to_lir(program: SparqlQuery | SparqlRir) -> str:
+def sparql_to_lir(program: SparqlQuery) -> str:
     """Replace every variable and entity (head included) with ``var``."""
     return _render_program(program, _anonymize_term)
 
 
 def varify(q: SparqlQuery) -> str:
-    """Original surface form with ``var`` prepended to variables/entities."""
+    """Original surface form with ``var`` prepended to variables/entities.
+
+    A program that holds a term ``var`` raises :class:`TransformError`:
+    :func:`strip_var_markers` would drop it.
+    """
+    for g in q.groups:  # a filter's fields, or a group's and its objects
+        if VAR_TOKEN in g or (type(g) is TripleGroup
+                              and VAR_TOKEN in g.objects):
+            raise TransformError(
+                f"program holds the term {VAR_TOKEN!r}, which marks "
+                "variables and entities in the VARified form")
 
     def mark(t: str) -> str:
         if is_variable(t) or is_entity(t):
@@ -485,13 +484,13 @@ def normalize_sparql(q: SparqlQuery) -> SparqlQuery:
     implements the byte-order contract.
     """
     rendered = {}
-    for c in q.conjuncts:
-        rendered.setdefault(c.render(), c)
+    for c in q.groups:
+        rendered.setdefault(_render_group(c, q.bracketed, None), c)
     ordered = tuple(rendered[k] for k in sorted(rendered))
-    return SparqlQuery(q.head, ordered)
+    return q._replace(groups=ordered)
 
 
-def structure_signature(program: SparqlQuery | SparqlRir) -> str:
+def structure_signature(program: SparqlQuery) -> str:
     """Canonical structural form: entities masked, variables renumbered.
 
     Variables keep their co-reference pattern (first occurrence order before

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -33,3 +34,14 @@ def sql_records():
 @pytest.fixture(scope="session")
 def scan_records():
     return list(data.read_scan_records(DATA_DIR / "scan_sample.txt"))
+
+
+@pytest.fixture(scope="session")
+def differential():
+    """``scripts/differential.py``, whose ``mutate`` builds seeded token
+    mutations of the fixture programs."""
+    path = Path(__file__).parents[1] / "scripts" / "differential.py"
+    spec = importlib.util.spec_from_file_location("differential", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -143,8 +143,10 @@ def test_p4_example_strings(sql_records):
                    " ".join(actions) == "LTURN LTURN LTURN LTURN"))
 
     q = sparql.SparqlQuery(sparql.SelectHead(sparql.COUNT), (
-        sparql.Triple("?x0", "r1", "M1"), sparql.Triple("?x0", "r1", "M2"),
-        sparql.Triple("?x0", "r2", "M1"), sparql.Triple("?x0", "r2", "M2")))
+        sparql.TripleGroup("?x0", "r1", ("M1",)),
+        sparql.TripleGroup("?x0", "r1", ("M2",)),
+        sparql.TripleGroup("?x0", "r2", ("M1",)),
+        sparql.TripleGroup("?x0", "r2", ("M2",))))
     z = sparql.sparql_to_rir(q, options=sparql.RirOptions(
         shorten_relations=False))
     checks.append(("conjunct grouping", z.groups == (

@@ -137,6 +137,20 @@ def test_sparql_dict_build_skips_an_unparseable_record(ws):
                 == metrics.comparison_key("sparql", record.y))
 
 
+def test_varify_quarantines_a_program_holding_the_marker(ws):
+    src, out = ws / "marked.jsonl", ws / "varified.tsv"
+    rows = [{"id": "bad", "x": "q",
+             "y": "SELECT count(*) WHERE { ?x0 var M1 }"},
+            {"id": "ok", "x": "q", "y": "SELECT count(*) WHERE { ?x0 r M1 }"}]
+    src.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert run("transform", "--formalism", "sparql", "--ir", "varify",
+               "--in", src, "--out", out) == 0
+    assert list(data.read_pairs_tsv(out)) == [
+        ("ok", "SELECT count(*) WHERE { var ?x0 r var M1 }")]
+    quarantined = data.read_quarantine(f"{out}.quarantine.jsonl")
+    assert [e.id for e in quarantined] == ["bad"]
+
+
 def test_varify_template_formalism_checks(ws):
     assert run("transform", "--formalism", "scan", "--ir", "varify",
                "--in", ws / "scan_sample.txt", "--out", ws / "x.tsv") == 2

@@ -101,12 +101,62 @@ def test_lir_cat_target_and_budget(corpora):
     assert all(p.target.count(" ; ") >= 1 for p in pairs)
 
 
+_SQL_CITY = ('SELECT CITYalias0.CITY_NAME FROM CITY AS CITYalias0 WHERE '
+             'CITYalias0.NAME = ')
+
+
+# The final step of lir-cat splits at the first separator, so a z_l that
+# holds it would give back a wrong program; a y that holds it is split off
+# whole.
+@pytest.mark.parametrize("formalism, x, y, separator", [
+    ("sparql", "q", "SELECT count(*) WHERE { ?x0 ; M1 }", " ; "),
+    ("sql", "q", _SQL_CITY + '" ; "', " ; "),
+    ("scan", "jump twice", "JUMP JUMP", " A "),
+])
+def test_lir_cat_quarantines_a_z_l_that_holds_the_separator(formalism, x, y,
+                                                            separator):
+    cfg = pipeline.PipelineConfig(formalism, separator=separator)
+    quarantined = []
+    pairs = list(pipeline.prepare_stage1([ExampleRecord("0", x, y)],
+                                         pipeline.LIR_CAT, cfg, quarantined))
+    assert pairs == []
+    assert [(e.id, e.stage, e.reason) for e in quarantined] == [
+        ("0", "stage1", "z_l holds the separator, so the program could not "
+         "be split from it")]
+
+
+@pytest.mark.parametrize("formalism, x, y, separator", [
+    ("sparql", "q", "SELECT count(*) WHERE { ?x0 r M1 }", " M1 "),
+    ("sql", "q", _SQL_CITY + '"a"', " CITYalias0.NAME "),
+    ("scan", "jump thrice", "JUMP JUMP JUMP", " JUMP "),
+])
+def test_lir_cat_keeps_a_y_that_holds_the_separator(formalism, x, y,
+                                                    separator):
+    cfg = pipeline.PipelineConfig(formalism, separator=separator)
+    record = ExampleRecord("0", x, y)
+    assert separator in y
+    assert run_gold_pipeline([record], pipeline.LIR_CAT, cfg) == [("0", y)]
+
+
 def test_varified_stage1(sparql_records, relation_dict):
     cfg = sparql_cfg(relation_dict)
     pairs = pipeline.prepare_stage1(sparql_records[:5], pipeline.VARIFIED,
                                     cfg, [])
     for record, pair in zip(sparql_records, pairs):
         assert sparql.strip_var_markers(pair.target) == record.y
+
+
+def test_varified_quarantines_a_program_holding_the_marker():
+    cfg = pipeline.PipelineConfig("sparql")
+    records = [
+        ExampleRecord("bad", "q", "SELECT count(*) WHERE { ?x0 var M1 }"),
+        ExampleRecord("ok", "q", "SELECT count(*) WHERE { ?x0 r M1 }")]
+    quarantined = []
+    pairs = list(pipeline.prepare_stage1(records, pipeline.VARIFIED, cfg,
+                                         quarantined))
+    assert [p.target for p in pairs] == [
+        "SELECT count(*) WHERE { var ?x0 r var M1 }"]
+    assert [(e.id, e.stage) for e in quarantined] == [("bad", "stage1")]
 
 
 def test_varified_rejected_for_other_formalisms():

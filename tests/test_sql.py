@@ -1,8 +1,6 @@
-import importlib.util
 import random
 import re
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -407,18 +405,10 @@ def test_alias_rule_rejections(text, message):
     assert str(err.value) == message
 
 
-def _differential():
-    path = Path(__file__).parents[1] / "scripts" / "differential.py"
-    spec = importlib.util.spec_from_file_location("differential", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_transform_inverts_exactly_and_keeps_lossy_irs_equal(sql_records):
+def test_transform_inverts_exactly_and_keeps_lossy_irs_equal(sql_records,
+                                                             differential):
     # The fixture programs and seeded token mutations of them, as
     # scripts/differential.py builds its sql inputs.
-    differential = _differential()
     programs = [record.y for record in sql_records]
     rng = random.Random("sql alias rule")
     texts = programs + [differential.mutate(rng, rng.choice(programs),
