@@ -65,6 +65,12 @@ def _sparql_form(q) -> tuple:
              for c in items])
 
 
+def _lossy_of_rir(row):
+    """A formalism row's z_r -> z_{l,r} function: ``to_lir``, or the
+    ``lir_of_rir`` column of a tree whose table has a second lossy one."""
+    return getattr(row, "lir_of_rir", row.to_lir)
+
+
 def sparql_parse(text: str) -> tuple:
     from irkit import sparql
     return _sparql_form(sparql.parse_sparql(text))
@@ -106,7 +112,7 @@ def sparql_transform(text: str) -> tuple[str, ...]:
     rirs = [sparql.sparql_to_rir(q, rdict, sparql.RirOptions(*flags))
             for flags in itertools.product((True, False), repeat=3)]
     return (*map(sparql.render_rir, rirs),
-            *map(formalisms.TABLE["sparql"].lir_of_rir, rirs),
+            *map(_lossy_of_rir(formalisms.TABLE["sparql"]), rirs),
             sparql.sparql_to_lir(q), sparql.varify(q),
             sparql.structure_signature(q), sparql.structure_signature(rirs[0]))
 
@@ -159,9 +165,12 @@ def sql_parse(text: str) -> tuple:
 
 
 def sql_from_lexed_rir(text: str) -> tuple:
+    """The restored query of z_r's tokens, which a tree that wraps them in
+    an ``SqlRir`` takes wrapped."""
     from irkit import sql
-    z = sql.SqlRir(tuple(sql.lex_sql(text)))
-    return _query_form(sql.sql_from_rir(z))
+    tokens = tuple(sql.lex_sql(text))
+    return _query_form(sql.sql_from_rir(
+        sql.SqlRir(tokens) if hasattr(sql, "SqlRir") else tokens))
 
 
 def sql_transform(text: str) -> tuple[str, ...]:
@@ -170,9 +179,17 @@ def sql_transform(text: str) -> tuple[str, ...]:
     from irkit import formalisms, sql
     q = sql.parse_sql(text)
     z = sql.sql_to_rir(q)
-    return (z.render(), sql.sql_to_lir(q).render(),
-            formalisms.TABLE["sql"].lir_of_rir(z),
+    lir = sql.sql_to_lir(q)  # an ``SqlLir`` in a tree that has one
+    return (z.render(), lir if isinstance(lir, str) else lir.render(),
+            _lossy_of_rir(formalisms.TABLE["sql"])(z),
             sql.sql_template_signature(q))
+
+
+def sql_lossy_of_rir(text: str) -> str:
+    """z_{l,r} of a predicted z_r, as ``postprocess --mode lir-i-rir``
+    writes it."""
+    from irkit import pipeline
+    return pipeline._lir_of_rir(text, pipeline.PipelineConfig("sql"))
 
 
 # name -> (base inputs, vocabulary for insertions and replacements, and the
@@ -187,6 +204,7 @@ FUNCTIONS = {
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
     "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_lexed_rir),
     "sql.transform": (_sql_programs, SQL_VOCAB, sql_transform),
+    "sql.lossy_of_rir": (_sql_rirs, SQL_VOCAB, sql_lossy_of_rir),
 }
 
 

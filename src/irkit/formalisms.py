@@ -24,9 +24,10 @@ class Formalism:
     ``p`` a ``pipeline.Program`` (one record, its parsed program and cfg).
 
     A z_r object is what ``to_rir`` and ``parse_rir`` return and what
-    ``render_rir`` and ``lir_of_rir`` take: the parsed reversible IR for
-    sparql, the bracketed token list for scan, and the ``SqlRir`` token
-    stream for sql.
+    ``render_rir`` takes: a ``SparqlQuery`` for sparql, the bracketed token
+    list for scan, and an ``SqlQuery`` of the renamed tokens for sql.
+    ``to_lir`` takes a program or a z_r object alike, so z_{l,r} is
+    ``to_lir`` of z_r.
     """
 
     parse: Callable[[str], Any]  # program text -> program
@@ -34,8 +35,7 @@ class Formalism:
     render_rir: Callable[[Any], str]
     parse_rir: Callable[[str], Any]  # z_r text (a prediction) -> z_r object
     from_rir: Callable[[str, Any], str]  # z_r text, cfg -> program text
-    to_lir: Callable[[Any], str]  # program -> z_l text
-    lir_of_rir: Callable[[Any], str]  # z_r object -> z_{l,r} text
+    to_lir: Callable[[Any], str]  # program or z_r object -> z_l text
     key: Callable[[str], str]  # program text -> exact-match scoring form
     structure: Callable[[str], str]  # program or z_r text -> structure
     needs_dict: bool = False  # z_r depends on the relation dictionary
@@ -75,10 +75,6 @@ def _scan_parse_rir(text: str) -> list[str]:
     return tokens
 
 
-def _sql_parse_rir(text: str) -> sql_ir.SqlRir:
-    return sql_ir.SqlRir(tuple(sql_ir.lex_sql(text)))
-
-
 def _scan_lir(tokens: list[str]) -> str:
     return scan_ir.render_actions(scan_ir.scan_to_lir(tokens))
 
@@ -93,7 +89,6 @@ TABLE: dict[str, Formalism] = {
             sparql_ir.sparql_from_rir(sparql_ir.parse_rir(t),
                                       cfg.relation_dict)),
         to_lir=lambda q: sparql_ir.sparql_to_lir(q),
-        lir_of_rir=lambda z: sparql_ir.sparql_to_lir(z),
         # render_sparql(normalize_sparql(q)), rendering each conjunct once
         key=lambda t: sparql_ir._render_program(
             sparql_ir.parse_sparql(t), sort=True, dedupe=True),
@@ -105,12 +100,10 @@ TABLE: dict[str, Formalism] = {
         parse=lambda t: sql_ir.parse_sql(t),
         to_rir=lambda p: sql_ir.sql_to_rir(p.parsed),
         render_rir=lambda z: z.render(),
-        parse_rir=_sql_parse_rir,
+        parse_rir=lambda t: sql_ir.parse_rir(t),
         from_rir=lambda t, cfg: sql_ir.sql_from_rir(
-            _sql_parse_rir(t)).render(),
-        to_lir=lambda q: sql_ir.sql_to_lir(q).render(),
-        lir_of_rir=lambda z: sql_ir.sql_to_lir(
-            sql_ir.query_of_rir(z)).render(),
+            tuple(sql_ir.lex_sql(t))).render(),
+        to_lir=lambda q: sql_ir.sql_to_lir(q),
         key=_normalize_whitespace,
         structure=lambda t: sql_ir.sql_template_signature(
             sql_ir.parse_sql(t)),
@@ -123,7 +116,6 @@ TABLE: dict[str, Formalism] = {
         from_rir=lambda t, cfg: scan_ir.render_actions(
             scan_ir.strip_brackets(t)),
         to_lir=_scan_lir,
-        lir_of_rir=_scan_lir,
         key=_normalize_whitespace,
         structure=_normalize_whitespace),
 }

@@ -52,6 +52,9 @@ class PipelineConfig:
         formalisms.get(self.formalism)
         if not self.separator:
             raise ConfigError("separator must be non-empty")
+        if self.cat_budget < 1:
+            raise ConfigError("cat budget must be at least 1 token, not "
+                              f"{self.cat_budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +111,7 @@ class Program:
 
     def lir_rir_text(self) -> str:
         """z_{l,r}: the reversible transform first, then the lossy one."""
-        return self.formalism.lir_of_rir(self.rir)
+        return self.formalism.to_lir(self.rir)
 
     def cat_text(self) -> str:
         """z_l, the separator and ``y``, which the final step of lir-cat
@@ -162,7 +165,7 @@ def _lir_of_rir(text: str, cfg: PipelineConfig) -> str:
     """z_{l,r} of a predicted z_r: the path ``Program.lir_rir_text`` takes
     for gold ``y``."""
     f = formalisms.TABLE[cfg.formalism]
-    return f.lir_of_rir(f.parse_rir(text))
+    return f.to_lir(f.parse_rir(text))
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,12 @@ def sparql_to_rir(q: SparqlQuery,
         if type(c) is Filter:
             items.append(c)
             continue
-        subject, relation, (obj,) = c
+        try:
+            subject, relation, (obj,) = c
+        except ValueError:
+            raise TransformError(
+                "sparql_to_rir takes a program: each group holds one "
+                f"object, not {len(c[2])}") from None
         if shorten:
             relation = rdict.shorten(relation)
         if merge and (subject, relation) in objects_of:

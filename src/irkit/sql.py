@@ -115,39 +115,14 @@ class Block:
 
 @dataclass(slots=True)
 class SqlQuery:
+    """A program or its z_r: the tokens and what ``_query`` found in them."""
+
     tokens: tuple[str, ...]
     quoted: tuple[bool, ...]  # ``_quoted(tokens)``
     values: tuple[bool, ...]  # ``_values(tokens, quoted, declared)``
     block: Block
     depths: tuple[int, ...]  # ``_paren_depths(tokens)``
     declared: dict[str, str]  # declared alias -> table, from every FROM
-
-    def render(self) -> str:
-        return render_sql(self.tokens)
-
-
-@dataclass(frozen=True, slots=True)
-class SqlRir:
-    """Token stream with the ``alias`` infix removed from table aliases.
-
-    The tokens are ones ``lex_sql`` yields (for a prediction) or ones
-    ``sql_to_rir`` rewrote from them, so they parse as tokens, with no
-    render and re-lex.  ``query`` is z_r's query when ``sql_to_rir`` made
-    z_r from a program (see ``_renames``); a z_r read from text has none.
-    """
-
-    tokens: tuple[str, ...]
-    query: SqlQuery | None = None
-
-    def render(self) -> str:
-        return render_sql(self.tokens)
-
-
-@dataclass(frozen=True, slots=True)
-class SqlLir:
-    """Coarse sketch: no FROM clauses, masked tables, no join conditions."""
-
-    tokens: tuple[str, ...]
 
     def render(self) -> str:
         return render_sql(self.tokens)
@@ -276,13 +251,12 @@ def _fail_rendered(tokens: Sequence[str]) -> _Fail:
                                       token=_TOKEN_RE)
 
 
-def query_of_rir(z: SqlRir) -> SqlQuery:
-    """The query of z_r's tokens, as ``parse_sql(z.render())`` gives it,
-    errors and offsets too, for tokens that ``lex_sql`` yields.  A z_r
-    rewritten from a program carries its query, and nothing is analysed
-    again."""
-    return z.query or _query(z.tokens, _quoted(z.tokens),
-                             _fail_rendered(z.tokens))
+def parse_rir(text: str) -> SqlQuery:
+    """The query of a predicted z_r: ``parse_sql`` of its text, but a
+    ``ParseError`` after lexing is at a byte offset in
+    ``render_sql(tokens)``, as ``sql_from_rir``'s are."""
+    tokens = tuple(lex_sql(text))
+    return _query(tokens, _quoted(tokens), _fail_rendered(tokens))
 
 
 def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
@@ -385,34 +359,36 @@ def _renames(tokens: Sequence[str], declared: dict[str, str],
     return renames
 
 
-def sql_to_rir(q: SqlQuery) -> SqlRir:
-    """Rename each declared ``Xalias<N>`` to ``X<N>``, as a token and as a
-    qualifier, in a program that meets the alias rule (``_renames``)."""
+def sql_to_rir(q: SqlQuery) -> SqlQuery:
+    """z_r: rename each declared ``Xalias<N>`` to ``X<N>``, as a token and
+    as a qualifier, in a program that meets the alias rule (``_renames``),
+    and keep the program's flags, depths and block tree."""
     renames = _renames(q.tokens, q.declared, True)
     tokens = tuple([renames.get(tok, tok) for tok in q.tokens])
-    return SqlRir(tokens, SqlQuery(
-        tokens, q.quoted, q.values, q.block, q.depths,
-        {renames[alias]: table for alias, table in q.declared.items()}))
+    return SqlQuery(tokens, q.quoted, q.values, q.block, q.depths,
+                    {renames[alias]: table
+                     for alias, table in q.declared.items()})
 
 
-def sql_from_rir(z: SqlRir) -> SqlQuery:
-    """Re-insert ``alias`` before the trailing digits of every table alias,
-    using the FROM declarations to decide which tokens are aliases.  A
-    ``ParseError``'s offset is a byte offset in ``z.render()``."""
-    fail, quoted = _fail_rendered(z.tokens), _quoted(z.tokens)
-    for tok, q in zip(z.tokens, quoted):
+def sql_from_rir(tokens: tuple[str, ...]) -> SqlQuery:
+    """Re-insert ``alias`` before the trailing digits of every table alias
+    in z_r's tokens, using the FROM declarations to decide which tokens are
+    aliases.  A ``ParseError``'s offset is a byte offset in
+    ``render_sql(tokens)``."""
+    fail, quoted = _fail_rendered(tokens), _quoted(tokens)
+    for tok, q in zip(tokens, quoted):
         if not q and "alias" in tok and _ALIAS_TOKEN_RE.search(tok):
             raise InversionError(
                 f"input already contains an alias token: {tok!r}")
-    depths = _paren_depths(z.tokens, quoted)
-    block = _segment(z.tokens, depths, fail)
-    declared = _collect_aliases(z.tokens, block, fail)
-    renames = _renames(z.tokens, declared, False)
+    depths = _paren_depths(tokens, quoted)
+    block = _segment(tokens, depths, fail)
+    declared = _collect_aliases(tokens, block, fail)
+    renames = _renames(tokens, declared, False)
     # A restored name holds the parens and the first character of the name
     # it replaces and is no clause keyword, so z's quote flags, depths and
     # block tree are the program's.  A table token can be restored too
     # (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
-    return _query(tuple([renames.get(tok, tok) for tok in z.tokens]),
+    return _query(tuple([renames.get(tok, tok) for tok in tokens]),
                   quoted, fail, depths, block,
                   {renames.get(alias, alias): renames.get(table, table)
                    for alias, table in declared.items()})
@@ -468,8 +444,9 @@ def classify_condition(q: SqlQuery, span: tuple[int, int]) -> str:
     return SEMANTIC
 
 
-def sql_to_lir(q: SqlQuery) -> SqlLir:
-    """Drop FROM clauses and join-only conditions, mask alias qualifiers."""
+def sql_to_lir(q: SqlQuery) -> str:
+    """The lossy IR of a program or its z_r: drop FROM clauses and
+    join-only conditions, mask alias qualifiers."""
     keep = [True] * len(q.tokens)
     declared = q.declared
 
@@ -510,7 +487,7 @@ def sql_to_lir(q: SqlQuery) -> SqlLir:
             masked.append(TABLE_MASK + rest)
             continue
         masked.append(tok)
-    return SqlLir(tuple(masked))
+    return render_sql(masked)
 
 
 def sql_template_signature(q: SqlQuery) -> str:

@@ -183,11 +183,17 @@ def test_varify_template_formalism_checks(ws):
       "d.json": '{"a": ' + "7" * 5000 + "}"}),
     (["invert", "--formalism", "sparql", "--dict", "d.json"],
      {"in.jsonl": "0\tSELECT count(*) WHERE { }\n", "d.json": "[" * 200_000}),
+    (["prepare", "--formalism", "scan", "--mode", "lir-cat",
+      "--cat-budget", "0"],
+     {"in.jsonl": '{"id": "0", "x": "jump", "y": "JUMP"}\n'}),
+    (["prepare", "--formalism", "scan", "--mode", "lir-cat",
+      "--cat-budget", "-3"],
+     {"in.jsonl": '{"id": "0", "x": "jump", "y": "JUMP"}\n'}),
 ], ids=["jsonl-not-object", "jsonl-non-string-y", "dict-bad-json",
         "dict-not-object", "input-not-utf8", "jsonl-lone-surrogate",
         "jsonl-id-with-tab", "jsonl-id-over-digit-limit",
         "jsonl-nested-too-deep", "dict-int-over-digit-limit",
-        "dict-nested-too-deep"])
+        "dict-nested-too-deep", "cat-budget-zero", "cat-budget-negative"])
 def test_malformed_input_exits_2_with_one_line(ws, capsys, argv, files):
     for name, content in files.items():
         (ws / name).write_bytes(

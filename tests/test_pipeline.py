@@ -40,7 +40,9 @@ def run_gold_pipeline(records, mode, cfg):
     stage2 = list(pipeline.prepare_stage2(records, mode, cfg, quarantined))
     assert not quarantined
     gold2 = {p.id: p.target for p in stage2}
-    assert [i for i, _ in post] == [p.id for p in stage2]
+    # A gold stage-1 output gives stage 2 its gold sources: in lir-i-rir,
+    # to_lir(parse_rir(render_rir(z))) is Program.lir_rir_text().
+    assert post == [(p.id, p.source) for p in stage2]
     preds2 = [(record_id, gold2[record_id]) for record_id, _ in post]
     final = list(pipeline.finalize(preds2, mode, cfg, quarantined, records))
     assert not quarantined

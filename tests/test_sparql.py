@@ -321,6 +321,15 @@ def test_shorten_without_dict_is_an_error():
         sp.sparql_to_rir(q("SELECT count(*) WHERE { }"), None, ALL_ON)
 
 
+def test_to_rir_rejects_a_z_r_with_a_merged_group(relation_dict):
+    z = sp.parse_rir("SELECT count(*) WHERE { "
+                     "( ?x0 ns:film.film.directed_by ( M1 , M2 ) ) }")
+    with pytest.raises(TransformError) as err:
+        sp.sparql_to_rir(z, relation_dict, ALL_ON)
+    assert str(err.value) == ("sparql_to_rir takes a program: each group "
+                              "holds one object, not 2")
+
+
 def test_bracketed_render_shape(relation_dict):
     query = q("SELECT count(*) WHERE { ?x0 ns:people.person.gender M0 . "
               "?x0 ns:people.person.gender M1 . FILTER ( ?x0 != ?x1 ) . ?x1 a M0 }")

@@ -178,6 +178,18 @@ def test_parse_error_offsets_are_bytes_in_the_text(text, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("  \n", 0),
+    ("\tSELECT  é ) FROM", 10),
+    ("SELECT é\u3000ORDER  x", 16),
+])
+def test_parse_rir_offsets_are_bytes_in_the_rendered_tokens(text, offset):
+    # As sql_from_rir's are: a predicted z_r's spacing is not kept.
+    with pytest.raises(ParseError) as err:
+        sql.parse_rir(text)
+    assert err.value.offset == offset
+
+
 _SUB_IN_WHERE = [(0, 17, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 17)],
                   [(10, 16)]),
                  (10, 16, [("SELECT", 10, 12), ("FROM", 12, 16)], [])]
@@ -188,7 +200,7 @@ def _error(message, offset):
     return ParseError, f"{message} (at byte offset {offset})"
 
 
-# name: (token stream, outcome of query_of_rir, outcome of sql_from_rir
+# name: (token stream, outcome of parse_rir, outcome of sql_from_rir
 # or None when it is the same).  An outcome is every block in walk order as
 # (start, end, [(clause, start, end)], [child (start, end)]), or the error's
 # type and message, which ends with its byte offset in the text.  The
@@ -307,7 +319,7 @@ def test_multi_paren_token_segmentation(name):
 def _check_segmentation(text, parsed, from_rir):
     tokens = tuple(text.split())
     assert _segmentation(_query_of_tokens, tokens) == parsed
-    assert (_segmentation(lambda t: sql.sql_from_rir(sql.SqlRir(t)), tokens)
+    assert (_segmentation(sql.sql_from_rir, tokens)
             == (parsed if from_rir is None else from_rir))
 
 
@@ -342,7 +354,7 @@ def test_rir_never_contains_alias_substring(sql_records):
 def test_corpus_rir_round_trip_byte_exact(sql_records):
     for record in sql_records:
         q = sql.parse_sql(record.y)
-        restored = sql.sql_from_rir(sql.sql_to_rir(q))
+        restored = sql.sql_from_rir(sql.sql_to_rir(q).tokens)
         assert restored.tokens == q.tokens
 
 
@@ -356,7 +368,7 @@ def test_inverse_segments_z_once_into_the_programs_query(sql_records,
         q = sql.parse_sql(record.y)
         z = sql.sql_to_rir(q)
         calls.clear()
-        assert sql.sql_from_rir(z) == q
+        assert sql.sql_from_rir(z.tokens) == q
         assert len(calls) == 1
 
 
@@ -426,9 +438,8 @@ def test_transform_inverts_exactly_and_keeps_lossy_irs_equal(sql_records,
             rejected += 1
             continue
         accepted += 1
-        assert sql.sql_from_rir(z) == q, text
-        assert (formalisms.TABLE["sql"].lir_of_rir(z)
-                == sql.sql_to_lir(q).render()), text
+        assert sql.sql_from_rir(z.tokens) == q, text
+        assert formalisms.TABLE["sql"].to_lir(z) == sql.sql_to_lir(q), text
     assert accepted > len(programs) and rejected > 0
 
 
@@ -439,11 +450,13 @@ def test_query_of_a_programs_rir_analyses_nothing_again(sql_records,
         monkeypatch.setattr(sql, name, lambda *args, _fn=getattr(sql, name):
                             calls.append(_fn.__name__) or _fn(*args))
     for record in sql_records:
-        z = sql.sql_to_rir(sql.parse_sql(record.y))
-        analysed = _query_of_tokens(z.tokens)
+        q = sql.parse_sql(record.y)
         calls.clear()
-        assert sql.query_of_rir(z) == analysed
+        z = sql.sql_to_rir(q)
+        lir = formalisms.TABLE["sql"].to_lir(z)
         assert calls == []
+        assert z == _query_of_tokens(z.tokens)
+        assert lir == sql.sql_to_lir(q)
 
 
 def test_to_rir_makes_no_regex_substitution(sql_records):
@@ -465,21 +478,21 @@ def test_to_rir_makes_no_regex_substitution(sql_records):
 
 
 def test_from_rir_requires_declared_alias():
-    z = sql.SqlRir(tuple(
-        "SELECT FLIGHT0.X FROM FLIGHT AS FLIGHT0 WHERE B1.Y = 2".split()))
+    z = tuple(
+        "SELECT FLIGHT0.X FROM FLIGHT AS FLIGHT0 WHERE B1.Y = 2".split())
     with pytest.raises(InversionError):
         sql.sql_from_rir(z)
 
 
 def test_from_rir_rejects_non_canonical_declaration():
-    z = sql.SqlRir(tuple("SELECT F0.X FROM FLIGHT AS F0".split()))
+    z = tuple("SELECT F0.X FROM FLIGHT AS F0".split())
     with pytest.raises(InversionError):
         sql.sql_from_rir(z)
 
 
 def test_from_rir_rejects_leftover_alias_tokens():
-    z = sql.SqlRir(tuple(
-        "SELECT FLIGHTalias0.X FROM FLIGHT AS FLIGHTalias0".split()))
+    z = tuple(
+        "SELECT FLIGHTalias0.X FROM FLIGHT AS FLIGHTalias0".split())
     with pytest.raises(InversionError):
         sql.sql_from_rir(z)
 
@@ -491,7 +504,7 @@ def test_self_join_aliases_restore_distinctly():
     q = sql.parse_sql(text)
     z = sql.sql_to_rir(q)
     assert "FLIGHT0" in z.tokens[z.tokens.index("FROM"):]
-    assert sql.sql_from_rir(z).render() == text
+    assert sql.sql_from_rir(z.tokens).render() == text
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +568,14 @@ def test_lir_drops_from_masks_tables_removes_joins():
             'FLIGHT AS FLIGHTalias0 WHERE FLIGHTalias0.AIRLINE_CODE = "UA" '
             'AND FLIGHTalias0.AIRPORT = AIRPORTalias0.AIRPORT')
     lir = sql.sql_to_lir(sql.parse_sql(text))
-    assert lir.render() == 'SELECT T.FLIGHT_ID WHERE T.AIRLINE_CODE = "UA"'
+    assert lir == 'SELECT T.FLIGHT_ID WHERE T.AIRLINE_CODE = "UA"'
 
 
 def test_lir_drops_where_when_all_joins():
     text = ("SELECT Aalias0.X FROM A AS Aalias0 , B AS Balias0 "
             "WHERE Aalias0.K = Balias0.K")
     lir = sql.sql_to_lir(sql.parse_sql(text))
-    assert lir.render() == "SELECT T.X"
+    assert lir == "SELECT T.X"
 
 
 def test_lir_keeps_leading_semantic_condition():
@@ -570,12 +583,12 @@ def test_lir_keeps_leading_semantic_condition():
             'Aalias0.K = Balias0.K AND Aalias0.V = 3 AND Balias0.W = Aalias0.W '
             'AND Balias0.U = "z"')
     lir = sql.sql_to_lir(sql.parse_sql(text))
-    assert lir.render() == 'SELECT T.X WHERE T.V = 3 AND T.U = "z"'
+    assert lir == 'SELECT T.X WHERE T.V = 3 AND T.U = "z"'
 
 
 def test_lir_matches_rule_by_rule_oracle(sql_records):
     for record in sql_records:
-        lib = sql.sql_to_lir(sql.parse_sql(record.y)).render()
+        lib = sql.sql_to_lir(sql.parse_sql(record.y))
         assert lib == oracle_sql_lir(record.y), record.id
 
 
@@ -586,8 +599,8 @@ def test_lir_has_no_from_alias_or_table_tokens(sql_records):
                            for i in range(len(q.tokens))
                            if q.tokens[i].upper() == "AS" and i > 0}
         lir = sql.sql_to_lir(q)
-        assert "alias" not in lir.render()
-        for tok in lir.tokens:
+        assert "alias" not in lir
+        for tok in sql.lex_sql(lir):
             assert tok.upper() != "FROM"
             assert tok not in declared_tables
 
@@ -595,8 +608,8 @@ def test_lir_has_no_from_alias_or_table_tokens(sql_records):
 def test_lir_is_idempotent(sql_records):
     for record in sql_records:
         once = sql.sql_to_lir(sql.parse_sql(record.y))
-        again = sql.sql_to_lir(sql.parse_sql(once.render()))
-        assert again.tokens == once.tokens
+        again = sql.sql_to_lir(sql.parse_sql(once))
+        assert again == once
 
 
 def test_lir_is_subsequence_with_substitutions(sql_records):
@@ -605,7 +618,7 @@ def test_lir_is_subsequence_with_substitutions(sql_records):
     for record in sql_records:
         q = sql.parse_sql(record.y)
         rir_tokens = sql.sql_to_rir(q).tokens
-        lir_tokens = sql.sql_to_lir(q).tokens
+        lir_tokens = sql.lex_sql(sql.sql_to_lir(q))
         i = 0
         for lt in lir_tokens:
             while i < len(rir_tokens):
@@ -662,32 +675,31 @@ def _outcome(fn, *args):
 
 def _query_of_tokens(tokens):
     """The query of a predicted z_r's tokens, which has no block tree."""
-    return sql.query_of_rir(sql.SqlRir(tuple(tokens)))
+    return sql.parse_rir(sql.render_sql(tokens))
 
 
 def _check_token_parse(tokens):
-    """``query_of_rir`` of a bare token stream against parsing the rendered
-    text, and the paths built on it against the render-and-re-lex
+    """``parse_rir`` of a token stream's text against ``parse_sql`` of it,
+    and the paths built on it against the render-and-re-lex
     compositions."""
     tokens = tuple(tokens)
     text = sql.render_sql(tokens)
     q = _outcome(_query_of_tokens, tokens)
     assert q == _outcome(sql.parse_sql, text)
-    restored = _outcome(sql.sql_from_rir, sql.SqlRir(tokens))
+    restored = _outcome(sql.sql_from_rir, tokens)
     for outcome in (q, restored):
         if isinstance(outcome, tuple) and outcome[0] is ParseError:
             assert outcome[2] is not None  # every parse error has an offset
     if isinstance(restored, sql.SqlQuery):
         assert restored == sql.parse_sql(restored.render())
     z = _outcome(sql.sql_to_rir, q) if isinstance(q, sql.SqlQuery) else None
-    if isinstance(z, sql.SqlRir):
+    if isinstance(z, sql.SqlQuery):
         assert z.tokens == tuple(
             tok if value else ALIAS_RE.sub(r"\1\2", tok)
             for tok, value in zip(q.tokens, q.values))
         # z_r's query from the program's block tree is the one parsing its
         # tokens, or its rendering, builds.
-        assert (_outcome(sql.query_of_rir, z)
-                == _outcome(_query_of_tokens, z.tokens)
+        assert (z == _outcome(_query_of_tokens, z.tokens)
                 == _outcome(sql.parse_sql, z.render()))
 
 
@@ -700,10 +712,10 @@ def test_token_parse_equals_relex_on_fixtures(sql_records):
         _check_token_parse(z.tokens)
         program = pipeline.Program(record, cfg)
         assert program.lir_rir_text() == sql.sql_to_lir(
-            sql.parse_sql(z.render())).render()
+            sql.parse_sql(z.render()))
         assert program.rir_text() == z.render()
         assert (pipeline.invert_reversible(z.render(), cfg)
-                == sql.parse_sql(sql.sql_from_rir(z).render()).render()
+                == sql.parse_sql(sql.sql_from_rir(z.tokens).render()).render()
                 == record.y)
 
 
