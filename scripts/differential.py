@@ -55,20 +55,10 @@ SHOW = 3  # differences printed per function and seed
 
 
 def _sparql_form(q) -> tuple:
-    """A parsed sparql program or z_r as plain tuples, which trees that
-    keep a program's triples in ``Triple``s and a z_r in a ``SparqlRir``
-    build alike: a triple is a group of one object."""
-    items = q.conjuncts if hasattr(q, "conjuncts") else q.groups
-    return (tuple(q.head), getattr(q, "bracketed", False),
-            [("FILTER", *c) if hasattr(c, "op") else
-             (c[0], c[1], c.objects if hasattr(c, "objects") else (c[2],))
-             for c in items])
-
-
-def _lossy_of_rir(row):
-    """A formalism row's z_r -> z_{l,r} function: ``to_lir``, or the
-    ``lir_of_rir`` column of a tree whose table has a second lossy one."""
-    return getattr(row, "lir_of_rir", row.to_lir)
+    """A parsed sparql program or z_r as plain tuples."""
+    return (tuple(q.head), q.bracketed,
+            [("FILTER", *c) if hasattr(c, "op") else tuple(c)
+             for c in q.groups])
 
 
 def sparql_parse(text: str) -> tuple:
@@ -112,7 +102,7 @@ def sparql_transform(text: str) -> tuple[str, ...]:
     rirs = [sparql.sparql_to_rir(q, rdict, sparql.RirOptions(*flags))
             for flags in itertools.product((True, False), repeat=3)]
     return (*map(sparql.render_rir, rirs),
-            *map(_lossy_of_rir(formalisms.TABLE["sparql"]), rirs),
+            *map(formalisms.TABLE["sparql"].to_lir, rirs),
             sparql.sparql_to_lir(q), sparql.varify(q),
             sparql.structure_signature(q), sparql.structure_signature(rirs[0]))
 
@@ -149,11 +139,8 @@ def _scan_commands() -> list[str]:
 
 def _query_form(q) -> tuple:
     """An ``SqlQuery`` as plain tuples, which trees whose ``SqlQuery`` has
-    other fields build alike.  A tree that predates the value flags gives
-    them as the tokens it annotates ``"value"``."""
-    values = (q.values if hasattr(q, "values")
-              else tuple(tag == "value" for tag in q.annotations))
-    return (q.tokens, values, q.depths, sorted(q.declared.items()),
+    other fields build alike."""
+    return (q.tokens, q.values, q.depths, sorted(q.declared.items()),
             [(b.start, b.end, [(c.name, c.start, c.end) for c in b.clauses],
               [(child.start, child.end) for child in b.children])
              for b in q.block.walk()])
@@ -165,12 +152,9 @@ def sql_parse(text: str) -> tuple:
 
 
 def sql_from_lexed_rir(text: str) -> tuple:
-    """The restored query of z_r's tokens, which a tree that wraps them in
-    an ``SqlRir`` takes wrapped."""
+    """The restored query of z_r's tokens."""
     from irkit import sql
-    tokens = tuple(sql.lex_sql(text))
-    return _query_form(sql.sql_from_rir(
-        sql.SqlRir(tokens) if hasattr(sql, "SqlRir") else tokens))
+    return _query_form(sql.sql_from_rir(tuple(sql.lex_sql(text))))
 
 
 def sql_transform(text: str) -> tuple[str, ...]:
@@ -179,9 +163,7 @@ def sql_transform(text: str) -> tuple[str, ...]:
     from irkit import formalisms, sql
     q = sql.parse_sql(text)
     z = sql.sql_to_rir(q)
-    lir = sql.sql_to_lir(q)  # an ``SqlLir`` in a tree that has one
-    return (z.render(), lir if isinstance(lir, str) else lir.render(),
-            _lossy_of_rir(formalisms.TABLE["sql"])(z),
+    return (z.render(), sql.sql_to_lir(q), formalisms.TABLE["sql"].to_lir(z),
             sql.sql_template_signature(q))
 
 

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands: ``transform``, ``invert``, ``prepare``, ``postprocess``,
-``evaluate``, ``stats``.  Every command is deterministic: identical inputs
-and flags produce byte-identical outputs.  Per-record failures go to a
-quarantine report and do not fail the run unless ``--strict`` is set;
-nonzero exit status is reserved for configuration and I/O errors (and for
-quarantines under ``--strict``).
+Subcommands, listed in ``COMMANDS``: ``transform``, ``invert``,
+``prepare``, ``postprocess``, ``evaluate``, ``stats``.  ``main`` builds the
+parser of the command it is given alone; the full tree of ``build_parser``
+only prints help and usage errors.  Every command is deterministic:
+identical inputs and flags produce byte-identical outputs.  Per-record
+failures go to a quarantine report and do not fail the run unless
+``--strict`` is set; nonzero exit status is reserved for configuration and
+I/O errors (and for quarantines under ``--strict``).
 """
 
 from __future__ import annotations
@@ -275,63 +277,29 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Command(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when argparse first
-    dispatches to it, so that a run builds the arguments of the one command
-    it runs: until then ``add_argument`` records its call and returns
-    None."""
-
-    def __init__(self, *args, **kwargs):
-        self._deferred: list[tuple[tuple, dict]] = []
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        self._deferred.append((args, kwargs))
-
-    def parse_known_args(self, args=None, namespace=None):
-        for deferred in self._deferred:
-            super().add_argument(*deferred[0], **deferred[1])
-        self._deferred.clear()
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="irkit",
-        description="Reversible and lossy program IRs for two-stage "
-                    "semantic parsing pipelines.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Command)
-
-    p = sub.add_parser("transform", help="apply an IR transform to programs")
+def _transform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ir", required=True,
                    choices=["rir", "lir", "lir+rir", "varify", "template"])
     _add_common(p, rir_flags=True, dict_flag=True)
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("invert", help="undo the reversible transform")
-    _add_common(p, dict_flag=True)
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("prepare", help="stage seq2seq training files")
+def _prepare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", required=True, choices=list(pipeline.MODES))
     p.add_argument("--stage", type=int, default=1, choices=[1, 2])
     p.add_argument("--cat-budget", type=int, default=512,
                    help="token budget checked for lir-cat targets")
     _add_common(p, rir_flags=True, sep=True, dict_flag=True)
-    p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("postprocess",
-                       help="turn model outputs into programs or stage-2 "
-                            "sources")
+
+def _postprocess_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", required=True, choices=list(pipeline.MODES))
     p.add_argument("--stage", type=int, default=1, choices=[1, 2])
     p.add_argument("--data", help="dataset records (for two-stage modes)")
     _add_common(p, rir_flags=True, sep=True, dict_flag=True,
                 input_required=False)
-    p.set_defaults(func=cmd_postprocess)
 
-    p = sub.add_parser("evaluate", help="exact-match scoring")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gold", required=True,
                    help="gold records (.jsonl/.txt), or (id, y) TSV rows "
                         "in a file of any other extension, .tsv included")
@@ -342,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True,
                    help="predictions TSV (id, output)")
     p.add_argument("--out", dest="output", help="report JSON path")
-    p.set_defaults(func=cmd_evaluate, quarantine=None, strict=False)
+    p.set_defaults(quarantine=None, strict=False)
 
-    p = sub.add_parser("stats", help="length and structural novelty stats")
+
+def _stats_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train",
                    help="train-side programs for the new-structure rate")
     p.add_argument("--tokenizer", default="whitespace",
@@ -353,16 +322,48 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=pipeline.FORMALISMS)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output")
-    p.set_defaults(func=cmd_stats)
 
+
+# name -> (handler, the function that adds its arguments, help text)
+COMMANDS = {
+    "transform": (cmd_transform, _transform_args,
+                  "apply an IR transform to programs"),
+    "invert": (cmd_invert, lambda p: _add_common(p, dict_flag=True),
+               "undo the reversible transform"),
+    "prepare": (cmd_prepare, _prepare_args, "stage seq2seq training files"),
+    "postprocess": (cmd_postprocess, _postprocess_args,
+                    "turn model outputs into programs or stage-2 sources"),
+    "evaluate": (cmd_evaluate, _evaluate_args, "exact-match scoring"),
+    "stats": (cmd_stats, _stats_args,
+              "length and structural novelty stats"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command tree, with every command's arguments."""
+    parser = argparse.ArgumentParser(
+        prog="irkit",
+        description="Reversible and lossy program IRs for two-stage "
+                    "semantic parsing pipelines.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, add_arguments, help_) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:  # parse with that command's arguments alone
+        parser = argparse.ArgumentParser(prog=f"irkit {name}")
+        COMMANDS[name][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+    if name not in COMMANDS or extra:
+        # The full tree prints the help or usage error for it and exits.
+        args = build_parser().parse_args(argv)
+        name = args.command
     try:
-        return args.func(args)
+        return COMMANDS[name][0](args)
     except IrkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

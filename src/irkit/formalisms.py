@@ -89,9 +89,7 @@ TABLE: dict[str, Formalism] = {
             sparql_ir.sparql_from_rir(sparql_ir.parse_rir(t),
                                       cfg.relation_dict)),
         to_lir=lambda q: sparql_ir.sparql_to_lir(q),
-        # render_sparql(normalize_sparql(q)), rendering each conjunct once
-        key=lambda t: sparql_ir._render_program(
-            sparql_ir.parse_sparql(t), sort=True, dedupe=True),
+        key=lambda t: sparql_ir.normalize_sparql(sparql_ir.parse_sparql(t)),
         structure=lambda t: sparql_ir.structure_signature(
             sparql_ir.parse_rir(t)),
         needs_dict=True,

@@ -482,17 +482,14 @@ def strip_var_markers(text: str) -> str:
     return " ".join(tok for tok in text.split() if tok != VAR_TOKEN)
 
 
-def normalize_sparql(q: SparqlQuery) -> SparqlQuery:
-    """Dedupe conjuncts, then sort them by their rendered string.
+def normalize_sparql(q: SparqlQuery) -> str:
+    """The exact-match scoring form: ``q`` rendered with its conjuncts
+    deduplicated and sorted by their rendered string.
 
     UTF-8 byte order and code-point order agree, so a plain string sort
     implements the byte-order contract.
     """
-    rendered = {}
-    for c in q.groups:
-        rendered.setdefault(_render_group(c, q.bracketed, None), c)
-    ordered = tuple(rendered[k] for k in sorted(rendered))
-    return q._replace(groups=ordered)
+    return _render_program(q, sort=True, dedupe=True)
 
 
 def structure_signature(program: SparqlQuery) -> str:

@@ -33,7 +33,7 @@ def ws(tmp_path):
 @pytest.mark.parametrize("command", ["transform", "invert", "prepare",
                                      "postprocess", "evaluate", "stats"])
 def test_command_help_lists_its_arguments(command, capsys):
-    # A command's arguments are added when argparse dispatches to it.
+    # main builds the parser of the command it is given alone.
     with pytest.raises(SystemExit) as exit_:
         run(command, "--help")
     assert exit_.value.code == 0

@@ -26,3 +26,24 @@ def test_every_traced_name_exists():
                if not callable(getattr(importlib.import_module(
                    f"irkit.{module}"), fn, None))]
     assert layers and missing == []
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # The traced run wraps public names only: a private function called
+    # through another module runs inside its caller's span, which is then
+    # billed for it.
+    reads = []
+    for path in sorted((SPANS.parents[1] / "src" / "irkit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module, node.level) in ((None, 1), ("irkit", 0))
+                   for alias in node.names}
+        reads += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules
+                  and node.attr.startswith("_")
+                  and not node.attr.startswith("__")]
+    assert reads == []
