@@ -5,7 +5,7 @@ output to a form both trees build alike, on the test fixtures and on seeded
 token mutations of them, once against this tree and once against another
 checkout (usually the parent commit), and reports every input on which the
 two disagree: a different output, error type, message, byte offset or
-expected-token tuple.
+expected-token tuple.  The totals count the differences of each kind.
 
     git worktree add ../irkit-parent HEAD~1
     python3 scripts/differential.py ../irkit-parent
@@ -30,6 +30,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -151,10 +152,13 @@ def sql_parse(text: str) -> tuple:
     return _query_form(sql.parse_sql(text))
 
 
-def sql_from_lexed_rir(text: str) -> tuple:
-    """The restored query of z_r's tokens."""
+def sql_from_rir(text: str) -> tuple:
+    """The restored query of a z_r.  A tree that has ``sql.parse_rir``
+    inverts z_r's lexed tokens; a later one inverts its parsed query."""
     from irkit import sql
-    return _query_form(sql.sql_from_rir(tuple(sql.lex_sql(text))))
+    if hasattr(sql, "parse_rir"):
+        return _query_form(sql.sql_from_rir(tuple(sql.lex_sql(text))))
+    return _query_form(sql.sql_from_rir(sql.parse_sql(text)))
 
 
 def sql_transform(text: str) -> tuple[str, ...]:
@@ -184,7 +188,7 @@ FUNCTIONS = {
     "sparql.key": (_sparql_programs, SPARQL_VOCAB, sparql_key),
     "scan.parse_command": (_scan_commands, SCAN_VOCAB, None),
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
-    "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_lexed_rir),
+    "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_rir),
     "sql.transform": (_sql_programs, SQL_VOCAB, sql_transform),
     "sql.lossy_of_rir": (_sql_rirs, SQL_VOCAB, sql_lossy_of_rir),
 }
@@ -247,6 +251,20 @@ def outcome(fn, text: str) -> list:
     return ["ok", hashlib.sha256(repr(out).encode("utf-8")).hexdigest()[:16]]
 
 
+def kind(a: list, b: list) -> str:
+    """How two differing outcomes differ: in the output, between ok and an
+    error, or in the error's type, its message (offset aside; the message
+    lists the expected tokens) or only its offset."""
+    if a[0] != b[0]:
+        return "ok<->error"
+    if a[0] == "ok":
+        return "output"
+    if a[1] != b[1]:
+        return "type"
+    bare = [o[2].replace(f" (at byte offset {o[3]})", "") for o in (a, b)]
+    return "message" if bare[0] != bare[1] else "offset"
+
+
 def worker(src: str) -> None:
     """Read ``{name: [text, ...]}`` from stdin and write the outcomes of
     each function on each text, importing irkit from ``src``."""
@@ -282,22 +300,26 @@ def main(argv: list[str]) -> int:
                  "(PARENT: a checkout with src/irkit)")
     parent = Path(argv[0])
     sys.path.insert(0, str(ROOT / "src"))
-    totals = dict.fromkeys(FUNCTIONS, (0, 0))
+    inputs_of = dict.fromkeys(FUNCTIONS, 0)
+    kinds_of: dict[str, Counter] = {name: Counter() for name in FUNCTIONS}
     for seed in SEEDS:
         inputs = build_inputs(seed)
         ours, theirs = run_tree(ROOT, inputs), run_tree(parent, inputs)
         for name, texts in inputs.items():
             diffs = [(t, a, b) for t, a, b in zip(texts, theirs[name],
                                                   ours[name]) if a != b]
-            n, d = totals[name]
-            totals[name] = (n + len(texts), d + len(diffs))
+            inputs_of[name] += len(texts)
+            kinds_of[name].update(kind(a, b) for _, a, b in diffs)
             print(f"seed {seed} {name}: {len(texts)} inputs, "
                   f"{len(diffs)} differences")
             for text, a, b in diffs[:SHOW]:
                 print(f"  input:  {text!r}\n  parent: {a}\n  this:   {b}")
-    for name, (n, d) in totals.items():
-        print(f"total {name}: {n} inputs, {d} differences")
-    return 1 if any(d for _, d in totals.values()) else 0
+    for name, kinds in kinds_of.items():
+        detail = ", ".join(f"{k} {v}" for k, v in sorted(kinds.items()))
+        print(f"total {name}: {inputs_of[name]} inputs, "
+              f"{sum(kinds.values())} differences"
+              + (f" ({detail})" if detail else ""))
+    return 1 if any(kinds_of.values()) else 0
 
 
 if __name__ == "__main__":

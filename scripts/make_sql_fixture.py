@@ -155,7 +155,7 @@ def main() -> None:
         for i, (x, y) in enumerate(QUERIES):
             parsed = sql.parse_sql(y)
             assert parsed.render() == y, f"not canonical: {y}"
-            restored = sql.sql_from_rir(sql.sql_to_rir(parsed).tokens)
+            restored = sql.sql_from_rir(sql.sql_to_rir(parsed))
             assert restored.render() == y, f"round trip failed: {y}"
             handle.write(json.dumps(
                 {"id": f"sql{i:03d}", "x": x, "y": y},

@@ -98,9 +98,9 @@ TABLE: dict[str, Formalism] = {
         parse=lambda t: sql_ir.parse_sql(t),
         to_rir=lambda p: sql_ir.sql_to_rir(p.parsed),
         render_rir=lambda z: z.render(),
-        parse_rir=lambda t: sql_ir.parse_rir(t),
+        parse_rir=lambda t: sql_ir.parse_sql(t),
         from_rir=lambda t, cfg: sql_ir.sql_from_rir(
-            tuple(sql_ir.lex_sql(t))).render(),
+            sql_ir.parse_sql(t)).render(),
         to_lir=lambda q: sql_ir.sql_to_lir(q),
         key=_normalize_whitespace,
         structure=lambda t: sql_ir.sql_template_signature(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterator, NoReturn, Sequence
 
@@ -39,7 +40,7 @@ _UNITS_RE = re.compile(r"""(?:[^\s"']+|"[^"]*"|'[^']*')+""")
 _TOKEN_RE = re.compile(_UNITS_RE.pattern + r"""|["']""")
 _QUOTES = ('"', "'")
 # Raises a ParseError with a message at a token index (past the last: the
-# end) of the text a stream was lexed from or renders to.
+# end) of the text a stream was lexed from.
 _Fail = Callable[[int, str], NoReturn]
 
 
@@ -115,7 +116,8 @@ class Block:
 
 @dataclass(slots=True)
 class SqlQuery:
-    """A program or its z_r: the tokens and what ``_query`` found in them."""
+    """A program or its z_r: the tokens and what ``parse_sql`` found in
+    them."""
 
     tokens: tuple[str, ...]
     quoted: tuple[bool, ...]  # ``_quoted(tokens)``
@@ -130,43 +132,38 @@ class SqlQuery:
 
 def _segment(tokens: Sequence[str], depths: Sequence[int],
              fail: _Fail) -> Block:
-    """The block tree of a token stream, built in one left-to-right pass.
+    """The block tree of a token stream whose balance ``_check_tokens``
+    has passed, built in one left-to-right pass.
 
-    ``depths`` is ``_paren_depths(tokens)``.  A token that moves the depth
+    ``depths`` is ``_paren_depths(tokens)``.  A token that raises the depth
     opens a group, which closes at the first later token that brings the
     depth back to, or past, the depth before the opener: so one ``))`` can
     close two groups, and ``)(`` opens none.  A ``(`` token followed by
-    ``SELECT`` opens a subquery, a child block segmented like the root; it
-    is an error where it opens if no later token closes it.  The tokens of
-    any other group belong to the enclosing clause, but a ``( SELECT`` in
-    it is again a subquery, unless the group opened at a stray ``)``,
-    which only a stream with unchecked balance (``sql_from_rir``) has.
+    ``SELECT`` opens a subquery, a child block segmented like the root.
+    The tokens of any other group belong to the enclosing clause, but a
+    ``( SELECT`` in it is again a subquery.
     """
     n = len(tokens)
     root = block = Block(0, n)
-    group = None  # (depth before its opener, +1 or -1: the way it went)
+    group = None  # the depth before the open group's opener
     stack = []  # per open subquery: (depth before its "(", outer block, group)
     i = 0
     while i < n:
         tok, before, after = tokens[i], depths[i], depths[i + 1]
         i += 1
-        if (tok == "(" and i < n and tokens[i].upper() == "SELECT"
-                and (group is None or group[1] > 0)):
-            if min(depths[i:]) > before:
-                fail(i - 1, "unbalanced parentheses")
+        if tok == "(" and i < n and tokens[i].upper() == "SELECT":
             stack.append((before, block, group))
             block.children.append(Block(i, n))
             block, group = block.children[-1], None
             continue
         if group is not None:
-            if (after - group[0]) * group[1] > 0:
+            if after > group:
                 continue  # still inside the group
             group = None
-        elif after != before:
-            if not stack or after > stack[-1][0]:
-                group = (before, 1 if after > before else -1)
-                continue
-        else:
+        elif after > before:
+            group = before
+            continue
+        elif after == before:
             upper, start = tok.upper(), i - 1
             if upper in ("GROUP", "ORDER"):
                 if i >= n or tokens[i].upper() != "BY":
@@ -188,10 +185,8 @@ def _segment(tokens: Sequence[str], depths: Sequence[int],
         while stack and after <= stack[-1][0]:
             _close(block, i - 1)
             _, block, group = stack.pop()
-            if group is not None and (after - group[0]) * group[1] <= 0:
+            if group is not None and after <= group:
                 group = None
-    if group is not None:
-        fail(n, "unbalanced parentheses")
     _close(root, n)
     return root
 
@@ -237,28 +232,6 @@ def _values(tokens: Sequence[str], quoted: Sequence[bool],
                   for tok, q in zip(tokens, quoted)])
 
 
-def parse_sql(text: str) -> SqlQuery:
-    """Tokenize, segment, and flag the values of one canonicalized query.
-    A ``ParseError``'s offset is a byte offset in ``text``."""
-    tokens = tuple(lex_sql(text))
-    return _query(tokens, _quoted(tokens), lambda i, message: fail_at(
-        text, i, message, token=_TOKEN_RE))
-
-
-def _fail_rendered(tokens: Sequence[str]) -> _Fail:
-    """``_Fail`` at offsets in ``render_sql(tokens)``, rendered only then."""
-    return lambda i, message: fail_at(render_sql(tokens), i, message,
-                                      token=_TOKEN_RE)
-
-
-def parse_rir(text: str) -> SqlQuery:
-    """The query of a predicted z_r: ``parse_sql`` of its text, but a
-    ``ParseError`` after lexing is at a byte offset in
-    ``render_sql(tokens)``, as ``sql_from_rir``'s are."""
-    tokens = tuple(lex_sql(text))
-    return _query(tokens, _quoted(tokens), _fail_rendered(tokens))
-
-
 def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
                   depths: Sequence[int], fail: _Fail) -> None:
     """The checks of a query that need no segmentation.  An empty query or
@@ -281,20 +254,17 @@ def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
                  "<TABLE NAME>alias<N> pattern")
 
 
-def _query(tokens: tuple[str, ...], quoted: tuple[bool, ...], fail: _Fail,
-           depths: tuple[int, ...] | None = None, block: Block | None = None,
-           declared: dict[str, str] | None = None) -> SqlQuery:
-    """The one analysis of a token stream: the token checks, then the
-    block tree (segmented here unless ``block``, with its ``depths``, is
-    given), the FROM aliases (collected here unless given) and the value
-    flags."""
-    if depths is None:
-        depths = _paren_depths(tokens, quoted)
+def parse_sql(text: str) -> SqlQuery:
+    """The one analysis of a program or a predicted z_r: tokenize, check
+    the tokens, segment, collect the FROM aliases and flag the values.  A
+    ``ParseError``'s offset is a byte offset in ``text``."""
+    tokens = tuple(lex_sql(text))
+    quoted = _quoted(tokens)
+    depths = _paren_depths(tokens, quoted)
+    fail = partial(fail_at, text, token=_TOKEN_RE)
     _check_tokens(tokens, quoted, depths, fail)
-    if block is None:
-        block = _segment(tokens, depths, fail)
-    if declared is None:
-        declared = _collect_aliases(tokens, block, fail)
+    block = _segment(tokens, depths, fail)
+    declared = _collect_aliases(tokens, block, fail)
     return SqlQuery(tokens, quoted, _values(tokens, quoted, declared), block,
                     depths, declared)
 
@@ -370,28 +340,23 @@ def sql_to_rir(q: SqlQuery) -> SqlQuery:
                      for alias, table in q.declared.items()})
 
 
-def sql_from_rir(tokens: tuple[str, ...]) -> SqlQuery:
-    """Re-insert ``alias`` before the trailing digits of every table alias
-    in z_r's tokens, using the FROM declarations to decide which tokens are
-    aliases.  A ``ParseError``'s offset is a byte offset in
-    ``render_sql(tokens)``."""
-    fail, quoted = _fail_rendered(tokens), _quoted(tokens)
-    for tok, q in zip(tokens, quoted):
+def sql_from_rir(z: SqlQuery) -> SqlQuery:
+    """The program of a parsed z_r: re-insert ``alias`` before the trailing
+    digits of every alias that z's FROM clauses declare (``_renames``), as
+    a token and as a qualifier.  z must hold no alias token."""
+    for tok, q in zip(z.tokens, z.quoted):
         if not q and "alias" in tok and _ALIAS_TOKEN_RE.search(tok):
             raise InversionError(
                 f"input already contains an alias token: {tok!r}")
-    depths = _paren_depths(tokens, quoted)
-    block = _segment(tokens, depths, fail)
-    declared = _collect_aliases(tokens, block, fail)
-    renames = _renames(tokens, declared, False)
+    renames = _renames(z.tokens, z.declared, False)
     # A restored name holds the parens and the first character of the name
-    # it replaces and is no clause keyword, so z's quote flags, depths and
-    # block tree are the program's.  A table token can be restored too
-    # (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
-    return _query(tuple([renames.get(tok, tok) for tok in tokens]),
-                  quoted, fail, depths, block,
-                  {renames.get(alias, alias): renames.get(table, table)
-                   for alias, table in declared.items()})
+    # it replaces and is no clause keyword, so z's quote flags, value flags,
+    # depths and block tree are the program's.  A table token can be
+    # restored too (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
+    return SqlQuery(tuple([renames.get(tok, tok) for tok in z.tokens]),
+                    z.quoted, z.values, z.block, z.depths,
+                    {renames.get(alias, alias): renames.get(table, table)
+                     for alias, table in z.declared.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +373,8 @@ def iter_conditions(q: SqlQuery, clause: Clause,
                     body_start: int) -> Iterator[tuple[int, int, int | None]]:
     """Yield (start, end, connector_index) spans for the top-level conditions
     of one WHERE/HAVING clause body.  The AND that belongs to BETWEEN is not
-    a connector."""
+    a connector.  A condition may be empty: before a leading connector,
+    between two, after a trailing one, or as the whole of an empty body."""
     base = q.depths[body_start]
     cond_start = body_start
     connector: int | None = None
@@ -425,8 +391,7 @@ def iter_conditions(q: SqlQuery, clause: Clause,
             cond_start = i + 1
         elif upper == "AND" and between:
             between = False
-    if cond_start < clause.end:
-        yield cond_start, clause.end, connector
+    yield cond_start, clause.end, connector
 
 
 def classify_condition(q: SqlQuery, span: tuple[int, int]) -> str:
@@ -446,7 +411,7 @@ def classify_condition(q: SqlQuery, span: tuple[int, int]) -> str:
 
 def sql_to_lir(q: SqlQuery) -> str:
     """The lossy IR of a program or its z_r: drop FROM clauses and
-    join-only conditions, mask alias qualifiers."""
+    join-only and empty conditions, mask alias qualifiers."""
     keep = [True] * len(q.tokens)
     declared = q.declared
 
@@ -457,8 +422,8 @@ def sql_to_lir(q: SqlQuery) -> str:
                     keep[i] = False
             elif clause.name in ("WHERE", "HAVING"):
                 spans = list(iter_conditions(q, clause, clause.start + 1))
-                survives = [classify_condition(q, (s, e)) != JOIN_ONLY
-                            for s, e, _ in spans]
+                survives = [s < e and classify_condition(q, (s, e))
+                            != JOIN_ONLY for s, e, _ in spans]
                 any_kept = False
                 for (start, end, connector), kept in zip(spans, survives):
                     if not kept:

@@ -300,8 +300,9 @@ def _strip_join_conditions(tokens: list[str]) -> list[str]:
                 between = False
             depth += _delta(t)
             units[-1].append(t)
+        # An empty unit (next to a stray connector) does not survive.
         survivors = [(unit, k) for k, unit in enumerate(units)
-                     if not _is_join_unit(unit)]
+                     if unit and not _is_join_unit(unit)]
         if survivors:
             out.append(tok)
             first = True

@@ -78,7 +78,7 @@ def test_p2_sql_reversibility(sql_records):
         if "alias" in z.render():
             _report("P2 sql reversibility", False,
                     f"alias substring survived in {record.id}")
-        if sql.sql_from_rir(z.tokens).tokens != q.tokens:
+        if sql.sql_from_rir(z).tokens != q.tokens:
             _report("P2 sql reversibility", False,
                     f"round trip not byte-exact for {record.id}")
         tables = [q.tokens[i - 1] for i in range(len(q.tokens))

@@ -179,15 +179,19 @@ def test_parse_error_offsets_are_bytes_in_the_text(text, offset):
 
 
 @pytest.mark.parametrize("text, offset", [
-    ("  \n", 0),
-    ("\tSELECT  é ) FROM", 10),
-    ("SELECT é\u3000ORDER  x", 16),
-])
-def test_parse_rir_offsets_are_bytes_in_the_rendered_tokens(text, offset):
-    # As sql_from_rir's are: a predicted z_r's spacing is not kept.
-    with pytest.raises(ParseError) as err:
-        sql.parse_rir(text)
-    assert err.value.offset == offset
+    ("  \n", 3),
+    ("\tSELECT  é ) FROM", 12),
+    ("SELECT é\u3000ORDER  x", 19),
+], ids=["empty", "early-close", "order-without-by"])
+def test_predicted_rir_offsets_are_bytes_in_its_text(text, offset):
+    # A malformed prediction fails, on both paths that parse it as z_r,
+    # as parse_sql fails on it: at a byte offset in its own text.
+    cfg = pipeline.PipelineConfig("sql")
+    for fn in (pipeline.invert_reversible, pipeline._lir_of_rir):
+        with pytest.raises(ParseError) as err:
+            fn(text, cfg)
+        assert err.value.offset == offset
+        assert str(err.value) == _outcome(sql.parse_sql, text)[1]
 
 
 _SUB_IN_WHERE = [(0, 17, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 17)],
@@ -196,26 +200,24 @@ _SUB_IN_WHERE = [(0, 17, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 17)],
 
 
 def _error(message, offset):
-    """The outcome of a ParseError at ``offset`` in the rendered stream."""
+    """The outcome of a ParseError at ``offset`` in the text."""
     return ParseError, f"{message} (at byte offset {offset})"
 
 
-# name: (token stream, outcome of parse_rir, outcome of sql_from_rir
-# or None when it is the same).  An outcome is every block in walk order as
-# (start, end, [(clause, start, end)], [child (start, end)]), or the error's
-# type and message, which ends with its byte offset in the text.  The
-# streams hold no alias token, so sql_from_rir restores nothing, but it
-# segments before it checks the balance.
+# name: (query, outcome of parse_sql).  An outcome is every block in walk
+# order as (start, end, [(clause, start, end)], [child (start, end)]), or
+# the error's type and message, which ends with its byte offset in the
+# text.  An unbalanced query fails before it is segmented.
 SEGMENTATION_CASES = {
     "subquery-in-where": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN "
-        "( SELECT B0.Y FROM B AS B0 )", _SUB_IN_WHERE, None),
+        "( SELECT B0.Y FROM B AS B0 )", _SUB_IN_WHERE),
     "subquery-in-plain-group": (
         "SELECT A0.X FROM A AS A0 WHERE "
         "( A0.Y IN ( SELECT B0.Y FROM B AS B0 ) )",
         [(0, 19, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 19)],
           [(11, 17)]),
-         (11, 17, [("SELECT", 11, 13), ("FROM", 13, 17)], [])], None),
+         (11, 17, [("SELECT", 11, 13), ("FROM", 13, 17)], [])]),
     "doubly-nested": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN ( SELECT B0.Y FROM B AS B0 "
         "WHERE B0.Z IN ( SELECT C0.Z FROM C AS C0 ) ) ORDER BY A0.X",
@@ -223,54 +225,51 @@ SEGMENTATION_CASES = {
                   ("ORDER_BY", 28, 31)], [(10, 27)]),
          (10, 27, [("SELECT", 10, 12), ("FROM", 12, 16), ("WHERE", 16, 27)],
           [(20, 26)]),
-         (20, 26, [("SELECT", 20, 22), ("FROM", 22, 26)], [])], None),
+         (20, 26, [("SELECT", 20, 22), ("FROM", 22, 26)], [])]),
     "union-all": (
         "SELECT A0.X FROM A AS A0 UNION ALL SELECT B0.X FROM B AS B0",
         [(0, 14, [("SELECT", 0, 2), ("FROM", 2, 6), ("SET_OP", 6, 8),
-                  ("SELECT", 8, 10), ("FROM", 10, 14)], [])], None),
+                  ("SELECT", 8, 10), ("FROM", 10, 14)], [])]),
     "union-in-subquery": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN ( SELECT B0.Y FROM B AS B0 "
         "UNION SELECT C0.Y FROM C AS C0 )",
         [(0, 24, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 24)],
           [(10, 23)]),
          (10, 23, [("SELECT", 10, 12), ("FROM", 12, 16), ("SET_OP", 16, 17),
-                   ("SELECT", 17, 19), ("FROM", 19, 23)], [])], None),
+                   ("SELECT", 17, 19), ("FROM", 19, 23)], [])]),
     "glued-count": (
         "SELECT COUNT( DISTINCT A0.X ) FROM A AS A0 GROUP BY A0.Y "
         "HAVING COUNT( * ) > 1 LIMIT 1",
         [(0, 20, [("SELECT", 0, 5), ("FROM", 5, 9), ("GROUP_BY", 9, 12),
-                  ("HAVING", 12, 18), ("LIMIT", 18, 20)], [])], None),
+                  ("HAVING", 12, 18), ("LIMIT", 18, 20)], [])]),
     "group-without-by-in-subquery": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN "
         "( SELECT B0.Y FROM B AS B0 GROUP B0.Y )",
-        _error("GROUP not followed by BY", 72), None),
+        _error("GROUP not followed by BY", 72)),
     "order-without-by-at-end": (
         "SELECT A0.X FROM A AS A0 ORDER",
-        _error("ORDER not followed by BY", 30), None),
+        _error("ORDER not followed by BY", 30)),
     "set-op-then-no-clause": (
         "SELECT A0.X UNION A0.Y",
-        _error("token 'A0.Y' appears before any clause keyword", 18), None),
+        _error("token 'A0.Y' appears before any clause keyword", 18)),
     "unclosed-subquery-then-clause-error": (
         "SELECT A0.X FROM A AS A0 WHERE A0.Y IN ( SELECT B0.Y GROUP B0.Y",
-        _error("unbalanced '('", 63), _error("unbalanced parentheses", 39)),
+        _error("unbalanced '('", 63)),
     "clause-error-then-unclosed-subquery": (
         "SELECT A0.X GROUP A0.X WHERE A0.Y IN ( SELECT B0.Y",
-        _error("unbalanced '('", 50),
-        _error("GROUP not followed by BY", 18)),
+        _error("unbalanced '('", 50)),
     "stray-close-before-subquery": (
         "SELECT A0.X ) ( SELECT B0.Y FROM B AS B0 )",
-        _error("unbalanced ')'", 12), _error("unbalanced parentheses", 42)),
+        _error("unbalanced ')'", 12)),
     "stray-close-swallows-a-clause": (
         "SELECT A0.X ) GROUP ( SELECT B0.Y GROUP B0.Y )",
-        _error("unbalanced ')'", 12),
-        _error("GROUP not followed by BY", 40)),
+        _error("unbalanced ')'", 12)),
     "no-subquery-below-depth-zero": (
         "SELECT A0.X ) ) ( SELECT B0.Y ) GROUP B0.Y",
-        _error("unbalanced ')'", 12), _error("unbalanced parentheses", 42)),
+        _error("unbalanced ')'", 12)),
     "not-select-first": (
         "FROM A AS A0 WHERE ( SELECT",
-        _error("query starts with 'FROM', not SELECT", 0),
-        _error("unbalanced parentheses", 19)),
+        _error("query starts with 'FROM', not SELECT", 0)),
 }
 
 
@@ -280,25 +279,25 @@ SEGMENTATION_CASES = {
 MULTI_PAREN_CASES = {
     "close-past-the-opener": (
         "SELECT COUNT( * )) FROM A AS A0",
-        _error("unbalanced ')'", 16), None),
+        _error("unbalanced ')'", 16)),
     "double-open": (
         "SELECT COUNT(( A0.X )) FROM A AS A0",
-        [(0, 8, [("SELECT", 0, 4), ("FROM", 4, 8)], [])], None),
+        [(0, 8, [("SELECT", 0, 4), ("FROM", 4, 8)], [])]),
     "close-then-open": (
         "SELECT A0.X )( A0.Y FROM A AS A0",
-        [(0, 8, [("SELECT", 0, 4), ("FROM", 4, 8)], [])], None),
+        [(0, 8, [("SELECT", 0, 4), ("FROM", 4, 8)], [])]),
     "one-token-closes-subquery-and-group": (
         "SELECT A0.X FROM A AS A0 WHERE "
         "( A0.Y IN ( SELECT B0.Y FROM B AS B0 ))",
         [(0, 18, [("SELECT", 0, 2), ("FROM", 2, 6), ("WHERE", 6, 18)],
           [(11, 17)]),
-         (11, 17, [("SELECT", 11, 13), ("FROM", 13, 17)], [])], None),
+         (11, 17, [("SELECT", 11, 13), ("FROM", 13, 17)], [])]),
 }
 
 
-def _segmentation(fn, tokens):
+def _segmentation(text):
     try:
-        q = fn(tokens)
+        q = sql.parse_sql(text)
     except IrkitError as exc:
         return type(exc), str(exc)
     return [(b.start, b.end, [(c.name, c.start, c.end) for c in b.clauses],
@@ -308,19 +307,14 @@ def _segmentation(fn, tokens):
 
 @pytest.mark.parametrize("name", list(SEGMENTATION_CASES))
 def test_segmentation_cases(name):
-    _check_segmentation(*SEGMENTATION_CASES[name])
+    text, parsed = SEGMENTATION_CASES[name]
+    assert _segmentation(text) == parsed
 
 
 @pytest.mark.parametrize("name", list(MULTI_PAREN_CASES))
 def test_multi_paren_token_segmentation(name):
-    _check_segmentation(*MULTI_PAREN_CASES[name])
-
-
-def _check_segmentation(text, parsed, from_rir):
-    tokens = tuple(text.split())
-    assert _segmentation(_query_of_tokens, tokens) == parsed
-    assert (_segmentation(sql.sql_from_rir, tokens)
-            == (parsed if from_rir is None else from_rir))
+    text, parsed = MULTI_PAREN_CASES[name]
+    assert _segmentation(text) == parsed
 
 
 def test_corpus_round_trip_byte_exact(sql_records):
@@ -354,22 +348,8 @@ def test_rir_never_contains_alias_substring(sql_records):
 def test_corpus_rir_round_trip_byte_exact(sql_records):
     for record in sql_records:
         q = sql.parse_sql(record.y)
-        restored = sql.sql_from_rir(sql.sql_to_rir(q).tokens)
+        restored = sql.sql_from_rir(sql.sql_to_rir(q))
         assert restored.tokens == q.tokens
-
-
-def test_inverse_segments_z_once_into_the_programs_query(sql_records,
-                                                        monkeypatch):
-    calls = []
-    segment = sql._segment
-    monkeypatch.setattr(sql, "_segment",
-                        lambda *args: calls.append(1) or segment(*args))
-    for record in sql_records:
-        q = sql.parse_sql(record.y)
-        z = sql.sql_to_rir(q)
-        calls.clear()
-        assert sql.sql_from_rir(z.tokens) == q
-        assert len(calls) == 1
 
 
 def test_rewrite_collision_is_an_error():
@@ -417,15 +397,21 @@ def test_alias_rule_rejections(text, message):
     assert str(err.value) == message
 
 
+# A WHERE body that opens with a connector: its empty first condition
+# survives in neither lossy IR, so z_l is a fixed point of the lossy IR.
+EMPTY_CONDITION = ("SELECT CITYalias0.CITY_NAME FROM CITY AS CITYalias0 WHERE "
+                   "AND CITYalias0.STATE_NAME = CITYalias0.X")
+
+
 def test_transform_inverts_exactly_and_keeps_lossy_irs_equal(sql_records,
                                                              differential):
     # The fixture programs and seeded token mutations of them, as
     # scripts/differential.py builds its sql inputs.
     programs = [record.y for record in sql_records]
     rng = random.Random("sql alias rule")
-    texts = programs + [differential.mutate(rng, rng.choice(programs),
-                                            differential.SQL_VOCAB)
-                        for _ in range(10000)]
+    texts = programs + [EMPTY_CONDITION] + [
+        differential.mutate(rng, rng.choice(programs), differential.SQL_VOCAB)
+        for _ in range(10000)]
     accepted = rejected = 0
     for text in texts:
         try:
@@ -438,15 +424,19 @@ def test_transform_inverts_exactly_and_keeps_lossy_irs_equal(sql_records,
             rejected += 1
             continue
         accepted += 1
-        assert sql.sql_from_rir(z.tokens) == q, text
-        assert formalisms.TABLE["sql"].to_lir(z) == sql.sql_to_lir(q), text
+        assert sql.sql_from_rir(z) == q, text
+        lir = sql.sql_to_lir(q)
+        assert formalisms.TABLE["sql"].to_lir(z) == lir, text
+        assert sql.sql_to_lir(sql.parse_sql(lir)) == lir, text
     assert accepted > len(programs) and rejected > 0
 
 
 def test_query_of_a_programs_rir_analyses_nothing_again(sql_records,
                                                         monkeypatch):
+    # Neither z_r, nor its z_{l,r}, nor the program restored from it
+    # analyses the tokens again.
     calls = []
-    for name in ("_values", "_check_tokens", "_collect_aliases"):
+    for name in ("_segment", "_values", "_check_tokens", "_collect_aliases"):
         monkeypatch.setattr(sql, name, lambda *args, _fn=getattr(sql, name):
                             calls.append(_fn.__name__) or _fn(*args))
     for record in sql_records:
@@ -454,8 +444,9 @@ def test_query_of_a_programs_rir_analyses_nothing_again(sql_records,
         calls.clear()
         z = sql.sql_to_rir(q)
         lir = formalisms.TABLE["sql"].to_lir(z)
+        assert sql.sql_from_rir(z) == q
         assert calls == []
-        assert z == _query_of_tokens(z.tokens)
+        assert z == sql.parse_sql(z.render())
         assert lir == sql.sql_to_lir(q)
 
 
@@ -478,21 +469,19 @@ def test_to_rir_makes_no_regex_substitution(sql_records):
 
 
 def test_from_rir_requires_declared_alias():
-    z = tuple(
-        "SELECT FLIGHT0.X FROM FLIGHT AS FLIGHT0 WHERE B1.Y = 2".split())
+    z = sql.parse_sql("SELECT FLIGHT0.X FROM FLIGHT AS FLIGHT0 WHERE B1.Y = 2")
     with pytest.raises(InversionError):
         sql.sql_from_rir(z)
 
 
 def test_from_rir_rejects_non_canonical_declaration():
-    z = tuple("SELECT F0.X FROM FLIGHT AS F0".split())
+    z = sql.parse_sql("SELECT F0.X FROM FLIGHT AS F0")
     with pytest.raises(InversionError):
         sql.sql_from_rir(z)
 
 
 def test_from_rir_rejects_leftover_alias_tokens():
-    z = tuple(
-        "SELECT FLIGHTalias0.X FROM FLIGHT AS FLIGHTalias0".split())
+    z = sql.parse_sql("SELECT FLIGHTalias0.X FROM FLIGHT AS FLIGHTalias0")
     with pytest.raises(InversionError):
         sql.sql_from_rir(z)
 
@@ -504,7 +493,7 @@ def test_self_join_aliases_restore_distinctly():
     q = sql.parse_sql(text)
     z = sql.sql_to_rir(q)
     assert "FLIGHT0" in z.tokens[z.tokens.index("FROM"):]
-    assert sql.sql_from_rir(z.tokens).render() == text
+    assert sql.sql_from_rir(z).render() == text
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +650,7 @@ def test_template_deterministic(sql_records):
 
 
 # ---------------------------------------------------------------------------
-# Token-level parsing: the query that lexing the rendered tokens again gives
+# Reused analyses: the query that parsing the rendered tokens again gives
 # ---------------------------------------------------------------------------
 
 
@@ -673,34 +662,24 @@ def _outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "offset", None)
 
 
-def _query_of_tokens(tokens):
-    """The query of a predicted z_r's tokens, which has no block tree."""
-    return sql.parse_rir(sql.render_sql(tokens))
-
-
 def _check_token_parse(tokens):
-    """``parse_rir`` of a token stream's text against ``parse_sql`` of it,
-    and the paths built on it against the render-and-re-lex
-    compositions."""
-    tokens = tuple(tokens)
-    text = sql.render_sql(tokens)
-    q = _outcome(_query_of_tokens, tokens)
-    assert q == _outcome(sql.parse_sql, text)
-    restored = _outcome(sql.sql_from_rir, tokens)
-    for outcome in (q, restored):
-        if isinstance(outcome, tuple) and outcome[0] is ParseError:
-            assert outcome[2] is not None  # every parse error has an offset
+    """The queries that ``sql_to_rir`` and ``sql_from_rir`` rename from the
+    query of a token stream, flags and block tree reused, against
+    ``parse_sql`` of their rendering."""
+    q = _outcome(sql.parse_sql, sql.render_sql(tokens))
+    if not isinstance(q, sql.SqlQuery):
+        if q[0] is ParseError:
+            assert q[2] is not None  # every parse error has an offset
+        return
+    restored = _outcome(sql.sql_from_rir, q)
     if isinstance(restored, sql.SqlQuery):
         assert restored == sql.parse_sql(restored.render())
-    z = _outcome(sql.sql_to_rir, q) if isinstance(q, sql.SqlQuery) else None
+    z = _outcome(sql.sql_to_rir, q)
     if isinstance(z, sql.SqlQuery):
         assert z.tokens == tuple(
             tok if value else ALIAS_RE.sub(r"\1\2", tok)
             for tok, value in zip(q.tokens, q.values))
-        # z_r's query from the program's block tree is the one parsing its
-        # tokens, or its rendering, builds.
-        assert (z == _outcome(_query_of_tokens, z.tokens)
-                == _outcome(sql.parse_sql, z.render()))
+        assert z == sql.parse_sql(z.render())
 
 
 def test_token_parse_equals_relex_on_fixtures(sql_records):
@@ -715,7 +694,7 @@ def test_token_parse_equals_relex_on_fixtures(sql_records):
             sql.parse_sql(z.render()))
         assert program.rir_text() == z.render()
         assert (pipeline.invert_reversible(z.render(), cfg)
-                == sql.parse_sql(sql.sql_from_rir(z.tokens).render()).render()
+                == sql.parse_sql(sql.sql_from_rir(z).render()).render()
                 == record.y)
 
 
