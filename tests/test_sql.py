@@ -450,6 +450,23 @@ def test_query_of_a_programs_rir_analyses_nothing_again(sql_records,
         assert lir == sql.sql_to_lir(q)
 
 
+def test_inverse_segments_z_once_into_the_programs_query(sql_records,
+                                                        monkeypatch):
+    # The inverse of a z_r text segments it once, when it parses it;
+    # restoring the program from the parsed z_r segments nothing more.
+    calls = []
+    segment = sql._segment
+    monkeypatch.setattr(sql, "_segment",
+                        lambda *args: calls.append(1) or segment(*args))
+    cfg = pipeline.PipelineConfig("sql")
+    for record in sql_records:
+        q = sql.parse_sql(record.y)
+        text = sql.sql_to_rir(q).render()
+        calls.clear()
+        assert pipeline.invert_reversible(text, cfg) == q.render()
+        assert len(calls) == 1
+
+
 def test_to_rir_makes_no_regex_substitution(sql_records):
     queries = [sql.parse_sql(record.y) for record in sql_records]
     called = set()
