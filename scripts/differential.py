@@ -48,7 +48,11 @@ SQL_VOCAB = ("SELECT", "DISTINCT", "FROM", "AS", "WHERE", "AND", "OR", "IN",
              "ALL", "(", ")", "))", "COUNT(", "(SELECT", ",", "=", "<",
              '"UA"', "'a b'", '"', "'", 'x"y', "FLIGHT", "FLIGHTalias0",
              "FLIGHTalias0.X", "FLIGHT0", "FLIGHT0.X", "aliasalias1",
-             "alias1", "Aalias", "city_name0", "2.5", "Müller", "T.X")
+             "alias1", "Aalias", "city_name0", "2.5", "Müller", "T.X",
+             # Keywords in other cases (``ſ`` upper-cases to ``S``) and a
+             # non-ASCII decimal digit.
+             "select", "From", "as", "group", "By", "union", "All", "and",
+             "between", "ſelect", "FLIGHTalias٣", "٣")
 SEPARATORS = (" ", "  ", "\t", "\n", "\xa0", "　", " \r\n ")
 SEEDS = (1, 2, 3)
 COUNT = 30000  # mutated inputs per function and seed

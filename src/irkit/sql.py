@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterator, NoReturn, Sequence
 
 from .errors import (InversionError, ParseError, TransformError,
@@ -39,6 +40,15 @@ _PLACEHOLDER_RE = re.compile(r"[a-z][a-z_]*\d+")
 _UNITS_RE = re.compile(r"""(?:[^\s"']+|"[^"]*"|'[^']*')+""")
 _TOKEN_RE = re.compile(_UNITS_RE.pattern + r"""|["']""")
 _QUOTES = ('"', "'")
+# Each word that a pass compares with a token's upper case, mapped to itself
+# so that every fact holds that one string.
+_KEYWORDS = {word: word for word in (*_CLAUSE_STARTERS, *_SET_OPS, "BY",
+                                     "ALL", "AS", "AND", "OR", "BETWEEN")}
+# The most distinct tokens whose facts ``_facts`` keeps.
+TOKEN_FACTS_SIZE = 4096
+# The indices of a token's facts in the tuple ``_facts`` returns.
+(_QUOTED, _DELTA, _KEYWORD, _VALUE, _ALIAS, _HEAD, _REST, _BAD, _HEAD_ALIAS,
+ _NUMBER) = range(10)
 # Raises a ParseError with a message at a token index (past the last: the
 # end) of the text a stream was lexed from.
 _Fail = Callable[[int, str], NoReturn]
@@ -64,31 +74,43 @@ def render_sql(tokens: Sequence[str]) -> str:
     return " ".join(tokens)
 
 
-def _quoted(tokens: Sequence[str]) -> tuple[bool, ...]:
-    """Per token, whether it is a quoted string: one that opens with a
-    quote.  Every later pass reads these flags."""
-    return tuple([tok[:1] in _QUOTES for tok in tokens])
-
-
-def _paren_depths(tokens: Sequence[str],
-                  quoted: Sequence[bool]) -> tuple[int, ...]:
-    """The paren depth before each token and after the last one.  A quoted
-    token counts no parens; any other moves the depth by its number of
-    ``(`` minus its number of ``)``, so ``))`` moves it by -2 and ``)(``
-    not at all."""
-    return tuple(accumulate(
-        [0 if q or "(" not in tok and ")" not in tok
-         else tok.count("(") - tok.count(")")
-         for tok, q in zip(tokens, quoted)], initial=0))
-
-
-def _split_qualified(token: str) -> tuple[str, str]:
-    """``(qualifier, ".column")`` for a dotted reference, whose qualifier
-    may name a table alias; ``(token, "")`` for any other unquoted token."""
-    qualifier, _, rest = token.partition(".")
-    if rest and (qualifier[:1].isalpha() or qualifier[:1] == "_"):
-        return qualifier, "." + rest
-    return token, ""
+@lru_cache(maxsize=TOKEN_FACTS_SIZE)
+def _facts(tok: str) -> tuple:
+    """What a token's text says about it in any query, by the ``_QUOTED``
+    ... ``_NUMBER`` indices: whether it is quoted (opens with a quote); its
+    paren delta, its number of ``(`` minus its number of ``)`` (0 if
+    quoted); the keyword it spells in any case, if a pass compares it with
+    one, else None; whether it is value-shaped (quoted, or a number or a
+    lowercase placeholder like ``city_name0`` that is no
+    ``<TABLE NAME>alias<N>`` token); whether it is an alias token; its
+    qualifier and ``".column"`` for a dotted reference, else itself and
+    ``""``; whether that qualifier holds ``alias`` but is no alias token,
+    which ``_check_tokens`` rejects, and whether it is one; and whether the
+    token is a number.  ``parse_sql`` looks each token up once and every
+    pass reads its facts; the table keeps the last ``TOKEN_FACTS_SIZE``
+    distinct tokens looked up."""
+    first = tok[:1]
+    if first in _QUOTES:
+        return True, 0, None, True, False, tok, "", False, False, False
+    head, _, rest = tok.partition(".")
+    if rest and (first.isalpha() or first == "_"):
+        rest = "." + rest
+    else:
+        head, rest = tok, ""
+    # Each pattern is tried only on a token that could match it: a number
+    # starts with a decimal digit (``\d`` is not ASCII-only), a placeholder
+    # with a lowercase ASCII letter, and an alias token holds ``alias``.
+    alias = "alias" in tok and _ALIAS_TOKEN_RE.fullmatch(tok) is not None
+    head_alias = alias if not rest else (
+        "alias" in head and _ALIAS_TOKEN_RE.fullmatch(head) is not None)
+    number = first.isdecimal() and _NUMBER_RE.fullmatch(tok) is not None
+    return (False, tok.count("(") - tok.count(")")
+            if "(" in tok or ")" in tok else 0,
+            _KEYWORDS.get(tok.upper()),
+            number or "a" <= first <= "z" and not alias
+            and _PLACEHOLDER_RE.fullmatch(tok) is not None,
+            alias, head, rest, "alias" in head and not head_alias,
+            head_alias, number)
 
 
 @dataclass(slots=True)
@@ -120,22 +142,22 @@ class SqlQuery:
     them."""
 
     tokens: tuple[str, ...]
-    quoted: tuple[bool, ...]  # ``_quoted(tokens)``
-    values: tuple[bool, ...]  # ``_values(tokens, quoted, declared)``
+    facts: tuple[tuple, ...]  # ``_facts`` of each token
+    values: tuple[bool, ...]  # ``_values(tokens, facts, declared)``
     block: Block
-    depths: tuple[int, ...]  # ``_paren_depths(tokens)``
+    depths: tuple[int, ...]  # before each token and after the last
     declared: dict[str, str]  # declared alias -> table, from every FROM
 
     def render(self) -> str:
         return render_sql(self.tokens)
 
 
-def _segment(tokens: Sequence[str], depths: Sequence[int],
-             fail: _Fail) -> Block:
+def _segment(tokens: Sequence[str], facts: Sequence[tuple],
+             depths: Sequence[int], fail: _Fail) -> Block:
     """The block tree of a token stream whose balance ``_check_tokens``
     has passed, built in one left-to-right pass.
 
-    ``depths`` is ``_paren_depths(tokens)``.  A token that raises the depth
+    ``facts`` and ``depths`` are the query's.  A token that raises the depth
     opens a group, which closes at the first later token that brings the
     depth back to, or past, the depth before the opener: so one ``))`` can
     close two groups, and ``)(`` opens none.  A ``(`` token followed by
@@ -151,7 +173,7 @@ def _segment(tokens: Sequence[str], depths: Sequence[int],
     while i < n:
         tok, before, after = tokens[i], depths[i], depths[i + 1]
         i += 1
-        if tok == "(" and i < n and tokens[i].upper() == "SELECT":
+        if tok == "(" and i < n and facts[i][_KEYWORD] == "SELECT":
             stack.append((before, block, group))
             block.children.append(Block(i, n))
             block, group = block.children[-1], None
@@ -164,21 +186,21 @@ def _segment(tokens: Sequence[str], depths: Sequence[int],
             group = before
             continue
         elif after == before:
-            upper, start = tok.upper(), i - 1
-            if upper in ("GROUP", "ORDER"):
-                if i >= n or tokens[i].upper() != "BY":
-                    fail(i, f"{upper} not followed by BY")
-                upper, i = upper + "_BY", i + 1
-            elif upper in _SET_OPS:
-                upper = "SET_OP"
-                if i < n and tokens[i].upper() == "ALL":
+            keyword, start = facts[i - 1][_KEYWORD], i - 1
+            if keyword in ("GROUP", "ORDER"):
+                if i >= n or facts[i][_KEYWORD] != "BY":
+                    fail(i, f"{keyword} not followed by BY")
+                keyword, i = keyword + "_BY", i + 1
+            elif keyword in _SET_OPS:
+                keyword = "SET_OP"
+                if i < n and facts[i][_KEYWORD] == "ALL":
                     i += 1
-            elif upper not in _CLAUSE_STARTERS:
+            elif keyword not in _CLAUSE_STARTERS:
                 if not block.clauses or block.clauses[-1].name == "SET_OP":
                     fail(i - 1,
                          f"token {tok!r} appears before any clause keyword")
                 continue
-            block.clauses.append(Clause(upper, start, i))
+            block.clauses.append(Clause(keyword, start, i))
             continue
         # The token closes each subquery whose "(" it brings the depth back
         # to, and the outer block's group if it brings that back too.
@@ -201,8 +223,8 @@ def _close(block: Block, end: int) -> None:
             clause.end = next_start
 
 
-def _collect_aliases(tokens: Sequence[str], block: Block,
-                     fail: _Fail) -> dict[str, str]:
+def _collect_aliases(tokens: Sequence[str], facts: Sequence[tuple],
+                     block: Block, fail: _Fail) -> dict[str, str]:
     """Map declared alias -> table name, from every FROM span."""
     declared: dict[str, str] = {}
     for b in block.walk():
@@ -210,62 +232,54 @@ def _collect_aliases(tokens: Sequence[str], block: Block,
             if clause.name != "FROM":
                 continue
             for i in range(clause.start, clause.end):
-                if tokens[i].upper() == "AS":
+                if facts[i][_KEYWORD] == "AS":
                     if i == clause.start or i + 1 >= clause.end:
                         fail(i, "dangling AS in FROM clause")
                     declared[tokens[i + 1]] = tokens[i - 1]
     return declared
 
 
-def _values(tokens: Sequence[str], quoted: Sequence[bool],
+def _values(tokens: Sequence[str], facts: Sequence[tuple],
             declared: dict[str, str]) -> tuple[bool, ...]:
     """Per token, whether it is a value: a quoted string, or a number or a
     lowercase placeholder (``city_name0``) that is neither a declared alias
-    nor a ``<TABLE NAME>alias<N>`` token.  Only a token that starts with a
-    decimal digit (``\\d``, which is not ASCII-only) or a lowercase ASCII
-    letter can be either."""
-    return tuple([q or ((tok[:1].isdecimal() or "a" <= tok[:1] <= "z")
-                        and tok not in declared
-                        and (_NUMBER_RE.fullmatch(tok) is not None
-                             or _PLACEHOLDER_RE.fullmatch(tok) is not None)
-                        and _ALIAS_TOKEN_RE.fullmatch(tok) is None)
-                  for tok, q in zip(tokens, quoted)])
+    nor a ``<TABLE NAME>alias<N>`` token."""
+    return tuple([f[_VALUE] and (f[_QUOTED] or tok not in declared)
+                  for tok, f in zip(tokens, facts)])
 
 
-def _check_tokens(tokens: Sequence[str], quoted: Sequence[bool],
+def _check_tokens(tokens: Sequence[str], facts: Sequence[tuple],
                   depths: Sequence[int], fail: _Fail) -> None:
     """The checks of a query that need no segmentation.  An empty query or
     one left inside parentheses fails at its end."""
     if not tokens:
         fail(0, "empty query")
-    if tokens[0].upper() != "SELECT":
+    if facts[0][_KEYWORD] != "SELECT":
         fail(0, f"query starts with {tokens[0]!r}, not SELECT")
     if min(depths) < 0:  # at the token that first takes the depth below 0
         fail([d < 0 for d in depths].index(True) - 1, "unbalanced ')'")
     if depths[-1] != 0:
         fail(len(tokens), "unbalanced '('")
-    for tok, q in zip(tokens, quoted):
-        if q or "alias" not in tok:
-            continue
-        head, _ = _split_qualified(tok)
-        if "alias" in head and not _ALIAS_TOKEN_RE.fullmatch(head):
-            # Each earlier copy of tok would have failed first.
-            fail(tokens.index(tok), f"token {tok!r} does not match the "
-                 "<TABLE NAME>alias<N> pattern")
+    bad = list(map(itemgetter(_BAD), facts))
+    if True in bad:
+        i = bad.index(True)
+        fail(i, f"token {tokens[i]!r} does not match the "
+             "<TABLE NAME>alias<N> pattern")
 
 
 def parse_sql(text: str) -> SqlQuery:
-    """The one analysis of a program or a predicted z_r: tokenize, check
-    the tokens, segment, collect the FROM aliases and flag the values.  A
-    ``ParseError``'s offset is a byte offset in ``text``."""
+    """The one analysis of a program or a predicted z_r: tokenize, look up
+    each token's facts, check the tokens, segment, collect the FROM aliases
+    and flag the values.  A ``ParseError``'s offset is a byte offset in
+    ``text``."""
     tokens = tuple(lex_sql(text))
-    quoted = _quoted(tokens)
-    depths = _paren_depths(tokens, quoted)
+    facts = tuple(map(_facts, tokens))
+    depths = tuple(accumulate(map(itemgetter(_DELTA), facts), initial=0))
     fail = partial(fail_at, text, token=_TOKEN_RE)
-    _check_tokens(tokens, quoted, depths, fail)
-    block = _segment(tokens, depths, fail)
-    declared = _collect_aliases(tokens, block, fail)
-    return SqlQuery(tokens, quoted, _values(tokens, quoted, declared), block,
+    _check_tokens(tokens, facts, depths, fail)
+    block = _segment(tokens, facts, depths, fail)
+    declared = _collect_aliases(tokens, facts, block, fail)
+    return SqlQuery(tokens, facts, _values(tokens, facts, declared), block,
                     depths, declared)
 
 
@@ -274,8 +288,8 @@ def parse_sql(text: str) -> SqlQuery:
 # ---------------------------------------------------------------------------
 
 
-def _renames(tokens: Sequence[str], declared: dict[str, str],
-             to_rir: bool) -> dict[str, str]:
+def _renames(tokens: Sequence[str], facts: Sequence[tuple],
+             declared: dict[str, str], to_rir: bool) -> dict[str, str]:
     """The alias rule, and its renames: each distinct unquoted token that
     is a declared alias, or is qualified by one, -> its rewrite.
 
@@ -307,12 +321,12 @@ def _renames(tokens: Sequence[str], declared: dict[str, str],
     # Every declared alias is a token; a quoted one is not renamed.
     renames = {alias: name for alias, name in names.items()
                if alias[:1] not in _QUOTES}
-    for tok in dict.fromkeys(tokens):
+    for tok, f in dict(zip(tokens, facts)).items():
         if ("." not in tok and not (to_rir and ("alias" in tok
                                                 or tok in aliases))
-                or tok in names or tok[:1] in _QUOTES):
+                or tok in names or f[_QUOTED]):
             continue
-        head, rest = _split_qualified(tok)
+        head, rest = f[_HEAD], f[_REST]
         if rest and head in names:
             renames[tok] = names[head] + rest
         new = renames.get(tok, tok)
@@ -333,30 +347,31 @@ def sql_to_rir(q: SqlQuery) -> SqlQuery:
     """z_r: rename each declared ``Xalias<N>`` to ``X<N>``, as a token and
     as a qualifier, in a program that meets the alias rule (``_renames``),
     and keep the program's flags, depths and block tree."""
-    renames = _renames(q.tokens, q.declared, True)
+    renames = _renames(q.tokens, q.facts, q.declared, True)
     tokens = tuple([renames.get(tok, tok) for tok in q.tokens])
-    return SqlQuery(tokens, q.quoted, q.values, q.block, q.depths,
-                    {renames[alias]: table
-                     for alias, table in q.declared.items()})
+    return SqlQuery(tokens, tuple(map(_facts, tokens)), q.values, q.block,
+                    q.depths, {renames[alias]: table
+                               for alias, table in q.declared.items()})
 
 
 def sql_from_rir(z: SqlQuery) -> SqlQuery:
     """The program of a parsed z_r: re-insert ``alias`` before the trailing
     digits of every alias that z's FROM clauses declare (``_renames``), as
     a token and as a qualifier.  z must hold no alias token."""
-    for tok, q in zip(z.tokens, z.quoted):
-        if not q and "alias" in tok and _ALIAS_TOKEN_RE.search(tok):
+    for tok, f in zip(z.tokens, z.facts):
+        if not f[_QUOTED] and "alias" in tok and _ALIAS_TOKEN_RE.search(tok):
             raise InversionError(
                 f"input already contains an alias token: {tok!r}")
-    renames = _renames(z.tokens, z.declared, False)
+    renames = _renames(z.tokens, z.facts, z.declared, False)
     # A restored name holds the parens and the first character of the name
-    # it replaces and is no clause keyword, so z's quote flags, value flags,
-    # depths and block tree are the program's.  A table token can be
-    # restored too (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
-    return SqlQuery(tuple([renames.get(tok, tok) for tok in z.tokens]),
-                    z.quoted, z.values, z.block, z.depths,
-                    {renames.get(alias, alias): renames.get(table, table)
-                     for alias, table in z.declared.items()})
+    # it replaces and is no clause keyword, so z's value flags, depths and
+    # block tree are the program's.  A table token can be restored too
+    # (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
+    tokens = tuple([renames.get(tok, tok) for tok in z.tokens])
+    return SqlQuery(tokens, tuple(map(_facts, tokens)), z.values, z.block,
+                    z.depths, {renames.get(alias, alias):
+                               renames.get(table, table)
+                               for alias, table in z.declared.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +380,7 @@ def sql_from_rir(z: SqlQuery) -> SqlQuery:
 
 
 def _is_qualified_column(q: SqlQuery, index: int) -> bool:
-    tok = q.tokens[index]
-    return _split_qualified(tok)[1] != "" and tok not in q.declared
+    return q.facts[index][_REST] != "" and q.tokens[index] not in q.declared
 
 
 def iter_conditions(q: SqlQuery, clause: Clause,
@@ -375,21 +389,22 @@ def iter_conditions(q: SqlQuery, clause: Clause,
     of one WHERE/HAVING clause body.  The AND that belongs to BETWEEN is not
     a connector.  A condition may be empty: before a leading connector,
     between two, after a trailing one, or as the whole of an empty body."""
-    base = q.depths[body_start]
+    facts, depths = q.facts, q.depths
+    base = depths[body_start]
     cond_start = body_start
     connector: int | None = None
     between = False
     for i in range(body_start, clause.end):
-        if q.depths[i + 1] != base:
+        if depths[i + 1] != base:
             continue
-        upper = q.tokens[i].upper()
-        if upper == "BETWEEN":
+        keyword = facts[i][_KEYWORD]
+        if keyword == "BETWEEN":
             between = True
-        elif upper in ("AND", "OR") and not between:
+        elif keyword in ("AND", "OR") and not between:
             yield cond_start, i, connector
             connector = i
             cond_start = i + 1
-        elif upper == "AND" and between:
+        elif keyword == "AND" and between:
             between = False
     yield cond_start, clause.end, connector
 
@@ -437,32 +452,22 @@ def sql_to_lir(q: SqlQuery) -> str:
                     keep[clause.start] = False  # WHERE/HAVING keyword itself
 
     masked: list[str] = []
-    for i, tok in enumerate(q.tokens):
-        if not keep[i]:
+    for tok, f, value, kept in zip(q.tokens, q.facts, q.values, keep):
+        if not kept:
             continue
-        if q.values[i]:
+        if value:
             masked.append(tok)
-            continue
-        if tok in declared or _ALIAS_TOKEN_RE.fullmatch(tok):
+        elif f[_ALIAS] or tok in declared:
             masked.append(TABLE_MASK)
-            continue
-        qualifier, rest = _split_qualified(tok)
-        if rest and (qualifier in declared
-                     or _ALIAS_TOKEN_RE.fullmatch(qualifier)):
-            masked.append(TABLE_MASK + rest)
-            continue
-        masked.append(tok)
+        elif f[_REST] and (f[_HEAD_ALIAS] or f[_HEAD] in declared):
+            masked.append(TABLE_MASK + f[_REST])
+        else:
+            masked.append(tok)
     return render_sql(masked)
 
 
 def sql_template_signature(q: SqlQuery) -> str:
     """Query text with every value replaced by a typed placeholder."""
-    out: list[str] = []
-    for tok, value in zip(q.tokens, q.values):
-        if not value:
-            out.append(tok)
-        elif _NUMBER_RE.fullmatch(tok):
-            out.append("NUM")
-        else:
-            out.append("STR")
-    return render_sql(out)
+    return render_sql([tok if not value else "NUM" if f[_NUMBER] else "STR"
+                       for tok, f, value in zip(q.tokens, q.facts,
+                                                q.values)])

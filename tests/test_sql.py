@@ -150,6 +150,41 @@ def test_group_order_having_limit_segmentation():
         "SELECT", "FROM", "GROUP_BY", "HAVING", "ORDER_BY", "LIMIT"]
 
 
+# (a program whose keywords are in lower or mixed case, the same program
+# with them in upper case).  ``ſ`` upper-cases to ``S``.
+KEYWORD_CASES = [
+    ("select Aalias0.X From A as Aalias0",
+     "SELECT Aalias0.X FROM A AS Aalias0"),
+    ("SELECT Aalias0.X , COUNT( * ) FROM A AS Aalias0 group By Aalias0.X",
+     "SELECT Aalias0.X , COUNT( * ) FROM A AS Aalias0 GROUP BY Aalias0.X"),
+    ("SELECT Aalias0.X FROM A AS Aalias0 union All "
+     "select Balias0.X FROM B As Balias0",
+     "SELECT Aalias0.X FROM A AS Aalias0 UNION ALL "
+     "SELECT Balias0.X FROM B AS Balias0"),
+    # The first ``and`` joins a join-only condition, which z_l drops with
+    # it; the second belongs to ``between``.
+    ("SELECT Aalias0.X FROM A AS Aalias0 , B AS Balias0 WHERE "
+     "Aalias0.Y = Balias0.Y and Aalias0.Z between 1 and 5",
+     "SELECT Aalias0.X FROM A AS Aalias0 , B AS Balias0 WHERE "
+     "Aalias0.Y = Balias0.Y AND Aalias0.Z BETWEEN 1 AND 5"),
+    ("ſelect Aalias0.X FROM A AS Aalias0 WHERE Aalias0.Y IN "
+     "( ſelect Balias0.Y FROM B AS Balias0 )",
+     "SELECT Aalias0.X FROM A AS Aalias0 WHERE Aalias0.Y IN "
+     "( SELECT Balias0.Y FROM B AS Balias0 )"),
+]
+
+
+@pytest.mark.parametrize("text, upper", KEYWORD_CASES)
+def test_keywords_are_case_insensitive(text, upper):
+    q, u = sql.parse_sql(text), sql.parse_sql(upper)
+    assert [[(c.name, c.start, c.end) for c in b.clauses]
+            for b in q.block.walk()] == [
+        [(c.name, c.start, c.end) for c in b.clauses] for b in u.block.walk()]
+    assert q.declared == u.declared
+    assert q.values == u.values
+    assert sql.sql_to_lir(q).upper() == sql.sql_to_lir(u).upper()
+
+
 @pytest.mark.parametrize("bad", [
     "SELECT ( FROM",                         # unbalanced
     "SELECT A.X ) FROM",                     # early close

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from irkit import data
+from irkit import data, sql
 from irkit.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -33,9 +33,28 @@ def scan_corpus(path, n):
     return path
 
 
+# Per sql record, enough new numbers that 1,000 records fill sql's token
+# table and turn it over three times, as 8,000 records do and more: so both
+# runs reach its largest footprint, the resizes of its index included.
+FRESH = 4 * sql.TOKEN_FACTS_SIZE // 1_000 + 1
+
+
+def sql_corpus(path, n, first):
+    """``n`` sql records, each with ``FRESH`` numbers that no other record
+    holds: ``first`` and up."""
+    path.write_text("".join(json.dumps({
+        "id": str(i), "x": "q",
+        "y": "SELECT Aalias0.X FROM A AS Aalias0 WHERE Aalias0.Y IN ( "
+             + " , ".join(str(first + FRESH * i + j) for j in range(FRESH))
+             + " )"}) + "\n" for i in range(n)), encoding="utf-8")
+    return path
+
+
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
-    """Per size: the scan corpus and its z_r as (id, z_r) rows."""
+    """Per size, and for a warm-up run: the scan corpus, its z_r as
+    (id, z_r) rows, and a sql corpus whose numbers no other corpus holds.
+    The warm-up's scan files are the 1,000-record ones."""
     root = tmp_path_factory.mktemp("streaming")
     sizes = {}
     for n in (1_000, 8_000):
@@ -43,22 +62,32 @@ def corpora(tmp_path_factory):
         rir = root / f"rir{n}.tsv"
         assert run("transform", "--formalism", "scan", "--ir", "rir",
                    "--in", scan, "--out", rir) == 0
-        sizes[n] = scan, rir
+        sizes[n] = {"scan": scan, "rir": rir,
+                    "sql": sql_corpus(root / f"sql{n}.jsonl", n, FRESH * n)}
+    sizes["warm-up"] = {**sizes[1_000], "sql": sql_corpus(
+        root / "sql-warm-up.jsonl", 1_000, 0)}
     return sizes
 
 
 COMMANDS = {
-    "transform": lambda scan, rir: ["transform", "--ir", "rir",
-                                    "--in", scan],
-    "invert": lambda scan, rir: ["invert", "--in", rir],
-    "prepare": lambda scan, rir: ["prepare", "--mode", "lir-d-rir",
-                                  "--stage", "2", "--in", scan],
-    "postprocess": lambda scan, rir: ["postprocess", "--mode", "rir",
-                                      "--stage", "1", "--in", rir],
+    "transform": lambda c: ["transform", "--ir", "rir", "--in", c["scan"],
+                            "--formalism", "scan"],
+    "invert": lambda c: ["invert", "--in", c["rir"], "--formalism", "scan"],
+    "prepare": lambda c: ["prepare", "--mode", "lir-d-rir", "--stage", "2",
+                          "--in", c["scan"], "--formalism", "scan"],
+    "postprocess": lambda c: ["postprocess", "--mode", "rir", "--stage", "1",
+                              "--in", c["rir"], "--formalism", "scan"],
+    # Every record brings tokens that sql's token table has not seen.
+    "sql": lambda c: ["prepare", "--mode", "lir-d-rir", "--stage", "2",
+                      "--in", c["sql"], "--formalism", "sql"],
 }
 
 
 def peak_bytes(argv):
+    # The run refills sql's token table, so tracing sees every entry: in a
+    # table filled before tracing, an evicted entry's objects go to the
+    # interpreter's free lists, and the next entry reuses them untraced.
+    sql._facts.cache_clear()
     tracemalloc.start()
     try:
         assert run(*argv) == 0
@@ -70,12 +99,20 @@ def peak_bytes(argv):
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_memory_is_flat_in_the_record_count(corpora, tmp_path, command):
     def argv(n):
-        return [*COMMANDS[command](*corpora[n]), "--formalism", "scan",
+        return [*COMMANDS[command](corpora[n]),
                 "--out", tmp_path / f"out{n}.tsv"]
 
-    assert run(*argv(1_000)) == 0  # first-call caches are not per record
+    def table_is_bounded():
+        table = sql._facts.cache_info()
+        return table.currsize <= table.maxsize == sql.TOKEN_FACTS_SIZE
+
+    # First-call caches are not per record; the warm-up also fills sql's
+    # token table past its size.
+    assert run(*argv("warm-up")) == 0
+    assert table_is_bounded()
     small, large = peak_bytes(argv(1_000)), peak_bytes(argv(8_000))
     assert large <= 1.5 * small, (small, large)
+    assert table_is_bounded()
 
 
 def _scan_jsonl(path, n, last_line):
