@@ -23,6 +23,8 @@ differ.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import hashlib
 import importlib
 import itertools
@@ -30,6 +32,7 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +46,11 @@ SPARQL_VOCAB = ("SELECT", "WHERE", "FILTER", "DISTINCT", "count(*)", "{", "}",
 SCAN_VOCAB = ("walk", "look", "run", "jump", "turn", "left", "right",
               "opposite", "around", "twice", "thrice", "and", "after",
               "Jump", "sideways", "ü")
+SCAN_RIR_VOCAB = ("(", ")", "((", "JUMP", "WALK", "RUN", "LOOK", "LTURN",
+                  "RTURN", "A", "jump", "ü")
+# IN:/OUT: lines; the separators below add line breaks of their own.
+SCAN_LINE_VOCAB = (SCAN_VOCAB + SCAN_RIR_VOCAB
+                   + ("IN:", "OUT:", "IN", "OUT", ":", "\x85", "\x1c"))
 SQL_VOCAB = ("SELECT", "DISTINCT", "FROM", "AS", "WHERE", "AND", "OR", "IN",
              "GROUP", "ORDER", "BY", "HAVING", "LIMIT", "BETWEEN", "UNION",
              "ALL", "(", ")", "))", "COUNT(", "(SELECT", ",", "=", "<",
@@ -142,6 +150,62 @@ def _scan_commands() -> list[str]:
     return [r.x for r in data.read_scan_records(DATA / "scan_sample.txt")]
 
 
+def _scan_rirs() -> list[str]:
+    from irkit import scan
+    return [" ".join(scan.scan_to_rir(scan.parse_command(x)))
+            for x in _scan_commands()]
+
+
+def _scan_lines() -> list[str]:
+    return (DATA / "scan_sample.txt").read_text(encoding="utf-8").splitlines()
+
+
+def scan_transform(text: str) -> tuple[str, ...]:
+    """What ``transform`` and ``prepare`` write for a command and its
+    actions: z_r, the actions, z_l and z_{l,r}."""
+    from irkit import data, pipeline, scan
+    actions = " ".join(scan.interpret(scan.parse_command(text)))
+    p = pipeline.Program(data.ExampleRecord("0", text, actions),
+                         pipeline.PipelineConfig("scan"))
+    return p.rir_text(), actions, p.lir_text(), p.lir_rir_text()
+
+
+def scan_from_rir(text: str) -> str:
+    """The program ``invert`` writes for a z_r.  A tree without
+    ``scan.EMPTY_ACTIONS`` restores a z_r with no actions as an empty
+    program; here that raises the later tree's error, so that only other
+    differences show."""
+    from irkit import pipeline, scan
+    from irkit.errors import InversionError
+    program = pipeline.invert_reversible(text,
+                                         pipeline.PipelineConfig("scan"))
+    if not program and not hasattr(scan, "EMPTY_ACTIONS"):
+        raise InversionError("empty action sequence")
+    return program
+
+
+@functools.cache
+def _lines_file() -> Path:
+    """One file for the reader entry's inputs, removed when the process
+    exits."""
+    tmp = tempfile.TemporaryDirectory()
+    atexit.register(tmp.cleanup)
+    return Path(tmp.name) / "lines.txt"
+
+
+def scan_read(text: str) -> list[tuple[str, str, str]]:
+    """The records ``data.read_scan_records`` reads from a file holding
+    ``text``; an error names the file ``lines.txt``."""
+    from irkit import data
+    from irkit.errors import IrkitError
+    path = _lines_file()
+    path.write_text(text, encoding="utf-8")
+    try:
+        return [tuple(r) for r in data.read_scan_records(path)]
+    except IrkitError as exc:
+        raise IrkitError(str(exc).replace(str(path), path.name)) from None
+
+
 def _query_form(q) -> tuple:
     """An ``SqlQuery`` as plain tuples, which trees whose ``SqlQuery`` has
     other fields build alike."""
@@ -191,6 +255,9 @@ FUNCTIONS = {
     "sparql.lossy_of_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_lossy_of_rir),
     "sparql.key": (_sparql_programs, SPARQL_VOCAB, sparql_key),
     "scan.parse_command": (_scan_commands, SCAN_VOCAB, None),
+    "scan.transform": (_scan_commands, SCAN_VOCAB, scan_transform),
+    "scan.from_rir": (_scan_rirs, SCAN_RIR_VOCAB, scan_from_rir),
+    "data.read_scan_records": (_scan_lines, SCAN_LINE_VOCAB, scan_read),
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
     "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_rir),
     "sql.transform": (_sql_programs, SQL_VOCAB, sql_transform),

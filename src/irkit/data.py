@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, NamedTuple, Sequence,
@@ -48,9 +47,6 @@ def first_of_each_id(items: Iterable[tuple[str, T]], stage: str,
         else:
             seen.add(item_id)
             yield item_id, item
-
-
-_SCAN_LINE_RE = re.compile(r"IN:\s*(?P<x>.*?)\s*OUT:\s*(?P<y>.*)")
 
 
 def check_field(value: str, what: str, record_id: str) -> str:
@@ -143,13 +139,14 @@ def read_records_tsv(path: str | Path) -> Iterator[ExampleRecord]:
 
 
 def read_scan_records(path: str | Path) -> Iterator[ExampleRecord]:
-    """Adapter for ``IN: <command> OUT: <actions>`` lines."""
+    """Adapter for ``IN: <command> OUT: <actions>`` lines: x is the text
+    between ``IN:`` and the first ``OUT:``, y the text after that, both
+    without surrounding whitespace."""
     for lineno, line in _lines(path):
-        match = _SCAN_LINE_RE.fullmatch(line)
-        if not match:
+        head, out, y = line.partition("OUT:")
+        if not (out and head.startswith("IN:")):
             raise IrkitError(f"{path}:{lineno}: not an IN:/OUT: line")
-        yield ExampleRecord(str(lineno - 1), match.group("x"),
-                            match.group("y"))
+        yield ExampleRecord(str(lineno - 1), head[3:].strip(), y.lstrip())
 
 
 class RecordFile:

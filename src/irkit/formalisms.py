@@ -54,24 +54,27 @@ def _sparql_rir(p) -> sparql_ir.SparqlQuery:
 
 def _scan_actions(text: str) -> list[str]:
     actions = text.split()
-    for tok in actions:
-        if tok not in scan_ir.ACTIONS:
-            raise IrkitError(f"unknown action token {tok!r}")
+    if not scan_ir.ACTIONS.issuperset(actions):
+        tok = next(t for t in actions if t not in scan_ir.ACTIONS)
+        raise IrkitError(f"unknown action token {tok!r}")
+    if not actions:
+        raise IrkitError(scan_ir.EMPTY_ACTIONS)
     return actions
 
 
 def _scan_rir(p) -> list[str]:
     # The bracketing transducer is driven by the command, so the source side
     # must actually denote the target actions.
-    tokens = scan_ir.scan_to_rir(scan_ir.parse_command(p.record.x))
-    if scan_ir.strip_brackets(tokens) != p.record.y.split():
+    command = scan_ir.parse_command(p.record.x)
+    if scan_ir.interpret(command) != p.record.y.split():
         raise IrkitError("command does not interpret to the target actions")
-    return tokens
+    return scan_ir.scan_to_rir(command)
 
 
 def _scan_parse_rir(text: str) -> list[str]:
     tokens = text.split()
-    scan_ir.strip_brackets(tokens)  # validates vocabulary and balance
+    # Raises on an unknown token, unbalanced brackets or no action.
+    scan_ir.strip_brackets(tokens)
     return tokens
 
 

@@ -20,6 +20,7 @@ ACTIONS = frozenset(PRIMITIVE_ACTIONS.values()) | frozenset(
     TURN_ACTIONS.values())
 
 ANON_ACTION = "A"
+EMPTY_ACTIONS = "empty action sequence"
 
 _VERBS = frozenset(PRIMITIVE_ACTIONS) | {"turn"}
 _DIRECTIONS = frozenset(TURN_ACTIONS)
@@ -83,9 +84,8 @@ def _parse_sequence(text: str, words: list[str],
     return phrase, i
 
 
-def parse_command(text: str) -> ScanCommand:
-    """Parse one command; the grammar admits exactly one derivation."""
-    words = text.split()
+def _parse_words(text: str, words: list[str]) -> ScanCommand:
+    """The word-by-word parse of ``text``, whose words are ``words``."""
     for i, word in enumerate(words):
         if word not in _VOCABULARY:
             fail_at(text, i, f"unknown word {word!r}")
@@ -101,7 +101,7 @@ def parse_command(text: str) -> ScanCommand:
 
 
 # ---------------------------------------------------------------------------
-# Interpretation
+# The sequence table: what the transforms read of each sequence
 # ---------------------------------------------------------------------------
 
 
@@ -118,17 +118,87 @@ def _phrase_actions(p: VerbPhrase) -> list[str]:
     return step * 4  # around: full rotation, stepping after each turn
 
 
+class _Sequence(NamedTuple):
+    """A sequence's node, its actions and its z_r tokens, which bracket each
+    repetition copy and a multi-action verb phrase."""
+    node: Union[VerbPhrase, Repeat]
+    actions: tuple[str, ...]
+    rir: tuple[str, ...]
+
+
+def _analyse(seq: Union[VerbPhrase, Repeat]) -> _Sequence:
+    if isinstance(seq, Repeat):
+        actions = tuple(_phrase_actions(seq.phrase))
+        return _Sequence(seq, actions * seq.times,
+                         ("(", *actions, ")") * seq.times)
+    actions = tuple(_phrase_actions(seq))
+    return _Sequence(seq, actions,
+                     actions if len(actions) == 1 else ("(", *actions, ")"))
+
+
+# A sequence's words, joined by single spaces, to its entry.  A sequence
+# enters only when the word-by-word parser accepts exactly its words, so the
+# table holds at most the grammar's 102 sequences.  ``_BY_NODE`` indexes
+# the same entries by node.
+_SEQUENCES: dict[str, _Sequence] = {}
+_BY_NODE: dict[Union[VerbPhrase, Repeat], _Sequence] = {}
+
+
+def _enter(command: ScanCommand, words: list[str]) -> None:
+    """Enter each sequence of a parsed command under its words; a
+    conjunction stands at the command's first conjunction word."""
+    if isinstance(command, Conjunction):
+        k = words.index(command.op)
+        parts = ((command.left, words[:k]), (command.right, words[k + 1:]))
+    else:
+        parts = ((command, words),)
+    for seq, seq_words in parts:
+        _SEQUENCES[" ".join(seq_words)] = _BY_NODE[seq] = _analyse(seq)
+
+
+def parse_command(text: str) -> ScanCommand:
+    """Parse one command; the grammar admits exactly one derivation.
+
+    A command whose sequences, split at its first conjunction, are in the
+    table is read from it; any other goes through the word-by-word parser,
+    which raises its errors or enters the command's sequences."""
+    words = text.split()
+    for k, word in enumerate(words):
+        if word in _CONJUNCTIONS:
+            left = _SEQUENCES.get(" ".join(words[:k]))
+            right = _SEQUENCES.get(" ".join(words[k + 1:]))
+            if left and right:
+                return Conjunction(word, left.node, right.node)
+            break
+    else:
+        whole = _SEQUENCES.get(" ".join(words))
+        if whole:
+            return whole.node
+    command = _parse_words(text, words)
+    _enter(command, words)
+    return command
+
+
+def _entry(seq: Union[VerbPhrase, Repeat]) -> _Sequence:
+    """A sequence node's entry.  A node the parser has not made, such as
+    one built by hand, is analysed without entering the table."""
+    return _BY_NODE.get(seq) or _analyse(seq)
+
+
+def _performed(command: ScanCommand, field: str) -> list[str]:
+    """``field`` of the command's sequence entries, in the order the command
+    performs them."""
+    if not isinstance(command, Conjunction):
+        return list(getattr(_entry(command), field))
+    left = getattr(_entry(command.left), field)
+    right = getattr(_entry(command.right), field)
+    # "x after y" performs y first
+    return list(left + right if command.op == "and" else right + left)
+
+
 def interpret(command: ScanCommand) -> list[str]:
     """Denotation of a command as its flat action sequence."""
-    if isinstance(command, VerbPhrase):
-        return _phrase_actions(command)
-    if isinstance(command, Repeat):
-        return _phrase_actions(command.phrase) * command.times
-    left = interpret(command.left)
-    right = interpret(command.right)
-    if command.op == "and":
-        return left + right
-    return right + left  # "x after y" performs y first
+    return _performed(command, "actions")
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +206,15 @@ def interpret(command: ScanCommand) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _sequence_rir(seq: Union[VerbPhrase, Repeat]) -> list[str]:
-    if isinstance(seq, Repeat):
-        copy = ["("] + _phrase_actions(seq.phrase) + [")"]
-        return copy * seq.times
-    actions = _phrase_actions(seq)
-    if len(actions) == 1:
-        return actions
-    return ["("] + actions + [")"]
-
-
 def scan_to_rir(command: ScanCommand) -> list[str]:
     """Action tokens with brackets around repetition copies and around
     multi-action verb phrases; conjunctions add no brackets of their own."""
-    if isinstance(command, Conjunction):
-        left = _sequence_rir(command.left)
-        right = _sequence_rir(command.right)
-        return left + right if command.op == "and" else right + left
-    return _sequence_rir(command)
+    return _performed(command, "rir")
 
 
 def strip_brackets(tokens: Sequence[str] | str) -> list[str]:
-    """Drop the bracket tokens, checking balance and the action vocabulary."""
+    """Drop the bracket tokens, checking balance, the action vocabulary and
+    that some action is left."""
     if isinstance(tokens, str):
         tokens = tokens.split()
     depth = 0
@@ -175,6 +232,8 @@ def strip_brackets(tokens: Sequence[str] | str) -> list[str]:
             raise InversionError(f"unknown action token {tok!r}")
     if depth != 0:
         raise InversionError("unclosed '(' in bracketed sequence")
+    if not actions:
+        raise InversionError(EMPTY_ACTIONS)
     return actions
 
 
@@ -189,15 +248,8 @@ def scan_to_lir(tokens: Sequence[str] | str) -> list[str]:
     transform composes with the bracketed IR) but break runs."""
     if isinstance(tokens, str):
         tokens = tokens.split()
-    out: list[str] = []
-    previous = None
-    for tok in tokens:
-        if tok in ACTIONS and tok == previous:
-            out.append(ANON_ACTION)
-            continue
-        out.append(tok)
-        previous = tok if tok in ACTIONS else None
-    return out
+    return [ANON_ACTION if tok == previous and tok in ACTIONS else tok
+            for previous, tok in zip((None, *tokens), tokens)]
 
 
 def scan_lir_expand(tokens: Sequence[str] | str) -> list[str]:

@@ -102,6 +102,19 @@ def all_scan_commands() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# SCAN file lines: the lazy regex the reader's string split replaced
+# ---------------------------------------------------------------------------
+
+_SCAN_LINE_RE = re.compile(r"IN:\s*(?P<x>.*?)\s*OUT:\s*(?P<y>.*)")
+
+
+def oracle_scan_line(line: str) -> tuple[str, str] | None:
+    """x and y of an ``IN: <x> OUT: <y>`` line, or None for any other."""
+    match = _SCAN_LINE_RE.fullmatch(line)
+    return match and match.group("x", "y")
+
+
+# ---------------------------------------------------------------------------
 # SPARQL lossy forms: one pass over the rendered tokens
 # ---------------------------------------------------------------------------
 

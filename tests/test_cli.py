@@ -117,6 +117,30 @@ def test_transform_quarantines_bad_records(ws):
                "--in", src, "--out", out) == 1
 
 
+# An empty action sequence is no program: each command quarantines it, as
+# sparql and sql quarantine an empty program.  An empty z_r row is also how
+# a row flagged upstream looks; invert keeps it flagged.
+@pytest.mark.parametrize("argv, suffix, rows, kept", [
+    (["transform", "--ir", "lir"], "jsonl",
+     ['{"id": "ok", "x": "jump", "y": "JUMP"}',
+      '{"id": "empty", "x": "jump", "y": ""}'], [("ok", "JUMP")]),
+    (["prepare", "--mode", "lir-d", "--stage", "1"], "jsonl",
+     ['{"id": "ok", "x": "jump", "y": "JUMP"}',
+      '{"id": "empty", "x": "jump", "y": " "}'], [("ok", "jump", "JUMP")]),
+    (["invert"], "tsv", ["ok\t( JUMP )", "empty\t"],
+     [("ok", "JUMP"), ("empty", "")]),
+])
+def test_scan_quarantines_an_empty_action_sequence(ws, argv, suffix, rows,
+                                                   kept):
+    src, out = ws / f"in.{suffix}", ws / "out.tsv"
+    src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert run(*argv, "--formalism", "scan", "--in", src, "--out", out) == 0
+    assert [tuple(line.split("\t")) for line in
+            out.read_text(encoding="utf-8").splitlines()] == kept
+    [entry] = data.read_quarantine(ws / "out.tsv.quarantine.jsonl")
+    assert (entry.id, entry.reason) == ("empty", "empty action sequence")
+
+
 def test_sparql_dict_build_skips_an_unparseable_record(ws):
     fixture = ws / "sparql_corpus.jsonl"
     src = ws / "mixed.jsonl"

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irkit import scan
-from irkit.errors import InversionError, ParseError, TransformError
+from irkit import data, formalisms, pipeline, scan
+from irkit.errors import InversionError, IrkitError, ParseError, TransformError
 
-from oracles import all_scan_commands, oracle_scan_interpret
+from oracles import all_scan_commands, oracle_scan_interpret, oracle_scan_line
 
 actions_strategy = st.lists(st.sampled_from(sorted(scan.ACTIONS)),
                             min_size=1, max_size=40)
@@ -94,6 +96,31 @@ def test_whole_grammar_parses(command_space):
         scan.parse_command(text)
 
 
+@pytest.mark.parametrize("bad", [
+    "jump sideways", "walk and run after look", "turn", "jump opposite", "",
+    "walk twice and turn", "and jump"])
+def test_sequence_table_holds_only_the_grammars_sequences(command_space, bad):
+    # A sequence enters when the word-by-word parser accepts exactly its
+    # words: an invalid command, even one with a valid sequence, adds none.
+    for text in command_space:
+        scan.parse_command(text)
+    with pytest.raises(ParseError):
+        scan.parse_command(bad)
+    assert len(scan._SEQUENCES) == len(scan._BY_NODE) == 102
+    assert set(scan._SEQUENCES.values()) == set(scan._BY_NODE.values())
+
+
+def test_table_served_parse_equals_the_word_by_word_parse(command_space,
+                                                          monkeypatch):
+    for text in command_space:
+        scan.parse_command(text)
+    word_by_word = scan._parse_words
+    # With every sequence in the table, a miss would call None and fail.
+    monkeypatch.setattr(scan, "_parse_words", None)
+    for text in command_space + ["  walk\tleft   and\u3000run thrice "]:
+        assert scan.parse_command(text) == word_by_word(text, text.split())
+
+
 # ---------------------------------------------------------------------------
 # Interpretation: primary vs independent table-driven oracle
 # ---------------------------------------------------------------------------
@@ -155,9 +182,26 @@ def test_rir_brackets_balanced_and_shallow(command_space):
         assert max_depth <= 4
 
 
+def test_transform_inverts_exactly_through_the_formalism_table(
+        command_space):
+    # invert∘transform = id, and z_{l,r} of the predicted z_r text is
+    # to_lir(z_r), on the whole command space.
+    f = formalisms.TABLE["scan"]
+    cfg = pipeline.PipelineConfig("scan")
+    for text in command_space:
+        y = oracle_scan_interpret(text)
+        program = pipeline.Program(data.ExampleRecord("0", text, y), cfg)
+        rir = program.rir_text()
+        assert pipeline.invert_reversible(rir, cfg) == y, text
+        assert pipeline._lir_of_rir(rir, cfg) == f.to_lir(program.rir), text
+
+
 def test_strip_brackets_plain_and_errors():
     assert scan.strip_brackets("( LTURN LTURN )") == ["LTURN", "LTURN"]
     assert scan.strip_brackets("JUMP WALK") == ["JUMP", "WALK"]
+    for empty in ("", "( )", "( ( ) )"):
+        with pytest.raises(InversionError, match="empty action sequence"):
+            scan.strip_brackets(empty)
     with pytest.raises(InversionError):
         scan.strip_brackets("( JUMP")
     with pytest.raises(InversionError):
@@ -236,3 +280,32 @@ def test_scan_file_records_are_consistent(scan_records):
     for record in scan_records:
         command = scan.parse_command(record.x)
         assert " ".join(scan.interpret(command)) == record.y
+
+
+def test_line_split_agrees_with_the_regex(tmp_path, differential):
+    # Seeded lines as the reader sees them, which hold no line break.
+    rng = random.Random("scan lines")
+    spaces = [sep for sep in differential.SEPARATORS
+              if "\n" not in sep] + ["", "\x85", "\x1c"]
+    words = ["IN:", "OUT:", "OUT:", "jump", "twice", "JUMP", "IN", ":", ""]
+    lines = []
+    while len(lines) < 3000:
+        pieces = ["IN:" if rng.random() < 0.8 else rng.choice(words)]
+        pieces += [rng.choice(words) for _ in range(rng.randint(0, 6))]
+        line = "".join(p + rng.choice(spaces) for p in pieces)
+        if line.strip():
+            lines.append(line)
+    fields = [oracle_scan_line(line.strip()) for line in lines]
+    valid = [line for line, xy in zip(lines, fields) if xy]
+    path = tmp_path / "valid.txt"
+    path.write_text("".join(line + "\n" for line in valid), encoding="utf-8")
+    assert [(r.x, r.y) for r in data.read_scan_records(path)] == [
+        xy for xy in fields if xy]
+    assert sum(xy == ("", "") for xy in fields) > 0
+    assert sum(line.count("OUT:") > 1 for line in valid) > 100
+    invalid = [line for line, xy in zip(lines, fields) if not xy]
+    assert len(invalid) > 100
+    for line in invalid:
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(IrkitError, match="not an IN:/OUT: line"):
+            list(data.read_scan_records(path))
