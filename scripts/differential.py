@@ -42,7 +42,7 @@ DATA = ROOT / "tests" / "data"
 SPARQL_VOCAB = ("SELECT", "WHERE", "FILTER", "DISTINCT", "count(*)", "{", "}",
                 "(", ")", ".", ",", "!=", "=", "?x0", "?x1", "?x9", "M0",
                 "M1", "m_0f8l9c", "ns:film.film.directed_by",
-                "film.directed_by", "Müller", "x")
+                "film.directed_by", "Müller", "x", "var")
 SCAN_VOCAB = ("walk", "look", "run", "jump", "turn", "left", "right",
               "opposite", "around", "twice", "thrice", "and", "after",
               "Jump", "sideways", "ü")
@@ -90,11 +90,19 @@ def _sparql_programs() -> list[str]:
         DATA / "sparql_corpus.jsonl")]
 
 
+@functools.cache
+def _sparql_dict():
+    """The relation dictionary of the fixture programs."""
+    from irkit import sparql
+    return sparql.build_relation_dict(
+        map(sparql.parse_sparql, _sparql_programs()))
+
+
 def _sparql_rirs() -> list[str]:
     """Every fixture program's z_r under each combination of options."""
     from irkit import sparql
     queries = [sparql.parse_sparql(y) for y in _sparql_programs()]
-    rdict = sparql.build_relation_dict(queries)
+    rdict = _sparql_dict()
     texts = []
     for flags in itertools.product((True, False), repeat=3):
         options = sparql.RirOptions(*flags)
@@ -125,6 +133,14 @@ def sparql_lossy_of_rir(text: str) -> tuple[str, str]:
     from irkit import sparql
     z = sparql.parse_rir(text)
     return sparql.sparql_to_lir(z), sparql.structure_signature(z)
+
+
+def sparql_from_rir(text: str) -> str:
+    """The program ``invert`` writes for a z_r, with the relation dictionary
+    of the fixture programs."""
+    from irkit import pipeline
+    return pipeline.invert_reversible(text, pipeline.PipelineConfig(
+        "sparql", relation_dict=_sparql_dict()))
 
 
 def sparql_key(text: str) -> str:
@@ -253,6 +269,7 @@ FUNCTIONS = {
     "sparql.parse_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_parse_rir),
     "sparql.transform": (_sparql_programs, SPARQL_VOCAB, sparql_transform),
     "sparql.lossy_of_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_lossy_of_rir),
+    "sparql.from_rir": (_sparql_rirs, SPARQL_VOCAB, sparql_from_rir),
     "sparql.key": (_sparql_programs, SPARQL_VOCAB, sparql_key),
     "scan.parse_command": (_scan_commands, SCAN_VOCAB, None),
     "scan.transform": (_scan_commands, SCAN_VOCAB, scan_transform),

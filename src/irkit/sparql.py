@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -44,12 +45,6 @@ class SelectHead(NamedTuple):
     kind: str  # COUNT or DISTINCT
     variables: tuple[str, ...] = ()
 
-    def render(self, term: Callable[[str], str] | None = None) -> str:
-        if self.kind == COUNT:
-            return "SELECT count(*)"
-        return "SELECT DISTINCT " + " ".join(
-            self.variables if term is None else map(term, self.variables))
-
 
 class TripleGroup(NamedTuple):
     """A subject and relation with one or more objects.  A program's triple
@@ -70,7 +65,11 @@ Item = Union[TripleGroup, Filter]
 
 # ``TripleGroup._make`` of a (subject, relation, objects) tuple, without its
 # Python-level frame: parsing and the transforms build one group per triple.
+# The other node types are made alike.
 _make_group = partial(tuple.__new__, TripleGroup)
+_make_filter = partial(tuple.__new__, Filter)
+_make_head = partial(tuple.__new__, SelectHead)
+_COUNT_HEAD = SelectHead(COUNT)
 
 
 class SparqlQuery(NamedTuple):
@@ -83,6 +82,32 @@ class SparqlQuery(NamedTuple):
     head: SelectHead
     groups: tuple[Item, ...]
     bracketed: bool = False
+
+
+_make_query = partial(tuple.__new__, SparqlQuery)
+
+# The most distinct terms whose forms ``_term_forms`` keeps.
+TERM_FORMS_SIZE = 4096
+# The indices of a term's forms in the tuple ``_term_forms`` returns.
+_LIR, _VARIFIED, _SIGNATURE = range(3)
+# A term's forms, as ``_term_forms`` gives them.
+_Forms = Callable[[str], tuple]
+
+
+@lru_cache(maxsize=TERM_FORMS_SIZE)
+def _term_forms(t: str) -> tuple[str, str, str | None]:
+    """The forms of a term, by the ``_LIR``, ``_VARIFIED`` and
+    ``_SIGNATURE`` indices.  A variable or entity becomes ``var`` in the
+    lossy IR and ``var`` followed by itself in the VARified form; in a
+    structure signature an entity becomes ``ENT`` and a variable None, as
+    each program numbers its own.  Any other term stays itself.  The lossy
+    forms look each term up where they write it; the table keeps the last
+    ``TERM_FORMS_SIZE`` distinct terms looked up."""
+    if t.startswith("?"):
+        return VAR_TOKEN, f"{VAR_TOKEN} {t}", None
+    if _ENTITY_RE.fullmatch(t):
+        return VAR_TOKEN, f"{VAR_TOKEN} {t}", "ENT"
+    return t, t, t
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,20 +124,23 @@ class RirOptions:
 # ---------------------------------------------------------------------------
 
 
-def _expect(text: str, toks: list[str], i: int, *expected: str) -> int:
-    """The index after token ``i``, which must be one of ``expected``."""
+# The parser tests its tokens inline, and calls these two only to raise at
+# the first token that fails, with its message and expected tokens.
+
+
+def _expect(text: str, toks: list[str], i: int, *expected: str) -> None:
+    """Raise at token ``i`` unless it is one of ``expected``."""
     try:
         tok = toks[i]
     except IndexError:
         fail_at(text, i, "unexpected end of input", expected)
     if tok not in expected:
         fail_at(text, i, f"unexpected token {tok!r}", expected)
-    return i + 1
 
 
-def _term(text: str, toks: list[str], i: int, what: str) -> str:
-    """Token ``i``, which must not be reserved: a subject, relation, object
-    or filter term."""
+def _term(text: str, toks: list[str], i: int, what: str) -> None:
+    """Raise at token ``i`` if it is past the end or reserved, where a
+    subject, relation, object or filter term belongs."""
     try:
         tok = toks[i]
     except IndexError:
@@ -120,7 +148,42 @@ def _term(text: str, toks: list[str], i: int, what: str) -> str:
     if tok in _RESERVED:
         fail_at(text, i, f"reserved token {tok!r} where a {what} was "
                 "expected", (f"<{what}>",))
-    return tok
+
+
+def _read_body(body: list[str]) -> list[Item] | None:
+    """The items of a program's body, the tokens between its braces, if it
+    is one or more triples and ``FILTER ( a != b )`` units separated by
+    ``.``; else None, and the token loop of :func:`_parse` reads it.
+
+    A ``.`` is appended, so that every item is followed by one.  Each run of
+    triples is read in stride slices, subjects ``[0::4]``, relations
+    ``[1::4]``, objects ``[2::4]`` and separators ``[3::4]``, and each unit
+    is found with ``list.index``.
+    """
+    body.append(".")
+    items: list[Item] = []
+    units = body.count("FILTER")
+    start = 0
+    while True:
+        stop = body.index("FILTER", start) if units else len(body)
+        run = body[start:stop]
+        subjects, relations, objects = run[0::4], run[1::4], run[2::4]
+        if (len(run) & 3 or run[3::4].count(".") != len(run) >> 2
+                or not _RESERVED.isdisjoint(subjects)
+                or not _RESERVED.isdisjoint(relations)
+                or not _RESERVED.isdisjoint(objects)):
+            return None
+        items += map(_make_group, zip(subjects, relations, zip(objects)))
+        if not units:
+            return items
+        units -= 1
+        unit = body[stop + 1:stop + 7]  # ( left op right ) .
+        if (len(unit) < 6 or unit[0] != "(" or unit[2] not in FILTER_OPS
+                or unit[4:] != [")", "."]
+                or not _RESERVED.isdisjoint(unit[1:4:2])):
+            return None
+        items.append(_make_filter(unit[1:4]))
+        start = stop + 7
 
 
 def _parse(text: str, ir: bool) -> SparqlQuery:
@@ -130,30 +193,47 @@ def _parse(text: str, ir: bool) -> SparqlQuery:
     A program's groups each hold one object and are never bracketed.  With
     ``ir``, bracketing is detected from the first group, and a group's
     objects are a comma list, or in a bracketed IR a bracketed comma list or
-    one bare object.
+    one bare object.  A program's body goes to :func:`_read_body` first;
+    the token loop, :func:`_read_items`, reads every other body and raises
+    at its first error.
     """
     toks = text.split()
     n = len(toks)
-    i = _expect(text, toks, 0, "SELECT")
-    i = _expect(text, toks, i, "count(*)", "DISTINCT")
-    if toks[i - 1] == "count(*)":
-        head = SelectHead(COUNT)
+    if toks[:2] == ["SELECT", "count(*)"]:
+        head, i = _COUNT_HEAD, 2
     else:
-        first = i
+        if toks[:2] != ["SELECT", "DISTINCT"]:
+            _expect(text, toks, 0, "SELECT")
+            _expect(text, toks, 1, "count(*)", "DISTINCT")  # one raises
+        i = 2
         while i < n and toks[i] != "WHERE":
-            if not is_variable(toks[i]):
+            if not toks[i].startswith("?"):
                 fail_at(text, i, f"non-variable token {toks[i]!r} in select "
                         "head", ("<variable>", "WHERE"))
             i += 1
-        if i == first:
+        if i == 2:
             fail_at(text, i, "DISTINCT head needs at least one variable",
                     ("<variable>",))
-        head = SelectHead(DISTINCT, tuple(toks[first:i]))
-    i = _expect(text, toks, i, "WHERE")
-    i = _expect(text, toks, i, "{")
+        head = _make_head((DISTINCT, tuple(toks[2:i])))
+    if toks[i:i + 2] != ["WHERE", "{"]:
+        _expect(text, toks, i, "WHERE")
+        _expect(text, toks, i + 1, "{")  # one raises
+    i += 2
+    if not ir and toks[-1] == "}" and i < n - 1:
+        items = _read_body(toks[i:-1])
+        if items is not None:
+            return _make_query((head, tuple(items), False))
+    return _make_query((head, *_read_items(text, toks, i, ir)))
+
+
+def _read_items(text: str, toks: list[str], i: int,
+                ir: bool) -> tuple[tuple[Item, ...], bool]:
+    """The items of the body that opens at token ``i``, and whether they are
+    bracketed: the token loop, which raises at the first error."""
+    n = len(toks)
     bracketed = ir and i < n and toks[i] == "("
     separator = "(" if bracketed else "."
-    items: list[Item] = []
+    items = []
     while i >= n or toks[i] != "}":
         if i >= n:
             fail_at(text, i, "unterminated body", ("}",))
@@ -162,12 +242,17 @@ def _parse(text: str, ir: bool) -> SparqlQuery:
                 _expect(text, toks, i, separator)  # raises
             i += 1
         if i < n and toks[i] == "FILTER":
-            i = _expect(text, toks, i + 1, "(")
-            left = _term(text, toks, i, "term")
-            i = _expect(text, toks, i + 1, *FILTER_OPS)
-            op, right = toks[i - 1], _term(text, toks, i, "term")
-            i = _expect(text, toks, i + 1, ")")
-            items.append(Filter(left, op, right))
+            unit = toks[i + 1:i + 6]  # ( left op right )
+            if (len(unit) < 5 or unit[0] != "(" or unit[2] not in FILTER_OPS
+                    or unit[4] != ")"
+                    or not _RESERVED.isdisjoint(unit[1:4:2])):
+                _expect(text, toks, i + 1, "(")
+                _term(text, toks, i + 2, "term")
+                _expect(text, toks, i + 3, *FILTER_OPS)
+                _term(text, toks, i + 4, "term")
+                _expect(text, toks, i + 5, ")")  # one of these raises
+            items.append(_make_filter(unit[1:4]))
+            i += 6
         elif not ir:
             triple = toks[i:i + 3]
             if len(triple) < 3 or not _RESERVED.isdisjoint(triple):
@@ -177,81 +262,112 @@ def _parse(text: str, ir: bool) -> SparqlQuery:
             items.append(_make_group((subject, relation, (obj,))))
             i += 3
         else:
-            subject = _term(text, toks, i, "subject")
-            relation = _term(text, toks, i + 1, "relation")
+            pair = toks[i:i + 2]
+            if len(pair) < 2 or not _RESERVED.isdisjoint(pair):
+                _term(text, toks, i, "subject")
+                _term(text, toks, i + 1, "relation")  # one raises
             i += 2
             nested = bracketed and i < n and toks[i] == "("
             i += nested
-            objects = [_term(text, toks, i, "object")]
+            # The objects and the commas between them
+            first = i
             i += 1
-            while (nested or not bracketed) and i < n and toks[i] == ",":
-                objects.append(_term(text, toks, i + 1, "object"))
-                i += 2
+            if nested or not bracketed:
+                while i < n and toks[i] == ",":
+                    i += 2
+            objects = toks[first:i:2]
+            if i > n or not _RESERVED.isdisjoint(objects):
+                for j in range(first, i, 2):
+                    _term(text, toks, j, "object")  # raises at the first
             if nested:
-                i = _expect(text, toks, i, ")")
-            items.append(_make_group((subject, relation, tuple(objects))))
+                if i >= n or toks[i] != ")":
+                    _expect(text, toks, i, ")")  # raises
+                i += 1
+            items.append(_make_group((*pair, tuple(objects))))
         if bracketed:
-            i = _expect(text, toks, i, ")")
+            if i >= n or toks[i] != ")":
+                _expect(text, toks, i, ")")  # raises
+            i += 1
     if i + 1 < n:
         fail_at(text, i + 1, "trailing tokens after closing brace")
-    return SparqlQuery(head, tuple(items), bracketed)
+    return tuple(items), bracketed
 
 
 def parse_sparql(text: str) -> SparqlQuery:
     """Parse one query; raises :class:`ParseError` on malformed input."""
     q = _parse(text, False)
-    if q.head.kind == DISTINCT:
+    variables = q.head.variables
+    # A head variable is used in the body if it is a subject (or a filter's
+    # left operand), else the full check looks at the objects too.
+    if variables and not set(variables).issubset(
+            map(itemgetter(0), q.groups)):
         # Each group of a program holds one object.
         seen = {g[0] for g in q.groups}
         seen.update(g.right if type(g) is Filter else g.objects[0]
                     for g in q.groups)
-        missing = [v for v in q.head.variables if v not in seen]
+        missing = [v for v in variables if v not in seen]
         if missing:
             fail_at(text, len(text.split()), "head variable(s) "
                     f"{', '.join(missing)} never used in body")
     return q
 
 
-def _render_group(g: Item, bracketed: bool,
-                  term: Callable[[str], str] | None) -> str:
+def _render_item(g: Item, bracketed: bool, forms: _Forms | None,
+                 form: int) -> str:
+    """An item other than a one-object group, with its terms mapped as
+    :func:`_render_program` maps them."""
     if type(g) is Filter:
         left, right = g.left, g.right
-        if term is not None:
-            left, right = term(left), term(right)
+        if forms is not None:
+            left, right = forms(left)[form], forms(right)[form]
         core = f"FILTER ( {left} {g.op} {right} )"
-    elif len(g.objects) == 1:  # a program's triple, rendered in one step
-        if term is None:
-            core = f"{g.subject} {g.relation} {g.objects[0]}"
-        else:  # the subject is mapped before the object
-            core = f"{term(g.subject)} {g.relation} {term(g.objects[0])}"
-    else:
-        subject, objects = g.subject, g.objects
-        if term is not None:  # the subject is mapped before its objects
-            subject, objects = term(subject), map(term, objects)
-        objects = " , ".join(objects)
-        if bracketed:
-            objects = f"( {objects} )"
-        core = f"{subject} {g.relation} {objects}"
-    return f"( {core} )" if bracketed else core
+        return f"( {core} )" if bracketed else core
+    subject, objects = g.subject, g.objects
+    if forms is not None:  # the subject is mapped before its objects
+        subject = forms(subject)[form]
+        objects = [forms(o)[form] for o in objects]
+    objects = " , ".join(objects)
+    if bracketed:
+        return f"( {subject} {g.relation} ( {objects} ) )"
+    return f"{subject} {g.relation} {objects}"
 
 
-def _render_program(program: SparqlQuery,
-                    term: Callable[[str], str] | None = None,
-                    sort: bool = False, dedupe: bool = False) -> str:
-    """The surface form of ``program``, with ``term`` applied to each head
-    variable, subject, object and filter operand in reading order, and its
-    rendered items deduplicated if ``dedupe`` and sorted if ``sort``."""
-    head = program.head.render(term)
-    bracketed = program.bracketed
-    parts = [_render_group(g, bracketed, term) for g in program.groups]
+def _render_program(program: SparqlQuery, forms: _Forms | None = None,
+                    form: int = 0, sort: bool = False,
+                    dedupe: bool = False) -> str:
+    """The surface form of ``program``, and its rendered items deduplicated
+    if ``dedupe`` and sorted if ``sort``.  With ``forms``, each head
+    variable, subject, object and filter operand is written as item
+    ``form`` of its ``forms``, looked up in reading order.
+
+    A one-object group, each triple of a program, is written here.
+    """
+    head, groups, bracketed = program
+    if head.kind == COUNT:
+        select = "SELECT count(*)"
+    elif forms is None:
+        select = "SELECT DISTINCT " + " ".join(head.variables)
+    else:  # the head variables are mapped first
+        select = "SELECT DISTINCT " + " ".join(
+            [forms(v)[form] for v in head.variables])
+    left, right = ("( ", " )") if bracketed else ("", "")
+    if forms is None:
+        parts = [f"{left}{g[0]} {g[1]} {g[2][0]}{right}"
+                 if type(g) is TripleGroup and len(g[2]) == 1
+                 else _render_item(g, bracketed, None, 0) for g in groups]
+    else:  # a subject is mapped before its object
+        parts = [f"{left}{forms(g[0])[form]} {g[1]} {forms(g[2][0])[form]}"
+                 f"{right}" if type(g) is TripleGroup and len(g[2]) == 1
+                 else _render_item(g, bracketed, forms, form)
+                 for g in groups]
     if dedupe:
         parts = list(dict.fromkeys(parts))
     if sort:
         parts.sort()
     body = (" " if bracketed else " . ").join(parts)
     if body:
-        return f"{head} WHERE {{ {body} }}"
-    return f"{head} WHERE {{ }}"
+        return f"{select} WHERE {{ {body} }}"
+    return f"{select} WHERE {{ }}"
 
 
 def render_sparql(q: SparqlQuery) -> str:
@@ -385,6 +501,7 @@ def sparql_to_rir(q: SparqlQuery,
     if options.shorten_relations and rdict is None:
         raise TransformError("relation truncation requires a dictionary")
     shorten, merge = options.shorten_relations, options.merge_conjuncts
+    forward = rdict.forward if shorten else {}
     # Filters, and groups as (subject, relation, objects), built at the end
     items: list = []
     objects_of: dict[tuple[str, str], list[str]] = {}
@@ -399,11 +516,15 @@ def sparql_to_rir(q: SparqlQuery,
                 "sparql_to_rir takes a program: each group holds one "
                 f"object, not {len(c[2])}") from None
         if shorten:
-            relation = rdict.shorten(relation)
-        if merge and (subject, relation) in objects_of:
-            objects_of[subject, relation].append(obj)
+            try:
+                relation = forward[relation]
+            except KeyError:
+                rdict.shorten(relation)  # raises
+        key = subject, relation
+        if merge and key in objects_of:
+            objects_of[key].append(obj)
         else:
-            objects_of[subject, relation] = objects = [obj]
+            objects_of[key] = objects = [obj]
             items.append((subject, relation, objects))
     return SparqlQuery(q.head, tuple([
         g if type(g) is Filter else _make_group((g[0], g[1], tuple(g[2])))
@@ -442,18 +563,9 @@ def sparql_from_rir(z: SparqlQuery,
 # ---------------------------------------------------------------------------
 
 
-def _anonymize_term(t: str) -> str:
-    # Only a token opening with ``?``, ``M`` or ``m`` can be a variable or
-    # an entity, so the regex runs on those alone.
-    first = t[:1]
-    if first == "?" or first in "Mm" and _ENTITY_RE.fullmatch(t):
-        return VAR_TOKEN
-    return t
-
-
 def sparql_to_lir(program: SparqlQuery) -> str:
     """Replace every variable and entity (head included) with ``var``."""
-    return _render_program(program, _anonymize_term)
+    return _render_program(program, _term_forms, _LIR)
 
 
 def varify(q: SparqlQuery) -> str:
@@ -468,13 +580,7 @@ def varify(q: SparqlQuery) -> str:
             raise TransformError(
                 f"program holds the term {VAR_TOKEN!r}, which marks "
                 "variables and entities in the VARified form")
-
-    def mark(t: str) -> str:
-        if is_variable(t) or is_entity(t):
-            return f"{VAR_TOKEN} {t}"
-        return t
-
-    return _render_program(q, mark)
+    return _render_program(q, _term_forms, _VARIFIED)
 
 
 def strip_var_markers(text: str) -> str:
@@ -499,15 +605,14 @@ def structure_signature(program: SparqlQuery) -> str:
     sorting), entities collapse to ``ENT``, then groups are sorted so the
     signature is insensitive to noise in group order.
     """
-    names: dict[str, str] = {}
+    numbered: dict[str, tuple] = {}  # a variable's forms, by first use
 
-    def rename(t: str) -> str:
-        if is_entity(t):
-            return "ENT"
-        if is_variable(t):
-            if t not in names:
-                names[t] = f"V{len(names)}"
-            return names[t]
-        return t
+    def forms(t: str) -> tuple:
+        row = _term_forms(t)
+        if row[_SIGNATURE] is None:  # a variable, numbered at first use
+            if t not in numbered:
+                numbered[t] = (*row[:_SIGNATURE], f"V{len(numbered)}")
+            row = numbered[t]
+        return row
 
-    return _render_program(program, rename, sort=True)
+    return _render_program(program, forms, _SIGNATURE, sort=True)

@@ -1,12 +1,14 @@
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irkit import formalisms
+from irkit import data, formalisms, pipeline
 from irkit import sparql as sp
 from irkit.errors import InversionError, ParseError, TransformError
 
@@ -190,6 +192,70 @@ def test_corpus_round_trip(sparql_records):
         rendered = sp.render_sparql(q(record.y))
         assert rendered == record.y
         assert sp.render_sparql(q(rendered)) == rendered
+
+
+@pytest.fixture(scope="module")
+def mutated_programs(sparql_records, differential):
+    """The fixture programs and 10,000 seeded token mutations of them, as
+    scripts/differential.py builds its inputs."""
+    programs = [record.y for record in sparql_records]
+    rng = random.Random("sparql round trip")
+    return programs + [differential.mutate(rng, rng.choice(programs),
+                                           differential.SPARQL_VOCAB)
+                       for _ in range(10000)]
+
+
+def parse_outcome(text):
+    """The parsed query's repr, which names the node types, or the error's
+    message, byte offset and expected tokens."""
+    try:
+        return repr(q(text))
+    except ParseError as err:
+        return str(err), err.offset, err.expected
+
+
+@pytest.mark.parametrize("body", [
+    "FILTER ( ?x0 != ?x1 )", "FILTER ( ?x0 != ?x1 ) . ?x0 r M0",
+    "?x0 r M0 . FILTER ( ?x0 != ?x1 ) . FILTER ( ?x1 != M0 ) . ?x1 r M1",
+    "?x0 r M0 .", ". ?x0 r M0", "?x0 r M0 . . ?x1 r M1", "?x0 r M0 ?x1 r M1",
+    "?x0 r M0 . FILTER ( ?x0 != ?x1 )", "?x0 r M0 . FILTER ( ?x0 != ?x1 ) .",
+    "?x0 r M0 . FILTER ( ?x0 = ?x1 )", "FILTER ( ?x0 != ?x1 ) ?x0 r M0",
+    "FILTER ( ?x0 != . )", "?x0 r M0 . FILTER ( ?x0 != ?x1", "?x0 r",
+    "?x0 r M0 } . ?x1 r M1", "?x0 r M0 . ?x1 FILTER M1", "?x0 r , M1",
+    "?x0 r M0 , ?x1 r M1", "FILTER ( ?x0 != ?x1 ) , ?x1 r M1"])
+def test_slice_reader_agrees_with_the_token_loop_by_hand(body, monkeypatch):
+    text = f"SELECT DISTINCT ?x0 WHERE {{ {body} }}"
+    sliced = parse_outcome(text)
+    monkeypatch.setattr(sp, "_read_body", lambda body: None)
+    assert parse_outcome(text) == sliced
+
+
+def test_slice_reader_agrees_with_the_token_loop(mutated_programs,
+                                                 monkeypatch):
+    read_body = sp._read_body
+    served = Counter()
+
+    def counted(body):
+        items = read_body(body)
+        served[items is not None] += 1
+        return items
+
+    monkeypatch.setattr(sp, "_read_body", counted)
+    sliced = [parse_outcome(text) for text in mutated_programs]
+    # Both readers are exercised: the slices take over a thousand bodies
+    # and hand over a thousand others to the token loop.
+    assert served[True] > 1000 and served[False] > 1000, served
+    monkeypatch.setattr(sp, "_read_body", lambda body: None)
+    assert [parse_outcome(text) for text in mutated_programs] == sliced
+
+
+def test_slice_reader_serves_every_fixture_program(sparql_records,
+                                                   monkeypatch):
+    parsed = [q(record.y) for record in sparql_records]
+    # With the token loop patched out, a body the slices did not take would
+    # call None and fail.
+    monkeypatch.setattr(sp, "_read_items", None)
+    assert [q(record.y) for record in sparql_records] == parsed
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +450,16 @@ def test_parse_rir_malformed_brackets():
 
 
 @pytest.fixture(scope="module")
-def round_trip_queries(sparql_records, differential):
-    """The fixture programs and those of 10,000 seeded token mutations of
-    them (as scripts/differential.py builds its inputs) that parse, with
-    one relation dictionary over them all."""
-    programs = [record.y for record in sparql_records]
-    rng = random.Random("sparql round trip")
-    texts = programs + [differential.mutate(rng, rng.choice(programs),
-                                            differential.SPARQL_VOCAB)
-                        for _ in range(10000)]
+def round_trip_queries(sparql_records, mutated_programs):
+    """The programs of ``mutated_programs`` that parse, with one relation
+    dictionary over them all."""
     queries = []
-    for text in texts:
+    for text in mutated_programs:
         try:
             queries.append(q(text))
         except ParseError:
             continue
-    assert len(queries) > len(programs)
+    assert len(queries) > len(sparql_records)
     return queries, sp.build_relation_dict(queries)
 
 
@@ -424,6 +484,69 @@ def test_corpus_round_trip_through_rir(round_trip_queries, options):
         assert Counter(back.groups) == Counter(query.groups)
         if not options.merge_conjuncts:
             assert back == query
+
+
+@pytest.fixture(scope="module")
+def generator():
+    """``scripts/make_sparql_fixture.py``, loaded as perfbench/generate.py
+    loads it."""
+    path = Path(__file__).parents[1] / "scripts" / "make_sparql_fixture.py"
+    spec = importlib.util.spec_from_file_location("sparql_fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def merged_order(generator, program):
+    """``program`` with each triple moved next to the first triple of its
+    subject and relation, the order in which merging restores it."""
+    runs: dict[tuple[str, str], list] = {}
+    items = []
+    for c in program.conjuncts:
+        if type(c) is generator.Filter:
+            items.append([c])
+        elif (c.subject, c.relation) not in runs:
+            items.append(runs.setdefault((c.subject, c.relation), [c]))
+        else:
+            runs[c.subject, c.relation].append(c)
+    return program._replace(conjuncts=tuple(c for run in items for c in run))
+
+
+@pytest.fixture(scope="module")
+def generated_programs(generator):
+    """1,500 programs of 100 seeded shapes, drawn as the fixture generator
+    draws them, and the relation dictionary of them all."""
+    rng = random.Random("generated sparql programs")
+    shapes = [generator.make_shape(rng) for _ in range(100)]
+    programs = [generator.instantiate(rng.choice(shapes), rng)
+                for _ in range(1500)]
+    return programs, sp.build_relation_dict(q(p.render()) for p in programs)
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((True, False),
+                                                         repeat=3)))
+def test_generated_programs_invert_exactly(generator, generated_programs,
+                                           flags):
+    # Through transform and invert as the CLI runs them: invert restores
+    # each program, in the order merging gives its triples.
+    programs, rdict = generated_programs
+    options = sp.RirOptions(*flags)
+    cfg = pipeline.PipelineConfig("sparql", rir_options=options,
+                                  relation_dict=rdict)
+    f = formalisms.TABLE["sparql"]
+    moved = 0
+    for p in programs:
+        y = p.render()
+        program = pipeline.Program(data.ExampleRecord("0", "x", y), cfg)
+        rir = program.rir_text()
+        restored = merged_order(generator, p) if options.merge_conjuncts else p
+        moved += restored != p
+        assert pipeline.invert_reversible(rir, cfg) == restored.render(), y
+        assert program.lir_text() == oracle_sparql_lir(y)
+        assert program.varified_text() == oracle_sparql_varify(y)
+        assert pipeline._lir_of_rir(rir, cfg) == f.to_lir(program.rir)
+        assert f.to_lir(program.rir) == oracle_sparql_lir(rir)
+    assert (moved > 100) == options.merge_conjuncts, moved
 
 
 def test_triple_multiset_is_conserved(sparql_queries, relation_dict):

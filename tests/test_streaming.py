@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from irkit import data, sql
+from irkit import data, sparql, sql
 from irkit.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -50,11 +50,29 @@ def sql_corpus(path, n, first):
     return path
 
 
+# Per sparql record, enough new entities that 1,000 records fill sparql's
+# term table and turn it over three times, as sql's numbers do above.
+FRESH_TERMS = 4 * sparql.TERM_FORMS_SIZE // 1_000 + 1
+
+
+def sparql_corpus(path, n, first):
+    """``n`` sparql records, each with ``FRESH_TERMS`` entities that no
+    other record holds: ``m_<first>`` and up."""
+    path.write_text("".join(json.dumps({
+        "id": str(i), "x": "q",
+        "y": "SELECT DISTINCT ?x0 WHERE { " + " . ".join(
+            f"?x0 ns:film.film.directed_by m_{first + FRESH_TERMS * i + j}"
+            for j in range(FRESH_TERMS)) + " }"}) + "\n" for i in range(n)),
+        encoding="utf-8")
+    return path
+
+
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     """Per size, and for a warm-up run: the scan corpus, its z_r as
-    (id, z_r) rows, and a sql corpus whose numbers no other corpus holds.
-    The warm-up's scan files are the 1,000-record ones."""
+    (id, z_r) rows, and a sql and a sparql corpus whose numbers and
+    entities no other corpus holds.  The warm-up's scan files are the
+    1,000-record ones."""
     root = tmp_path_factory.mktemp("streaming")
     sizes = {}
     for n in (1_000, 8_000):
@@ -63,9 +81,13 @@ def corpora(tmp_path_factory):
         assert run("transform", "--formalism", "scan", "--ir", "rir",
                    "--in", scan, "--out", rir) == 0
         sizes[n] = {"scan": scan, "rir": rir,
-                    "sql": sql_corpus(root / f"sql{n}.jsonl", n, FRESH * n)}
-    sizes["warm-up"] = {**sizes[1_000], "sql": sql_corpus(
-        root / "sql-warm-up.jsonl", 1_000, 0)}
+                    "sql": sql_corpus(root / f"sql{n}.jsonl", n, FRESH * n),
+                    "sparql": sparql_corpus(root / f"sparql{n}.jsonl", n,
+                                            FRESH_TERMS * n)}
+    sizes["warm-up"] = {
+        **sizes[1_000],
+        "sql": sql_corpus(root / "sql-warm-up.jsonl", 1_000, 0),
+        "sparql": sparql_corpus(root / "sparql-warm-up.jsonl", 1_000, 0)}
     return sizes
 
 
@@ -80,14 +102,19 @@ COMMANDS = {
     # Every record brings tokens that sql's token table has not seen.
     "sql": lambda c: ["prepare", "--mode", "lir-d-rir", "--stage", "2",
                       "--in", c["sql"], "--formalism", "sql"],
+    # Every record brings terms that sparql's term table has not seen.
+    "sparql": lambda c: ["prepare", "--mode", "lir-d", "--stage", "1",
+                         "--in", c["sparql"], "--formalism", "sparql"],
 }
 
 
 def peak_bytes(argv):
-    # The run refills sql's token table, so tracing sees every entry: in a
-    # table filled before tracing, an evicted entry's objects go to the
-    # interpreter's free lists, and the next entry reuses them untraced.
+    # The run refills sql's token table and sparql's term table, so tracing
+    # sees every entry: in a table filled before tracing, an evicted entry's
+    # objects go to the interpreter's free lists, and the next entry reuses
+    # them untraced.
     sql._facts.cache_clear()
+    sparql._term_forms.cache_clear()
     tracemalloc.start()
     try:
         assert run(*argv) == 0
@@ -103,11 +130,13 @@ def test_memory_is_flat_in_the_record_count(corpora, tmp_path, command):
                 "--out", tmp_path / f"out{n}.tsv"]
 
     def table_is_bounded():
-        table = sql._facts.cache_info()
-        return table.currsize <= table.maxsize == sql.TOKEN_FACTS_SIZE
+        tokens = sql._facts.cache_info()
+        terms = sparql._term_forms.cache_info()
+        return (tokens.currsize <= tokens.maxsize == sql.TOKEN_FACTS_SIZE
+                and terms.currsize <= terms.maxsize == sparql.TERM_FORMS_SIZE)
 
     # First-call caches are not per record; the warm-up also fills sql's
-    # token table past its size.
+    # token table and sparql's term table past their sizes.
     assert run(*argv("warm-up")) == 0
     assert table_is_bounded()
     small, large = peak_bytes(argv(1_000)), peak_bytes(argv(8_000))
