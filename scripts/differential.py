@@ -53,7 +53,8 @@ SCAN_LINE_VOCAB = (SCAN_VOCAB + SCAN_RIR_VOCAB
                    + ("IN:", "OUT:", "IN", "OUT", ":", "\x85", "\x1c"))
 SQL_VOCAB = ("SELECT", "DISTINCT", "FROM", "AS", "WHERE", "AND", "OR", "IN",
              "GROUP", "ORDER", "BY", "HAVING", "LIMIT", "BETWEEN", "UNION",
-             "ALL", "(", ")", "))", "COUNT(", "(SELECT", ",", "=", "<",
+             "INTERSECT", "EXCEPT", "ALL", "(", ")", "))", ")(", "((",
+             "COUNT(", "(SELECT", ",", "=", "<",
              '"UA"', "'a b'", '"', "'", 'x"y', "FLIGHT", "FLIGHTalias0",
              "FLIGHTalias0.X", "FLIGHT0", "FLIGHT0.X", "aliasalias1",
              "alias1", "Aalias", "city_name0", "2.5", "Müller", "T.X",
@@ -224,8 +225,9 @@ def scan_read(text: str) -> list[tuple[str, str, str]]:
 
 def _query_form(q) -> tuple:
     """An ``SqlQuery`` as plain tuples, which trees whose ``SqlQuery`` has
-    other fields build alike."""
-    return (q.tokens, q.values, q.depths, sorted(q.declared.items()),
+    other fields build alike.  The declarations keep their order, since
+    ``sql._renames`` reports the first bad alias in that order."""
+    return (q.tokens, q.values, q.depths, list(q.declared.items()),
             [(b.start, b.end, [(c.name, c.start, c.end) for c in b.clauses],
               [(child.start, child.end) for child in b.children])
              for b in q.block.walk()])
@@ -234,6 +236,15 @@ def _query_form(q) -> tuple:
 def sql_parse(text: str) -> tuple:
     from irkit import sql
     return _query_form(sql.parse_sql(text))
+
+
+def sql_parse_cold(text: str) -> tuple:
+    """``sql_parse`` with sql's shape table cleared first, in a tree that
+    has one, so that every input is segmented by the walk."""
+    from irkit import sql
+    if hasattr(sql._segment, "cache_clear"):
+        sql._segment.cache_clear()
+    return sql_parse(text)
 
 
 def sql_from_rir(text: str) -> tuple:
@@ -276,6 +287,7 @@ FUNCTIONS = {
     "scan.from_rir": (_scan_rirs, SCAN_RIR_VOCAB, scan_from_rir),
     "data.read_scan_records": (_scan_lines, SCAN_LINE_VOCAB, scan_read),
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
+    "sql.parse_sql_cold": (_sql_programs, SQL_VOCAB, sql_parse_cold),
     "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_rir),
     "sql.transform": (_sql_programs, SQL_VOCAB, sql_transform),
     "sql.lossy_of_rir": (_sql_rirs, SQL_VOCAB, sql_lossy_of_rir),

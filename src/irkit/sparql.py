@@ -33,14 +33,6 @@ _RESERVED = frozenset({"SELECT", "WHERE", "FILTER", "DISTINCT", "count(*)",
                        "{", "}", "(", ")", ".", ",", "!="})
 
 
-def is_variable(token: str) -> bool:
-    return token.startswith("?")
-
-
-def is_entity(token: str) -> bool:
-    return _ENTITY_RE.fullmatch(token) is not None
-
-
 class SelectHead(NamedTuple):
     kind: str  # COUNT or DISTINCT
     variables: tuple[str, ...] = ()

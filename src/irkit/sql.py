@@ -10,11 +10,11 @@ flags the tokens that are values; it does not build a full SQL grammar tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import (InversionError, ParseError, TransformError,
                      byte_offset, fail_at)
@@ -48,7 +48,9 @@ _KEYWORDS = {word: word for word in (*_CLAUSE_STARTERS, *_SET_OPS, "BY",
 TOKEN_FACTS_SIZE = 4096
 # The indices of a token's facts in the tuple ``_facts`` returns.
 (_QUOTED, _DELTA, _KEYWORD, _VALUE, _ALIAS, _HEAD, _REST, _BAD, _HEAD_ALIAS,
- _NUMBER) = range(10)
+ _NUMBER, _SHAPE) = range(11)
+# The most distinct query shapes whose segmentation ``_segment`` keeps.
+SHAPES_SIZE = 512
 # Raises a ParseError with a message at a token index (past the last: the
 # end) of the text a stream was lexed from.
 _Fail = Callable[[int, str], NoReturn]
@@ -85,13 +87,14 @@ def _facts(tok: str) -> tuple:
     ``<TABLE NAME>alias<N>`` token); whether it is an alias token; its
     qualifier and ``".column"`` for a dotted reference, else itself and
     ``""``; whether that qualifier holds ``alias`` but is no alias token,
-    which ``_check_tokens`` rejects, and whether it is one; and whether the
-    token is a number.  ``parse_sql`` looks each token up once and every
-    pass reads its facts; the table keeps the last ``TOKEN_FACTS_SIZE``
-    distinct tokens looked up."""
+    which ``_check_tokens`` rejects, and whether it is one; whether the
+    token is a number; and its part of the query's shape: ``"("`` for the
+    bare ``(``, else its keyword, else its paren delta.  ``parse_sql``
+    looks each token up once and every pass reads its facts; the table
+    keeps the last ``TOKEN_FACTS_SIZE`` distinct tokens looked up."""
     first = tok[:1]
     if first in _QUOTES:
-        return True, 0, None, True, False, tok, "", False, False, False
+        return True, 0, None, True, False, tok, "", False, False, False, 0
     head, _, rest = tok.partition(".")
     if rest and (first.isalpha() or first == "_"):
         rest = "." + rest
@@ -104,31 +107,30 @@ def _facts(tok: str) -> tuple:
     head_alias = alias if not rest else (
         "alias" in head and _ALIAS_TOKEN_RE.fullmatch(head) is not None)
     number = first.isdecimal() and _NUMBER_RE.fullmatch(tok) is not None
-    return (False, tok.count("(") - tok.count(")")
-            if "(" in tok or ")" in tok else 0,
-            _KEYWORDS.get(tok.upper()),
+    delta = (tok.count("(") - tok.count(")")
+             if "(" in tok or ")" in tok else 0)
+    keyword = _KEYWORDS.get(tok.upper())
+    return (False, delta, keyword,
             number or "a" <= first <= "z" and not alias
             and _PLACEHOLDER_RE.fullmatch(tok) is not None,
             alias, head, rest, "alias" in head and not head_alias,
-            head_alias, number)
+            head_alias, number, "(" if tok == "(" else keyword or delta)
 
 
-@dataclass(slots=True)
-class Clause:
+class Clause(NamedTuple):
     name: str  # SELECT / FROM / WHERE / GROUP_BY / ORDER_BY / HAVING / LIMIT / SET_OP
     start: int
     end: int  # exclusive
 
 
-@dataclass(slots=True)
-class Block:
+class Block(NamedTuple):
     """One (sub)query: its token range, top-level clauses, and nested
-    parenthesized subqueries."""
+    parenthesized subqueries.  Every query of a shape shares one tree."""
 
     start: int
     end: int
-    clauses: list[Clause] = field(default_factory=list)
-    children: list["Block"] = field(default_factory=list)
+    clauses: tuple[Clause, ...]
+    children: tuple["Block", ...]
 
     def walk(self) -> Iterator["Block"]:
         yield self
@@ -152,32 +154,47 @@ class SqlQuery:
         return render_sql(self.tokens)
 
 
-def _segment(tokens: Sequence[str], facts: Sequence[tuple],
-             depths: Sequence[int], fail: _Fail) -> Block:
-    """The block tree of a token stream whose balance ``_check_tokens``
-    has passed, built in one left-to-right pass.
+class _Unsegmented(Exception):
+    """A shape that ``_segment`` rejects.  Its args are the index of the
+    token to report and the message, with ``{!r}`` for that token's text."""
 
-    ``facts`` and ``depths`` are the query's.  A token that raises the depth
-    opens a group, which closes at the first later token that brings the
-    depth back to, or past, the depth before the opener: so one ``))`` can
-    close two groups, and ``)(`` opens none.  A ``(`` token followed by
-    ``SELECT`` opens a subquery, a child block segmented like the root.
-    The tokens of any other group belong to the enclosing clause, but a
-    ``( SELECT`` in it is again a subquery.
+
+@lru_cache(maxsize=SHAPES_SIZE)
+def _segment(shape: tuple) -> tuple[Block, tuple[int, ...]]:
+    """The block tree of a query's shape, built in one left-to-right pass,
+    and the positions of the ``AS`` tokens of its FROM clauses, block by
+    block in ``Block.walk`` order.  ``_check_tokens`` has passed the
+    query's balance.
+
+    A token that raises the depth opens a group, which closes at the first
+    later token that brings the depth back to, or past, the depth before the
+    opener: so one ``))`` can close two groups, and ``)(`` opens none.  A
+    ``(`` token followed by ``SELECT`` opens a subquery, a child block
+    segmented like the root.  The tokens of any other group belong to the
+    enclosing clause, but a ``( SELECT`` in it is again a subquery.
+
+    ``parse_sql`` looks each query's shape up once; the table keeps the
+    last ``SHAPES_SIZE`` distinct shapes looked up.  A shape that does not
+    segment, or whose FROM clause ends with ``AS``, raises
+    ``_Unsegmented`` and is not kept.
     """
-    n = len(tokens)
-    root = block = Block(0, n)
+    n, after = len(shape), 0
+    # An open block: its start, clauses as (name, start, end), children.
+    root = block = (0, [], [])
     group = None  # the depth before the open group's opener
     stack = []  # per open subquery: (depth before its "(", outer block, group)
     i = 0
     while i < n:
-        tok, before, after = tokens[i], depths[i], depths[i + 1]
+        entry, before = shape[i], after
         i += 1
-        if tok == "(" and i < n and facts[i][_KEYWORD] == "SELECT":
-            stack.append((before, block, group))
-            block.children.append(Block(i, n))
-            block, group = block.children[-1], None
-            continue
+        if entry.__class__ is int:  # a paren delta; a keyword's is 0
+            after += entry
+        elif entry == "(":
+            after += 1
+            if i < n and shape[i] == "SELECT":
+                stack.append((before, block, group))
+                block, group = (i, [], []), None
+                continue
         if group is not None:
             if after > group:
                 continue  # still inside the group
@@ -186,57 +203,52 @@ def _segment(tokens: Sequence[str], facts: Sequence[tuple],
             group = before
             continue
         elif after == before:
-            keyword, start = facts[i - 1][_KEYWORD], i - 1
+            keyword, start = entry, i - 1
             if keyword in ("GROUP", "ORDER"):
-                if i >= n or facts[i][_KEYWORD] != "BY":
-                    fail(i, f"{keyword} not followed by BY")
+                if i >= n or shape[i] != "BY":
+                    raise _Unsegmented(i, f"{keyword} not followed by BY")
                 keyword, i = keyword + "_BY", i + 1
             elif keyword in _SET_OPS:
                 keyword = "SET_OP"
-                if i < n and facts[i][_KEYWORD] == "ALL":
+                if i < n and shape[i] == "ALL":
                     i += 1
             elif keyword not in _CLAUSE_STARTERS:
-                if not block.clauses or block.clauses[-1].name == "SET_OP":
-                    fail(i - 1,
-                         f"token {tok!r} appears before any clause keyword")
+                if not block[1] or block[1][-1][0] == "SET_OP":
+                    raise _Unsegmented(
+                        i - 1, "token {!r} appears before any clause keyword")
                 continue
-            block.clauses.append(Clause(keyword, start, i))
+            block[1].append((keyword, start, i))
             continue
         # The token closes each subquery whose "(" it brings the depth back
         # to, and the outer block's group if it brings that back too.
         while stack and after <= stack[-1][0]:
-            _close(block, i - 1)
+            child = _close(block, i - 1)
             _, block, group = stack.pop()
+            block[2].append(child)
             if group is not None and after <= group:
                 group = None
-    _close(root, n)
-    return root
-
-
-def _close(block: Block, end: int) -> None:
-    """End ``block`` at ``end``: each clause but a set operator runs up to
-    the next clause or the end."""
-    block.end = end
-    starts = [clause.start for clause in block.clauses[1:]] + [end]
-    for clause, next_start in zip(block.clauses, starts):
-        if clause.name != "SET_OP":
-            clause.end = next_start
-
-
-def _collect_aliases(tokens: Sequence[str], facts: Sequence[tuple],
-                     block: Block, fail: _Fail) -> dict[str, str]:
-    """Map declared alias -> table name, from every FROM span."""
-    declared: dict[str, str] = {}
-    for b in block.walk():
-        for clause in b.clauses:
-            if clause.name != "FROM":
+    tree, declarations = _close(root, n), []
+    for b in tree.walk():
+        for name, start, end in b.clauses:
+            if name != "FROM":
                 continue
-            for i in range(clause.start, clause.end):
-                if facts[i][_KEYWORD] == "AS":
-                    if i == clause.start or i + 1 >= clause.end:
-                        fail(i, "dangling AS in FROM clause")
-                    declared[tokens[i + 1]] = tokens[i - 1]
-    return declared
+            for i in range(start, end):
+                if shape[i] == "AS":
+                    if i + 1 >= end:
+                        raise _Unsegmented(i, "dangling AS in FROM clause")
+                    declarations.append(i)
+    return tree, tuple(declarations)
+
+
+def _close(block: tuple, end: int) -> Block:
+    """The ``Block`` of an open block that ends at ``end``: each clause but
+    a set operator runs up to the next clause or the end."""
+    start, clauses, children = block
+    starts = [clause[1] for clause in clauses[1:]] + [end]
+    return Block(start, end, tuple([
+        Clause(name, first, last if name == "SET_OP" else next_start)
+        for (name, first, last), next_start in zip(clauses, starts)]),
+        tuple(children))
 
 
 def _values(tokens: Sequence[str], facts: Sequence[tuple],
@@ -269,16 +281,20 @@ def _check_tokens(tokens: Sequence[str], facts: Sequence[tuple],
 
 def parse_sql(text: str) -> SqlQuery:
     """The one analysis of a program or a predicted z_r: tokenize, look up
-    each token's facts, check the tokens, segment, collect the FROM aliases
-    and flag the values.  A ``ParseError``'s offset is a byte offset in
-    ``text``."""
+    each token's facts, check the tokens, look up the segmentation and FROM
+    declarations of the query's shape, and flag the values.  A
+    ``ParseError``'s offset is a byte offset in ``text``."""
     tokens = tuple(lex_sql(text))
     facts = tuple(map(_facts, tokens))
     depths = tuple(accumulate(map(itemgetter(_DELTA), facts), initial=0))
     fail = partial(fail_at, text, token=_TOKEN_RE)
     _check_tokens(tokens, facts, depths, fail)
-    block = _segment(tokens, facts, depths, fail)
-    declared = _collect_aliases(tokens, facts, block, fail)
+    try:
+        block, declarations = _segment(tuple(map(itemgetter(_SHAPE), facts)))
+    except _Unsegmented as exc:
+        i, message = exc.args
+        fail(i, message.format(*tokens[i:i + 1]))
+    declared = {tokens[i + 1]: tokens[i - 1] for i in declarations}
     return SqlQuery(tokens, facts, _values(tokens, facts, declared), block,
                     depths, declared)
 

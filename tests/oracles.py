@@ -121,8 +121,16 @@ def oracle_scan_line(line: str) -> tuple[str, str] | None:
 _SPARQL_ENTITY_RE = re.compile(r"M\d+|m_\w+")
 
 
+def is_sparql_variable(tok: str) -> bool:
+    return tok.startswith("?")
+
+
+def is_sparql_entity(tok: str) -> bool:
+    return _SPARQL_ENTITY_RE.fullmatch(tok) is not None
+
+
 def _is_sparql_var_or_entity(tok: str) -> bool:
-    return tok.startswith("?") or _SPARQL_ENTITY_RE.fullmatch(tok) is not None
+    return is_sparql_variable(tok) or is_sparql_entity(tok)
 
 
 def oracle_sparql_lir(text: str) -> str:

@@ -12,7 +12,8 @@ from irkit import data, formalisms, pipeline
 from irkit import sparql as sp
 from irkit.errors import InversionError, ParseError, TransformError
 
-from oracles import (oracle_sparql_lir, oracle_sparql_varify,
+from oracles import (is_sparql_entity, is_sparql_variable,
+                     oracle_sparql_lir, oracle_sparql_varify,
                      oracle_truncations)
 
 ALL_ON = sp.RirOptions()
@@ -624,8 +625,8 @@ def test_lir_empty_body_unchanged():
 def test_lir_has_no_variable_or_entity_tokens(sparql_queries):
     for query in sparql_queries:
         for tok in sp.sparql_to_lir(query).split():
-            assert not sp.is_variable(tok)
-            assert not sp.is_entity(tok)
+            assert not is_sparql_variable(tok)
+            assert not is_sparql_entity(tok)
 
 
 def _rename_terms(query, mapping):
@@ -651,9 +652,9 @@ def _term_renaming(query, seed):
              for t in (c.subject, *c.objects)}
     mapping = {}
     for term in sorted(terms):
-        if sp.is_variable(term):
+        if is_sparql_variable(term):
             mapping[term] = f"?y{rng.randrange(50, 99)}{len(mapping)}"
-        elif sp.is_entity(term):
+        elif is_sparql_entity(term):
             mapping[term] = f"m_9zz{len(mapping)}"
     return mapping
 

@@ -469,9 +469,10 @@ def test_transform_inverts_exactly_and_keeps_lossy_irs_equal(sql_records,
 def test_query_of_a_programs_rir_analyses_nothing_again(sql_records,
                                                         monkeypatch):
     # Neither z_r, nor its z_{l,r}, nor the program restored from it
-    # analyses the tokens again.
+    # lexes, checks or segments the tokens again, looks up a shape or flags
+    # the values.
     calls = []
-    for name in ("_segment", "_values", "_check_tokens", "_collect_aliases"):
+    for name in ("lex_sql", "_check_tokens", "_segment", "_values"):
         monkeypatch.setattr(sql, name, lambda *args, _fn=getattr(sql, name):
                             calls.append(_fn.__name__) or _fn(*args))
     for record in sql_records:
@@ -500,6 +501,48 @@ def test_inverse_segments_z_once_into_the_programs_query(sql_records,
         calls.clear()
         assert pipeline.invert_reversible(text, cfg) == q.render()
         assert len(calls) == 1
+
+
+def _analysis(text):
+    """What ``parse_sql`` finds in a text, or the error it raises."""
+    try:
+        q = sql.parse_sql(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.offset
+    return q.tokens, q.values, q.depths, list(q.declared.items()), q.block
+
+
+def test_the_shape_table_serves_what_the_walk_gives(sql_records,
+                                                    differential):
+    # Once against a table that earlier texts of each shape filled, and once
+    # with the table cleared, so that the walk segments every text.
+    programs = [record.y for record in sql_records]
+    rng = random.Random("sql shape table")
+    texts = programs + [
+        differential.mutate(rng, rng.choice(programs), differential.SQL_VOCAB)
+        for _ in range(10000)]
+    sql._segment.cache_clear()
+    warm = list(map(_analysis, texts))
+    info = sql._segment.cache_info()
+    for text, served in zip(texts, warm):
+        sql._segment.cache_clear()
+        assert _analysis(text) == served, text
+    assert info.hits > 1000  # about 2,000 texts were served from the table
+    assert info.currsize <= info.maxsize == sql.SHAPES_SIZE
+
+
+def test_a_shared_tree_is_read_only():
+    text = ("SELECT Aalias0.X FROM A AS Aalias0 WHERE Aalias0.Y IN "
+            "( SELECT Balias0.Y FROM B AS Balias0 )")
+    block = sql.parse_sql(text).block
+    assert sql.parse_sql(text.replace("X", "Z")).block is block
+    for mutate in (lambda: setattr(block, "end", 0),
+                   lambda: setattr(block.clauses[0], "end", 0),
+                   lambda: block.children.append(block),
+                   lambda: block.clauses.__setitem__(0, None)):
+        with pytest.raises((AttributeError, TypeError)):
+            mutate()
+    assert sql.parse_sql(text).block == block
 
 
 def test_to_rir_makes_no_regex_substitution(sql_records):

@@ -50,6 +50,29 @@ def sql_corpus(path, n, first):
     return path
 
 
+# Connectors per sql record of the shapes corpus: the AND/OR choices spell
+# the record's number in binary, so each record has a shape of its own
+# (numbers stay below 2 * 8,000 < 2 ** 14), and 1,000 records turn sql's
+# shape table over.
+CONNECTORS = 14
+
+
+def sql_shapes_corpus(path, n, first):
+    """``n`` sql records with the shapes of the numbers ``first`` and up,
+    and tokens that every record shares."""
+    def program(number):
+        where = "Aalias0.Y = 0"
+        for bit in range(CONNECTORS):
+            connector = "OR" if number >> bit & 1 else "AND"
+            where += f" {connector} Aalias0.Y = {bit + 1}"
+        return f"SELECT Aalias0.X FROM A AS Aalias0 WHERE {where}"
+
+    path.write_text("".join(json.dumps({
+        "id": str(i), "x": "q", "y": program(first + i)}) + "\n"
+        for i in range(n)), encoding="utf-8")
+    return path
+
+
 # Per sparql record, enough new entities that 1,000 records fill sparql's
 # term table and turn it over three times, as sql's numbers do above.
 FRESH_TERMS = 4 * sparql.TERM_FORMS_SIZE // 1_000 + 1
@@ -70,9 +93,9 @@ def sparql_corpus(path, n, first):
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     """Per size, and for a warm-up run: the scan corpus, its z_r as
-    (id, z_r) rows, and a sql and a sparql corpus whose numbers and
-    entities no other corpus holds.  The warm-up's scan files are the
-    1,000-record ones."""
+    (id, z_r) rows, a sql and a sparql corpus whose numbers and entities no
+    other corpus holds, and a sql corpus whose shapes no other corpus
+    holds.  The warm-up's scan files are the 1,000-record ones."""
     root = tmp_path_factory.mktemp("streaming")
     sizes = {}
     for n in (1_000, 8_000):
@@ -83,11 +106,15 @@ def corpora(tmp_path_factory):
         sizes[n] = {"scan": scan, "rir": rir,
                     "sql": sql_corpus(root / f"sql{n}.jsonl", n, FRESH * n),
                     "sparql": sparql_corpus(root / f"sparql{n}.jsonl", n,
-                                            FRESH_TERMS * n)}
+                                            FRESH_TERMS * n),
+                    "sql-shapes": sql_shapes_corpus(
+                        root / f"sql-shapes{n}.jsonl", n, n)}
     sizes["warm-up"] = {
         **sizes[1_000],
         "sql": sql_corpus(root / "sql-warm-up.jsonl", 1_000, 0),
-        "sparql": sparql_corpus(root / "sparql-warm-up.jsonl", 1_000, 0)}
+        "sparql": sparql_corpus(root / "sparql-warm-up.jsonl", 1_000, 0),
+        "sql-shapes": sql_shapes_corpus(root / "sql-shapes-warm-up.jsonl",
+                                        1_000, 0)}
     return sizes
 
 
@@ -102,6 +129,9 @@ COMMANDS = {
     # Every record brings tokens that sql's token table has not seen.
     "sql": lambda c: ["prepare", "--mode", "lir-d-rir", "--stage", "2",
                       "--in", c["sql"], "--formalism", "sql"],
+    # Every record brings a shape that sql's shape table has not seen.
+    "sql-shapes": lambda c: ["prepare", "--mode", "lir-d-rir", "--stage", "2",
+                             "--in", c["sql-shapes"], "--formalism", "sql"],
     # Every record brings terms that sparql's term table has not seen.
     "sparql": lambda c: ["prepare", "--mode", "lir-d", "--stage", "1",
                          "--in", c["sparql"], "--formalism", "sparql"],
@@ -109,11 +139,12 @@ COMMANDS = {
 
 
 def peak_bytes(argv):
-    # The run refills sql's token table and sparql's term table, so tracing
-    # sees every entry: in a table filled before tracing, an evicted entry's
-    # objects go to the interpreter's free lists, and the next entry reuses
-    # them untraced.
+    # The run refills sql's token and shape tables and sparql's term table,
+    # so tracing sees every entry: in a table filled before tracing, an
+    # evicted entry's objects go to the interpreter's free lists, and the
+    # next entry reuses them untraced.
     sql._facts.cache_clear()
+    sql._segment.cache_clear()
     sparql._term_forms.cache_clear()
     tracemalloc.start()
     try:
@@ -131,12 +162,14 @@ def test_memory_is_flat_in_the_record_count(corpora, tmp_path, command):
 
     def table_is_bounded():
         tokens = sql._facts.cache_info()
+        shapes = sql._segment.cache_info()
         terms = sparql._term_forms.cache_info()
         return (tokens.currsize <= tokens.maxsize == sql.TOKEN_FACTS_SIZE
+                and shapes.currsize <= shapes.maxsize == sql.SHAPES_SIZE
                 and terms.currsize <= terms.maxsize == sparql.TERM_FORMS_SIZE)
 
     # First-call caches are not per record; the warm-up also fills sql's
-    # token table and sparql's term table past their sizes.
+    # token and shape tables and sparql's term table past their sizes.
     assert run(*argv("warm-up")) == 0
     assert table_is_bounded()
     small, large = peak_bytes(argv(1_000)), peak_bytes(argv(8_000))
