@@ -266,6 +266,16 @@ def sql_transform(text: str) -> tuple[str, ...]:
             sql.sql_template_signature(q))
 
 
+def sql_transform_cold(text: str) -> tuple[str, ...]:
+    """``sql_transform`` with sql's shape table cleared first, in a tree
+    that has one, so that the walk finds every input's layout: its checks,
+    FROM ranges and condition spans."""
+    from irkit import sql
+    if hasattr(sql._segment, "cache_clear"):
+        sql._segment.cache_clear()
+    return sql_transform(text)
+
+
 def sql_lossy_of_rir(text: str) -> str:
     """z_{l,r} of a predicted z_r, as ``postprocess --mode lir-i-rir``
     writes it."""
@@ -290,6 +300,7 @@ FUNCTIONS = {
     "sql.parse_sql_cold": (_sql_programs, SQL_VOCAB, sql_parse_cold),
     "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_rir),
     "sql.transform": (_sql_programs, SQL_VOCAB, sql_transform),
+    "sql.transform_cold": (_sql_programs, SQL_VOCAB, sql_transform_cold),
     "sql.lossy_of_rir": (_sql_rirs, SQL_VOCAB, sql_lossy_of_rir),
 }
 

@@ -116,30 +116,23 @@ class RirOptions:
 # ---------------------------------------------------------------------------
 
 
-# The parser tests its tokens inline, and calls these two only to raise at
-# the first token that fails, with its message and expected tokens.
+# The parser tests its tokens inline, and calls this only to raise at the
+# first token that fails, with its message and expected tokens.
 
 
 def _expect(text: str, toks: list[str], i: int, *expected: str) -> None:
-    """Raise at token ``i`` unless it is one of ``expected``."""
-    try:
-        tok = toks[i]
-    except IndexError:
+    """Raise at token ``i`` if it is past the end or is not one of
+    ``expected``; ``"<what>"`` alone (a subject, relation, object or filter
+    term) stands for any token that is not reserved."""
+    if i >= len(toks):
         fail_at(text, i, "unexpected end of input", expected)
-    if tok not in expected:
+    tok = toks[i]
+    if expected[0][0] == "<":
+        if tok in _RESERVED:
+            fail_at(text, i, f"reserved token {tok!r} where a "
+                    f"{expected[0][1:-1]} was expected", expected)
+    elif tok not in expected:
         fail_at(text, i, f"unexpected token {tok!r}", expected)
-
-
-def _term(text: str, toks: list[str], i: int, what: str) -> None:
-    """Raise at token ``i`` if it is past the end or reserved, where a
-    subject, relation, object or filter term belongs."""
-    try:
-        tok = toks[i]
-    except IndexError:
-        fail_at(text, i, "unexpected end of input", (f"<{what}>",))
-    if tok in _RESERVED:
-        fail_at(text, i, f"reserved token {tok!r} where a {what} was "
-                "expected", (f"<{what}>",))
 
 
 def _read_body(body: list[str]) -> list[Item] | None:
@@ -239,9 +232,9 @@ def _read_items(text: str, toks: list[str], i: int,
                     or unit[4] != ")"
                     or not _RESERVED.isdisjoint(unit[1:4:2])):
                 _expect(text, toks, i + 1, "(")
-                _term(text, toks, i + 2, "term")
+                _expect(text, toks, i + 2, "<term>")
                 _expect(text, toks, i + 3, *FILTER_OPS)
-                _term(text, toks, i + 4, "term")
+                _expect(text, toks, i + 4, "<term>")
                 _expect(text, toks, i + 5, ")")  # one of these raises
             items.append(_make_filter(unit[1:4]))
             i += 6
@@ -249,15 +242,15 @@ def _read_items(text: str, toks: list[str], i: int,
             triple = toks[i:i + 3]
             if len(triple) < 3 or not _RESERVED.isdisjoint(triple):
                 for j, what in enumerate(("subject", "relation", "object")):
-                    _term(text, toks, i + j, what)  # raises at the first
+                    _expect(text, toks, i + j, f"<{what}>")  # the first raises
             subject, relation, obj = triple
             items.append(_make_group((subject, relation, (obj,))))
             i += 3
         else:
             pair = toks[i:i + 2]
             if len(pair) < 2 or not _RESERVED.isdisjoint(pair):
-                _term(text, toks, i, "subject")
-                _term(text, toks, i + 1, "relation")  # one raises
+                _expect(text, toks, i, "<subject>")
+                _expect(text, toks, i + 1, "<relation>")  # one raises
             i += 2
             nested = bracketed and i < n and toks[i] == "("
             i += nested
@@ -270,7 +263,7 @@ def _read_items(text: str, toks: list[str], i: int,
             objects = toks[first:i:2]
             if i > n or not _RESERVED.isdisjoint(objects):
                 for j in range(first, i, 2):
-                    _term(text, toks, j, "object")  # raises at the first
+                    _expect(text, toks, j, "<object>")  # raises at the first
             if nested:
                 if i >= n or toks[i] != ")":
                     _expect(text, toks, i, ")")  # raises

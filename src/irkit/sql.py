@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import accumulate
-from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
+from functools import lru_cache
+from itertools import accumulate, compress
+from operator import attrgetter, itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (InversionError, ParseError, TransformError,
                      byte_offset, fail_at)
@@ -47,13 +47,9 @@ _KEYWORDS = {word: word for word in (*_CLAUSE_STARTERS, *_SET_OPS, "BY",
 # The most distinct tokens whose facts ``_facts`` keeps.
 TOKEN_FACTS_SIZE = 4096
 # The indices of a token's facts in the tuple ``_facts`` returns.
-(_QUOTED, _DELTA, _KEYWORD, _VALUE, _ALIAS, _HEAD, _REST, _BAD, _HEAD_ALIAS,
- _NUMBER, _SHAPE) = range(11)
-# The most distinct query shapes whose segmentation ``_segment`` keeps.
+_QUOTED, _VALUE, _ALIAS, _HEAD, _REST, _HEAD_ALIAS, _NUMBER, _SHAPE = range(8)
+# The most distinct query shapes whose layout ``_segment`` keeps.
 SHAPES_SIZE = 512
-# Raises a ParseError with a message at a token index (past the last: the
-# end) of the text a stream was lexed from.
-_Fail = Callable[[int, str], NoReturn]
 
 
 def lex_sql(text: str) -> list[str]:
@@ -79,22 +75,22 @@ def render_sql(tokens: Sequence[str]) -> str:
 @lru_cache(maxsize=TOKEN_FACTS_SIZE)
 def _facts(tok: str) -> tuple:
     """What a token's text says about it in any query, by the ``_QUOTED``
-    ... ``_NUMBER`` indices: whether it is quoted (opens with a quote); its
-    paren delta, its number of ``(`` minus its number of ``)`` (0 if
-    quoted); the keyword it spells in any case, if a pass compares it with
-    one, else None; whether it is value-shaped (quoted, or a number or a
-    lowercase placeholder like ``city_name0`` that is no
-    ``<TABLE NAME>alias<N>`` token); whether it is an alias token; its
-    qualifier and ``".column"`` for a dotted reference, else itself and
-    ``""``; whether that qualifier holds ``alias`` but is no alias token,
-    which ``_check_tokens`` rejects, and whether it is one; whether the
-    token is a number; and its part of the query's shape: ``"("`` for the
-    bare ``(``, else its keyword, else its paren delta.  ``parse_sql``
-    looks each token up once and every pass reads its facts; the table
-    keeps the last ``TOKEN_FACTS_SIZE`` distinct tokens looked up."""
+    ... ``_SHAPE`` indices: whether it is quoted (opens with a quote);
+    whether it is value-shaped (quoted, or a number or a lowercase
+    placeholder like ``city_name0`` that is no ``<TABLE NAME>alias<N>``
+    token); whether it is an alias token; its qualifier and ``".column"``
+    for a dotted reference, else itself and ``""``; whether that qualifier
+    is an alias token; whether the token is a number; and its part of the
+    query's shape: ``"("`` for the bare ``(``, else the keyword it spells in
+    any case if a pass compares it with one, else its paren delta, its
+    number of ``(`` minus its number of ``)`` (0 if quoted), in a 1-tuple
+    if its qualifier holds ``alias`` but is no alias token, which
+    ``_check_shape`` rejects.  ``parse_sql`` looks each token up once and
+    every pass reads its facts; the table keeps the last
+    ``TOKEN_FACTS_SIZE`` distinct tokens looked up."""
     first = tok[:1]
     if first in _QUOTES:
-        return True, 0, None, True, False, tok, "", False, False, False, 0
+        return True, True, False, tok, "", False, False, 0
     head, _, rest = tok.partition(".")
     if rest and (first.isalpha() or first == "_"):
         rest = "." + rest
@@ -109,12 +105,11 @@ def _facts(tok: str) -> tuple:
     number = first.isdecimal() and _NUMBER_RE.fullmatch(tok) is not None
     delta = (tok.count("(") - tok.count(")")
              if "(" in tok or ")" in tok else 0)
-    keyword = _KEYWORDS.get(tok.upper())
-    return (False, delta, keyword,
-            number or "a" <= first <= "z" and not alias
+    return (False, number or "a" <= first <= "z" and not alias
             and _PLACEHOLDER_RE.fullmatch(tok) is not None,
-            alias, head, rest, "alias" in head and not head_alias,
-            head_alias, number, "(" if tok == "(" else keyword or delta)
+            alias, head, rest, head_alias, number,
+            "(" if tok == "(" else _KEYWORDS.get(tok.upper()) or (
+                (delta,) if "alias" in head and not head_alias else delta))
 
 
 class Clause(NamedTuple):
@@ -138,6 +133,18 @@ class Block(NamedTuple):
             yield from child.walk()
 
 
+class Layout(NamedTuple):
+    """What a query's shape decides, shared by every query of the shape."""
+
+    block: Block
+    depths: tuple[int, ...]  # before each token and after the last
+    declarations: tuple[int, ...]  # FROM ``AS`` positions, in walk order
+    keep: tuple[bool, ...]  # per token, False in a FROM clause
+    # Per WHERE/HAVING clause, in walk order: its keyword's index and its
+    # ``iter_conditions`` spans.
+    conditions: tuple[tuple[int, tuple], ...]
+
+
 @dataclass(slots=True)
 class SqlQuery:
     """A program or its z_r: the tokens and what ``parse_sql`` found in
@@ -145,10 +152,12 @@ class SqlQuery:
 
     tokens: tuple[str, ...]
     facts: tuple[tuple, ...]  # ``_facts`` of each token
-    values: tuple[bool, ...]  # ``_values(tokens, facts, declared)``
-    block: Block
-    depths: tuple[int, ...]  # before each token and after the last
+    values: tuple[bool, ...]  # ``_values`` of the tokens
+    layout: Layout  # ``_segment`` of the query's shape
     declared: dict[str, str]  # declared alias -> table, from every FROM
+
+    block = property(attrgetter("layout.block"))
+    depths = property(attrgetter("layout.depths"))
 
     def render(self) -> str:
         return render_sql(self.tokens)
@@ -159,12 +168,37 @@ class _Unsegmented(Exception):
     token to report and the message, with ``{!r}`` for that token's text."""
 
 
+def _check_shape(shape: tuple) -> tuple[int, ...]:
+    """The paren depths of a shape, before each token and after the last,
+    once it passes the checks that need no segmentation, in this order: it
+    is not empty, opens with SELECT, is balanced, and holds no 1-tuple (a
+    token that ``_facts`` marks bad).  An empty query or one left inside
+    parentheses fails at its end."""
+    if not shape:
+        raise _Unsegmented(0, "empty query")
+    if shape[0] != "SELECT":
+        raise _Unsegmented(0, "query starts with {!r}, not SELECT")
+    depths = tuple(accumulate([
+        e if e.__class__ is int else e[0] if e.__class__ is tuple
+        else int(e == "(") for e in shape], initial=0))
+    if min(depths) < 0:  # at the token that first takes the depth below 0
+        raise _Unsegmented([d < 0 for d in depths].index(True) - 1,
+                           "unbalanced ')'")
+    if depths[-1] != 0:
+        raise _Unsegmented(len(shape), "unbalanced '('")
+    bad = [entry.__class__ is tuple for entry in shape]
+    if True in bad:
+        raise _Unsegmented(bad.index(True), "token {!r} does not match the "
+                           "<TABLE NAME>alias<N> pattern")
+    return depths
+
+
 @lru_cache(maxsize=SHAPES_SIZE)
-def _segment(shape: tuple) -> tuple[Block, tuple[int, ...]]:
-    """The block tree of a query's shape, built in one left-to-right pass,
-    and the positions of the ``AS`` tokens of its FROM clauses, block by
-    block in ``Block.walk`` order.  ``_check_tokens`` has passed the
-    query's balance.
+def _segment(shape: tuple) -> Layout:
+    """The ``Layout`` of a query's shape: once the shape passes
+    ``_check_shape``, its block tree is built in one left-to-right pass,
+    and then the FROM clauses give the ``AS`` positions and the tokens that
+    the lossy IR drops, and each WHERE/HAVING clause its condition spans.
 
     A token that raises the depth opens a group, which closes at the first
     later token that brings the depth back to, or past, the depth before the
@@ -174,27 +208,25 @@ def _segment(shape: tuple) -> tuple[Block, tuple[int, ...]]:
     enclosing clause, but a ``( SELECT`` in it is again a subquery.
 
     ``parse_sql`` looks each query's shape up once; the table keeps the
-    last ``SHAPES_SIZE`` distinct shapes looked up.  A shape that does not
-    segment, or whose FROM clause ends with ``AS``, raises
+    last ``SHAPES_SIZE`` distinct shapes looked up.  A shape that fails a
+    check, does not segment, or whose FROM clause ends with ``AS``, raises
     ``_Unsegmented`` and is not kept.
     """
-    n, after = len(shape), 0
+    depths = _check_shape(shape)
+    n = len(shape)
     # An open block: its start, clauses as (name, start, end), children.
     root = block = (0, [], [])
     group = None  # the depth before the open group's opener
     stack = []  # per open subquery: (depth before its "(", outer block, group)
     i = 0
     while i < n:
-        entry, before = shape[i], after
+        entry, before = shape[i], depths[i]
         i += 1
-        if entry.__class__ is int:  # a paren delta; a keyword's is 0
-            after += entry
-        elif entry == "(":
-            after += 1
-            if i < n and shape[i] == "SELECT":
-                stack.append((before, block, group))
-                block, group = (i, [], []), None
-                continue
+        after = depths[i]
+        if entry == "(" and i < n and shape[i] == "SELECT":
+            stack.append((before, block, group))
+            block, group = (i, [], []), None
+            continue
         if group is not None:
             if after > group:
                 continue  # still inside the group
@@ -227,17 +259,21 @@ def _segment(shape: tuple) -> tuple[Block, tuple[int, ...]]:
             block[2].append(child)
             if group is not None and after <= group:
                 group = None
-    tree, declarations = _close(root, n), []
+    tree, declarations, keep, conditions = _close(root, n), [], [True] * n, []
     for b in tree.walk():
         for name, start, end in b.clauses:
-            if name != "FROM":
-                continue
-            for i in range(start, end):
-                if shape[i] == "AS":
-                    if i + 1 >= end:
-                        raise _Unsegmented(i, "dangling AS in FROM clause")
-                    declarations.append(i)
-    return tree, tuple(declarations)
+            if name in ("WHERE", "HAVING"):
+                conditions.append((start, tuple(
+                    iter_conditions(shape, depths, start + 1, end))))
+            elif name == "FROM":
+                keep[start:end] = [False] * (end - start)
+                for i in range(start, end):
+                    if shape[i] == "AS":
+                        if i + 1 >= end:
+                            raise _Unsegmented(i, "dangling AS in FROM clause")
+                        declarations.append(i)
+    return Layout(tree, depths, tuple(declarations), tuple(keep),
+                  tuple(conditions))
 
 
 def _close(block: tuple, end: int) -> Block:
@@ -251,52 +287,38 @@ def _close(block: tuple, end: int) -> Block:
         tuple(children))
 
 
-def _values(tokens: Sequence[str], facts: Sequence[tuple],
-            declared: dict[str, str]) -> tuple[bool, ...]:
+def _values(tokens: Sequence[str], facts: Sequence[tuple], declared: dict,
+            declarations: Sequence[int]) -> tuple[bool, ...]:
     """Per token, whether it is a value: a quoted string, or a number or a
     lowercase placeholder (``city_name0``) that is neither a declared alias
-    nor a ``<TABLE NAME>alias<N>`` token."""
-    return tuple([f[_VALUE] and (f[_QUOTED] or tok not in declared)
-                  for tok, f in zip(tokens, facts)])
-
-
-def _check_tokens(tokens: Sequence[str], facts: Sequence[tuple],
-                  depths: Sequence[int], fail: _Fail) -> None:
-    """The checks of a query that need no segmentation.  An empty query or
-    one left inside parentheses fails at its end."""
-    if not tokens:
-        fail(0, "empty query")
-    if facts[0][_KEYWORD] != "SELECT":
-        fail(0, f"query starts with {tokens[0]!r}, not SELECT")
-    if min(depths) < 0:  # at the token that first takes the depth below 0
-        fail([d < 0 for d in depths].index(True) - 1, "unbalanced ')'")
-    if depths[-1] != 0:
-        fail(len(tokens), "unbalanced '('")
-    bad = list(map(itemgetter(_BAD), facts))
-    if True in bad:
-        i = bad.index(True)
-        fail(i, f"token {tokens[i]!r} does not match the "
-             "<TABLE NAME>alias<N> pattern")
+    nor a ``<TABLE NAME>alias<N>`` token.  These are the tokens' ``_VALUE``
+    facts unless an alias, the token after an ``AS`` at ``declarations``,
+    is value-shaped (``AS c1``)."""
+    for i in declarations:
+        if facts[i + 1][_VALUE]:
+            return tuple([f[_VALUE] and (f[_QUOTED] or tok not in declared)
+                          for tok, f in zip(tokens, facts)])
+    return tuple(map(itemgetter(_VALUE), facts))
 
 
 def parse_sql(text: str) -> SqlQuery:
     """The one analysis of a program or a predicted z_r: tokenize, look up
-    each token's facts, check the tokens, look up the segmentation and FROM
-    declarations of the query's shape, and flag the values.  A
+    each token's facts, look up the layout of the query's shape (its
+    checks and segmentation, which run only for a shape not in the table),
+    read the declared aliases off it, and flag the values.  A
     ``ParseError``'s offset is a byte offset in ``text``."""
     tokens = tuple(lex_sql(text))
     facts = tuple(map(_facts, tokens))
-    depths = tuple(accumulate(map(itemgetter(_DELTA), facts), initial=0))
-    fail = partial(fail_at, text, token=_TOKEN_RE)
-    _check_tokens(tokens, facts, depths, fail)
     try:
-        block, declarations = _segment(tuple(map(itemgetter(_SHAPE), facts)))
+        layout = _segment(tuple(map(itemgetter(_SHAPE), facts)))
     except _Unsegmented as exc:
         i, message = exc.args
-        fail(i, message.format(*tokens[i:i + 1]))
-    declared = {tokens[i + 1]: tokens[i - 1] for i in declarations}
-    return SqlQuery(tokens, facts, _values(tokens, facts, declared), block,
-                    depths, declared)
+        if i == len(tokens):  # at the end, which needs no search of the text
+            raise ParseError(message, offset=len(text.encode()))
+        fail_at(text, i, message.format(*tokens[i:i + 1]), token=_TOKEN_RE)
+    declared = {tokens[i + 1]: tokens[i - 1] for i in layout.declarations}
+    values = _values(tokens, facts, declared, layout.declarations)
+    return SqlQuery(tokens, facts, values, layout, declared)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +384,12 @@ def _renames(tokens: Sequence[str], facts: Sequence[tuple],
 def sql_to_rir(q: SqlQuery) -> SqlQuery:
     """z_r: rename each declared ``Xalias<N>`` to ``X<N>``, as a token and
     as a qualifier, in a program that meets the alias rule (``_renames``),
-    and keep the program's flags, depths and block tree."""
+    and keep the program's flags and layout."""
     renames = _renames(q.tokens, q.facts, q.declared, True)
     tokens = tuple([renames.get(tok, tok) for tok in q.tokens])
-    return SqlQuery(tokens, tuple(map(_facts, tokens)), q.values, q.block,
-                    q.depths, {renames[alias]: table
-                               for alias, table in q.declared.items()})
+    return SqlQuery(tokens, tuple(map(_facts, tokens)), q.values, q.layout,
+                    {renames[alias]: table
+                     for alias, table in q.declared.items()})
 
 
 def sql_from_rir(z: SqlQuery) -> SqlQuery:
@@ -380,14 +402,13 @@ def sql_from_rir(z: SqlQuery) -> SqlQuery:
                 f"input already contains an alias token: {tok!r}")
     renames = _renames(z.tokens, z.facts, z.declared, False)
     # A restored name holds the parens and the first character of the name
-    # it replaces and is no clause keyword, so z's value flags, depths and
-    # block tree are the program's.  A table token can be restored too
+    # it replaces and is no clause keyword, so z's value flags and layout
+    # are the program's.  A table token can be restored too
     # (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
     tokens = tuple([renames.get(tok, tok) for tok in z.tokens])
-    return SqlQuery(tokens, tuple(map(_facts, tokens)), z.values, z.block,
-                    z.depths, {renames.get(alias, alias):
-                               renames.get(table, table)
-                               for alias, table in z.declared.items()})
+    return SqlQuery(tokens, tuple(map(_facts, tokens)), z.values, z.layout,
+                    {renames.get(alias, alias): renames.get(table, table)
+                     for alias, table in z.declared.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +420,21 @@ def _is_qualified_column(q: SqlQuery, index: int) -> bool:
     return q.facts[index][_REST] != "" and q.tokens[index] not in q.declared
 
 
-def iter_conditions(q: SqlQuery, clause: Clause,
-                    body_start: int) -> Iterator[tuple[int, int, int | None]]:
+def iter_conditions(shape: Sequence, depths: Sequence[int], body_start: int,
+                    end: int) -> Iterator[tuple[int, int, int | None]]:
     """Yield (start, end, connector_index) spans for the top-level conditions
-    of one WHERE/HAVING clause body.  The AND that belongs to BETWEEN is not
-    a connector.  A condition may be empty: before a leading connector,
-    between two, after a trailing one, or as the whole of an empty body."""
-    facts, depths = q.facts, q.depths
+    of the WHERE/HAVING clause body ``body_start:end`` of a query's shape
+    and paren depths.  The AND that belongs to BETWEEN is not a connector.
+    A condition may be empty: before a leading connector, between two, after
+    a trailing one, or as the whole of an empty body."""
     base = depths[body_start]
     cond_start = body_start
     connector: int | None = None
     between = False
-    for i in range(body_start, clause.end):
+    for i in range(body_start, end):
         if depths[i + 1] != base:
             continue
-        keyword = facts[i][_KEYWORD]
+        keyword = shape[i]
         if keyword == "BETWEEN":
             between = True
         elif keyword in ("AND", "OR") and not between:
@@ -422,7 +443,7 @@ def iter_conditions(q: SqlQuery, clause: Clause,
             cond_start = i + 1
         elif keyword == "AND" and between:
             between = False
-    yield cond_start, clause.end, connector
+    yield cond_start, end, connector
 
 
 def classify_condition(q: SqlQuery, span: tuple[int, int]) -> str:
@@ -430,47 +451,33 @@ def classify_condition(q: SqlQuery, span: tuple[int, int]) -> str:
     qualified column references; anything touching a value, subquery, or
     other operator is semantic."""
     start, end = span
-    if end - start != 3:
-        return SEMANTIC
-    left, op, right = range(start, end)
-    if q.tokens[op] != "=":
-        return SEMANTIC
-    if _is_qualified_column(q, left) and _is_qualified_column(q, right):
-        return JOIN_ONLY
-    return SEMANTIC
+    return JOIN_ONLY if (end - start == 3 and q.tokens[start + 1] == "="
+                         and _is_qualified_column(q, start)
+                         and _is_qualified_column(q, end - 1)) else SEMANTIC
 
 
 def sql_to_lir(q: SqlQuery) -> str:
     """The lossy IR of a program or its z_r: drop FROM clauses and
-    join-only and empty conditions, mask alias qualifiers."""
-    keep = [True] * len(q.tokens)
+    join-only and empty conditions, mask alias qualifiers.  The layout
+    gives the FROM tokens and the condition spans, so only the 3-token
+    conditions are classified per query."""
+    keep = list(q.layout.keep)
     declared = q.declared
-
-    for block in q.block.walk():
-        for clause in block.clauses:
-            if clause.name == "FROM":
-                for i in range(clause.start, clause.end):
-                    keep[i] = False
-            elif clause.name in ("WHERE", "HAVING"):
-                spans = list(iter_conditions(q, clause, clause.start + 1))
-                survives = [s < e and classify_condition(q, (s, e))
-                            != JOIN_ONLY for s, e, _ in spans]
-                any_kept = False
-                for (start, end, connector), kept in zip(spans, survives):
-                    if not kept:
-                        for i in range(start, end):
-                            keep[i] = False
-                    if connector is not None:
-                        # A connector survives only between two survivors.
-                        keep[connector] = kept and any_kept
-                    any_kept = any_kept or kept
-                if not any_kept:
-                    keep[clause.start] = False  # WHERE/HAVING keyword itself
-
+    for where, spans in q.layout.conditions:
+        any_kept = False
+        for start, end, connector in spans:
+            kept = start < end and (end - start != 3 or classify_condition(
+                q, (start, end)) != JOIN_ONLY)
+            if not kept:
+                keep[start:end] = [False] * (end - start)
+            if connector is not None:
+                # A connector survives only between two survivors.
+                keep[connector] = kept and any_kept
+            any_kept = any_kept or kept
+        if not any_kept:
+            keep[where] = False  # the WHERE/HAVING keyword itself
     masked: list[str] = []
-    for tok, f, value, kept in zip(q.tokens, q.facts, q.values, keep):
-        if not kept:
-            continue
+    for tok, f, value in compress(zip(q.tokens, q.facts, q.values), keep):
         if value:
             masked.append(tok)
         elif f[_ALIAS] or tok in declared:

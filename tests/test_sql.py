@@ -472,7 +472,7 @@ def test_query_of_a_programs_rir_analyses_nothing_again(sql_records,
     # lexes, checks or segments the tokens again, looks up a shape or flags
     # the values.
     calls = []
-    for name in ("lex_sql", "_check_tokens", "_segment", "_values"):
+    for name in ("lex_sql", "_check_shape", "_segment", "_values"):
         monkeypatch.setattr(sql, name, lambda *args, _fn=getattr(sql, name):
                             calls.append(_fn.__name__) or _fn(*args))
     for record in sql_records:
@@ -509,7 +509,8 @@ def _analysis(text):
         q = sql.parse_sql(text)
     except ParseError as exc:
         return type(exc), str(exc), exc.offset
-    return q.tokens, q.values, q.depths, list(q.declared.items()), q.block
+    return (q.tokens, q.values, q.depths, list(q.declared.items()), q.block,
+            sql.sql_to_lir(q), sql.sql_template_signature(q))
 
 
 def test_the_shape_table_serves_what_the_walk_gives(sql_records,
@@ -529,6 +530,24 @@ def test_the_shape_table_serves_what_the_walk_gives(sql_records,
         assert _analysis(text) == served, text
     assert info.hits > 1000  # about 2,000 texts were served from the table
     assert info.currsize <= info.maxsize == sql.SHAPES_SIZE
+
+
+def test_a_seen_shape_is_neither_checked_nor_split_into_conditions(
+        sql_records, monkeypatch):
+    # Only the first query of a shape runs the ordered checks and finds the
+    # condition spans; a later one reads them from the shape's layout.
+    calls = []
+    for name in ("_check_shape", "iter_conditions"):
+        monkeypatch.setattr(sql, name, lambda *args, _fn=getattr(sql, name):
+                            calls.append(_fn.__name__) or _fn(*args))
+    texts = [record.y for record in sql_records]
+    sql._segment.cache_clear()
+    first = [sql.sql_to_lir(sql.parse_sql(text)) for text in texts]
+    assert calls.count("_check_shape") == sql._segment.cache_info().currsize
+    assert "iter_conditions" in calls
+    calls.clear()
+    assert [sql.sql_to_lir(sql.parse_sql(text)) for text in texts] == first
+    assert calls == []
 
 
 def test_a_shared_tree_is_read_only():
@@ -597,14 +616,8 @@ def test_self_join_aliases_restore_distinctly():
 
 
 def _conditions(q):
-    out = []
-    for block in q.block.walk():
-        for clause in block.clauses:
-            if clause.name in ("WHERE", "HAVING"):
-                for start, end, _ in sql.iter_conditions(q, clause,
-                                                         clause.start + 1):
-                    out.append((start, end))
-    return out
+    return [(start, end) for _, spans in q.layout.conditions
+            for start, end, _ in spans]
 
 
 def test_join_only_condition():
