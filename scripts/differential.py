@@ -188,17 +188,9 @@ def scan_transform(text: str) -> tuple[str, ...]:
 
 
 def scan_from_rir(text: str) -> str:
-    """The program ``invert`` writes for a z_r.  A tree without
-    ``scan.EMPTY_ACTIONS`` restores a z_r with no actions as an empty
-    program; here that raises the later tree's error, so that only other
-    differences show."""
-    from irkit import pipeline, scan
-    from irkit.errors import InversionError
-    program = pipeline.invert_reversible(text,
-                                         pipeline.PipelineConfig("scan"))
-    if not program and not hasattr(scan, "EMPTY_ACTIONS"):
-        raise InversionError("empty action sequence")
-    return program
+    """The program ``invert`` writes for a z_r."""
+    from irkit import pipeline
+    return pipeline.invert_reversible(text, pipeline.PipelineConfig("scan"))
 
 
 @functools.cache
@@ -239,20 +231,16 @@ def sql_parse(text: str) -> tuple:
 
 
 def sql_parse_cold(text: str) -> tuple:
-    """``sql_parse`` with sql's shape table cleared first, in a tree that
-    has one, so that every input is segmented by the walk."""
+    """``sql_parse`` with sql's shape table cleared first, so that every
+    input is segmented by the walk."""
     from irkit import sql
-    if hasattr(sql._segment, "cache_clear"):
-        sql._segment.cache_clear()
+    sql._segment.cache_clear()
     return sql_parse(text)
 
 
 def sql_from_rir(text: str) -> tuple:
-    """The restored query of a z_r.  A tree that has ``sql.parse_rir``
-    inverts z_r's lexed tokens; a later one inverts its parsed query."""
+    """The restored query of a z_r's parsed query."""
     from irkit import sql
-    if hasattr(sql, "parse_rir"):
-        return _query_form(sql.sql_from_rir(tuple(sql.lex_sql(text))))
     return _query_form(sql.sql_from_rir(sql.parse_sql(text)))
 
 
@@ -267,12 +255,11 @@ def sql_transform(text: str) -> tuple[str, ...]:
 
 
 def sql_transform_cold(text: str) -> tuple[str, ...]:
-    """``sql_transform`` with sql's shape table cleared first, in a tree
-    that has one, so that the walk finds every input's layout: its checks,
-    FROM ranges and condition spans."""
+    """``sql_transform`` with sql's shape table cleared first, so that the
+    walk finds every input's layout: its checks, FROM ranges and condition
+    spans."""
     from irkit import sql
-    if hasattr(sql._segment, "cache_clear"):
-        sql._segment.cache_clear()
+    sql._segment.cache_clear()
     return sql_transform(text)
 
 

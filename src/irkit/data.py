@@ -13,8 +13,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, NamedTuple, Sequence,
-                    TypeVar)
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import IrkitError
 
@@ -149,27 +148,16 @@ def read_scan_records(path: str | Path) -> Iterator[ExampleRecord]:
         yield ExampleRecord(str(lineno - 1), head[3:].strip(), y.lstrip())
 
 
-class RecordFile:
-    """The records of one dataset file, read lazily: each iteration opens
-    the file and yields one record at a time."""
-
-    def __init__(self, read: Callable[[], Iterator[ExampleRecord]]) -> None:
-        self._read = read
-
-    def __iter__(self) -> Iterator[ExampleRecord]:
-        return self._read()
-
-
-def read_records(path: str | Path) -> RecordFile:
+def read_records(path: str | Path) -> Iterator[ExampleRecord]:
     """Pick the adapter from the file extension, which is checked now; the
-    file is read when the result is iterated."""
+    result is a one-pass iterator that opens the file on its first item."""
     read = {".jsonl": read_records_jsonl, ".json": read_records_jsonl,
             ".tsv": read_records_tsv, ".txt": read_scan_records,
             }.get(Path(path).suffix.lower())
     if read is None:
         raise IrkitError(f"cannot infer record format from {path!r} "
-                         "(expected .jsonl, .tsv, or .txt)")
-    return RecordFile(lambda: read(path))
+                         "(expected .jsonl, .json, .tsv, or .txt)")
+    return read(path)
 
 
 def read_pairs_tsv(path: str | Path) -> Iterator[tuple[str, str]]:

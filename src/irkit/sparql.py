@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
@@ -238,14 +238,6 @@ def _read_items(text: str, toks: list[str], i: int,
                 _expect(text, toks, i + 5, ")")  # one of these raises
             items.append(_make_filter(unit[1:4]))
             i += 6
-        elif not ir:
-            triple = toks[i:i + 3]
-            if len(triple) < 3 or not _RESERVED.isdisjoint(triple):
-                for j, what in enumerate(("subject", "relation", "object")):
-                    _expect(text, toks, i + j, f"<{what}>")  # the first raises
-            subject, relation, obj = triple
-            items.append(_make_group((subject, relation, (obj,))))
-            i += 3
         else:
             pair = toks[i:i + 2]
             if len(pair) < 2 or not _RESERVED.isdisjoint(pair):
@@ -254,10 +246,10 @@ def _read_items(text: str, toks: list[str], i: int,
             i += 2
             nested = bracketed and i < n and toks[i] == "("
             i += nested
-            # The objects and the commas between them
+            # The objects and the commas between them (a program's has one)
             first = i
             i += 1
-            if nested or not bracketed:
+            if nested or ir and not bracketed:
                 while i < n and toks[i] == ",":
                     i += 2
             objects = toks[first:i:2]
@@ -385,15 +377,13 @@ class RelationDictionary:
     """Bijective map between full and truncated relation names."""
 
     forward: Mapping[str, str]
-    backward: Mapping[str, str]
+    backward: Mapping[str, str] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.forward) != len(self.backward):
+        backward = {v: k for k, v in self.forward.items()}
+        if len(self.forward) != len(backward):
             raise TransformError("relation dictionary is not a bijection")
-        for full, short in self.forward.items():
-            if self.backward.get(short) != full:
-                raise TransformError(
-                    f"relation dictionary is not a bijection at {short!r}")
+        object.__setattr__(self, "backward", backward)
 
     def shorten(self, relation: str) -> str:
         try:
@@ -427,7 +417,7 @@ class RelationDictionary:
                 and all(isinstance(v, str) for v in forward.values())):
             raise ConfigError(f"relation dictionary {str(path)!r} is not a "
                               "JSON object of relation names")
-        return cls(forward, {v: k for k, v in forward.items()})
+        return cls(forward)
 
 
 def build_relation_dict(corpus: Iterable[SparqlQuery]) -> RelationDictionary:
@@ -468,7 +458,7 @@ def build_relation_dict(corpus: Iterable[SparqlQuery]) -> RelationDictionary:
                 index[rel] += 1
 
     forward = {rel: candidates[rel][index[rel]] for rel in candidates}
-    return RelationDictionary(forward, {v: k for k, v in forward.items()})
+    return RelationDictionary(forward)
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,12 @@ class Block(NamedTuple):
     children: tuple["Block", ...]
 
     def walk(self) -> Iterator["Block"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """The blocks in preorder, by an explicit stack: no recursion limit."""
+        stack = [self]
+        while stack:
+            block = stack.pop()
+            yield block
+            stack += reversed(block.children)
 
 
 class Layout(NamedTuple):

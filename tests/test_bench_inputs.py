@@ -23,8 +23,7 @@ def _generate():
 
 
 def _relation_dict(corpus):
-    short = corpus.relation_dict
-    return sp.RelationDictionary(short, {v: k for k, v in short.items()})
+    return sp.RelationDictionary(corpus.relation_dict)
 
 
 def test_train_prep_sparql_inputs_match_irkit():

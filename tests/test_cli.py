@@ -213,12 +213,19 @@ def test_varify_template_formalism_checks(ws):
     (["prepare", "--formalism", "scan", "--mode", "lir-cat",
       "--cat-budget", "-3"],
      {"in.jsonl": '{"id": "0", "x": "jump", "y": "JUMP"}\n'}),
+    (["invert", "--formalism", "sparql", "--dict", "d.json"],
+     {"in.jsonl": "0\tSELECT count(*) WHERE { }\n",
+      "d.json": '{"ns:a.b": "b", "ns:c.b": "b"}'}),
+    (["prepare", "--formalism", "scan", "--mode", "baseline", "--sep", ""],
+     {"in.jsonl": '{"id": "0", "x": "jump", "y": "JUMP"}\n'}),
 ], ids=["jsonl-not-object", "jsonl-non-string-y", "dict-bad-json",
         "dict-not-object", "input-not-utf8", "jsonl-lone-surrogate",
         "jsonl-id-with-tab", "jsonl-id-over-digit-limit",
         "jsonl-nested-too-deep", "dict-int-over-digit-limit",
-        "dict-nested-too-deep", "cat-budget-zero", "cat-budget-negative"])
-def test_malformed_input_exits_2_with_one_line(ws, capsys, argv, files):
+        "dict-nested-too-deep", "cat-budget-zero", "cat-budget-negative",
+        "dict-two-relations-one-name", "sep-empty"])
+def test_malformed_input_exits_2_with_one_line(ws, capsys, request, argv,
+                                               files):
     for name, content in files.items():
         (ws / name).write_bytes(
             content.encode() if isinstance(content, str) else content)
@@ -226,6 +233,27 @@ def test_malformed_input_exits_2_with_one_line(ws, capsys, argv, files):
     assert run(*argv, "--in", ws / "in.jsonl", "--out", ws / "o.tsv") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert MESSAGES.get(request.node.callspec.id, "") in err
+
+
+# The messages of rows above whose error no other test pins.
+MESSAGES = {
+    "dict-two-relations-one-name": "relation dictionary is not a bijection",
+    "sep-empty": "separator must be non-empty",
+}
+
+
+@pytest.mark.parametrize("name, start, message", [
+    ("in.csv", "error: ", "(expected .jsonl, .json, .tsv, or .txt)"),
+    ("missing.jsonl", "io error: ", "No such file or directory"),
+])
+def test_an_unreadable_in_exits_2_with_one_line(ws, capsys, name, start,
+                                               message):
+    assert run("transform", "--formalism", "scan", "--ir", "lir",
+               "--in", ws / name, "--out", ws / "o.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
+    assert message in err and not (ws / "o.tsv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +272,27 @@ def test_prepare_baseline_emits_x_y(ws):
     records = data.read_scan_records(ws / "scan_sample.txt")
     rows = list(data.read_stage_tsv(out))
     assert [(r.id, r.x, r.y) for r in records] == rows
+
+
+def test_prepare_reads_a_two_column_tsv_with_line_number_ids(ws):
+    src, out = ws / "pairs.tsv", ws / "stage1.tsv"
+    src.write_text("jump twice\tJUMP JUMP\n\nwalk\tWALK\n")
+    assert run("prepare", "--mode", "baseline", "--formalism", "scan",
+               "--in", src, "--out", out) == 0
+    assert list(data.read_stage_tsv(out)) == [
+        ("0", "jump twice", "JUMP JUMP"), ("2", "walk", "WALK")]
+
+
+def test_prepare_notes_lir_cat_targets_over_the_budget(ws, capsys):
+    out = ws / "stage1.tsv"
+    assert run("prepare", "--mode", "lir-cat", "--cat-budget", "4",
+               "--formalism", "scan", "--in", ws / "scan_sample.txt",
+               "--out", out) == 0
+    targets = _column(out, 2)
+    over = sum(len(t.split()) > 4 for t in targets)
+    assert len(targets) == 24 and 0 < over < 24
+    assert (f"note: {over} target(s) exceed the 4-token budget (kept, not "
+            "truncated)\n") in capsys.readouterr().out
 
 
 def test_full_two_stage_flow_via_cli(ws):
@@ -440,6 +489,20 @@ def test_stats_shows_grouped_ir_strictly_shorter(ws):
     base = json.loads(base_stats.read_text())["avg_length"]
     grouped = json.loads(rir_stats.read_text())["avg_length"]
     assert grouped < base
+
+
+def test_stats_counts_the_pieces_of_a_vocab_file(ws):
+    vocab, out = ws / "vocab.txt", ws / "stats.json"
+    vocab.write_text("JU\n##MP\n")  # JUMP is two pieces, any other word one
+    spec = f"vocab:{vocab}"
+    assert run("stats", "--formalism", "scan", "--tokenizer", spec,
+               "--in", ws / "scan_sample.txt", "--out", out) == 0
+    payload = json.loads(out.read_text())
+    programs = [r.y for r in data.read_scan_records(ws / "scan_sample.txt")]
+    tokenizer = metrics.WordPieceTokenizer(["JU", "##MP"])
+    assert payload["config"]["tokenizer"] == spec
+    assert payload["avg_length"] == metrics.avg_length(programs, tokenizer)
+    assert payload["avg_length"] > metrics.avg_length(programs)
 
 
 def test_stats_rejects_unknown_tokenizer(ws):

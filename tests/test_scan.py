@@ -110,6 +110,21 @@ def test_sequence_table_holds_only_the_grammars_sequences(command_space, bad):
     assert set(scan._SEQUENCES.values()) == set(scan._BY_NODE.values())
 
 
+def test_a_conjunction_enters_each_side_under_its_own_words(monkeypatch):
+    monkeypatch.setattr(scan, "_SEQUENCES", {})
+    monkeypatch.setattr(scan, "_BY_NODE", {})
+    command = scan.parse_command("walk  left after\tjump twice")
+    assert command.op == "after"
+    assert {words: entry.node for words, entry in scan._SEQUENCES.items()
+            } == {"walk left": command.left, "jump twice": command.right}
+    assert scan._BY_NODE == {entry.node: entry
+                             for entry in scan._SEQUENCES.values()}
+    # Both sides are in the table now, so the word-by-word parser is not
+    # called again.
+    monkeypatch.setattr(scan, "_parse_words", None)
+    assert scan.parse_command("walk left after jump twice") == command
+
+
 def test_table_served_parse_equals_the_word_by_word_parse(command_space,
                                                           monkeypatch):
     for text in command_space:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irkit import formalisms, pipeline, sql
+from irkit import data, formalisms, pipeline, sql
+from irkit.cli import main
 from irkit.errors import (InversionError, IrkitError, ParseError,
                           TransformError)
 
@@ -139,6 +141,43 @@ def test_subquery_block_nesting():
     assert [c.name for c in child.clauses] == ["SELECT", "FROM"]
     # spans partition the block's top level and nest properly
     assert child.start > q.block.start and child.end < q.block.end
+
+
+def test_walk_visits_blocks_in_preorder():
+    q = sql.parse_sql(
+        "SELECT A.X FROM A WHERE A.Y IN ( SELECT B.Y FROM B WHERE B.Z IN "
+        "( SELECT C.Z FROM C ) ) AND A.W IN ( SELECT D.W FROM D )")
+    first, second = q.block.children
+    assert list(q.block.walk()) == [q.block, first, first.children[0],
+                                    second]
+
+
+def _nested(depth):
+    """A program whose subqueries nest ``depth`` deep, each declaring its
+    own alias."""
+    return (" ".join(f"SELECT Talias{k}.X FROM T AS Talias{k} WHERE "
+                     f"Talias{k}.Y IN (" for k in range(depth))
+            + " SELECT B.Y FROM B" + " )" * depth)
+
+
+def test_nesting_past_the_recursion_limit_parses_inverts_and_transforms(
+        tmp_path):
+    depth = 1200
+    assert depth > sys.getrecursionlimit()
+    text = _nested(depth)
+    q = sql.parse_sql(text)
+    assert " ".join(q.tokens) == text
+    assert len(list(q.block.walk())) == depth + 1
+    z = sql.sql_to_rir(q)
+    assert sql.sql_from_rir(z) == q
+    lir = sql.sql_to_lir(q)
+    assert formalisms.TABLE["sql"].to_lir(z) == lir
+    assert sql.sql_to_lir(sql.parse_sql(lir)) == lir
+    src, out = tmp_path / "deep.jsonl", tmp_path / "lir.tsv"
+    src.write_text(json.dumps({"id": "0", "x": "q", "y": text}) + "\n")
+    assert main(["transform", "--formalism", "sql", "--ir", "lir",
+                 "--in", str(src), "--out", str(out)]) == 0
+    assert list(data.read_pairs_tsv(out)) == [("0", lir)]
 
 
 def test_group_order_having_limit_segmentation():
