@@ -230,11 +230,19 @@ def sql_parse(text: str) -> tuple:
     return _query_form(sql.parse_sql(text))
 
 
-def sql_parse_cold(text: str) -> tuple:
-    """``sql_parse`` with sql's shape table cleared first, so that every
-    input is segmented by the walk."""
+def _clear_sql_tables() -> None:
+    """Empty sql's shape table and, in a tree that has one, its alias-set
+    table, so that the walks decide the next input."""
     from irkit import sql
     sql._segment.cache_clear()
+    if hasattr(sql, "_alias_rule"):
+        sql._alias_rule.cache_clear()
+
+
+def sql_parse_cold(text: str) -> tuple:
+    """``sql_parse`` with sql's tables cleared first, so that every input
+    is segmented by the walk."""
+    _clear_sql_tables()
     return sql_parse(text)
 
 
@@ -242,6 +250,13 @@ def sql_from_rir(text: str) -> tuple:
     """The restored query of a z_r's parsed query."""
     from irkit import sql
     return _query_form(sql.sql_from_rir(sql.parse_sql(text)))
+
+
+def sql_from_rir_cold(text: str) -> tuple:
+    """``sql_from_rir`` with sql's tables cleared first, so that the walks
+    segment every input and decide its alias set."""
+    _clear_sql_tables()
+    return sql_from_rir(text)
 
 
 def sql_transform(text: str) -> tuple[str, ...]:
@@ -255,11 +270,10 @@ def sql_transform(text: str) -> tuple[str, ...]:
 
 
 def sql_transform_cold(text: str) -> tuple[str, ...]:
-    """``sql_transform`` with sql's shape table cleared first, so that the
-    walk finds every input's layout: its checks, FROM ranges and condition
-    spans."""
-    from irkit import sql
-    sql._segment.cache_clear()
+    """``sql_transform`` with sql's tables cleared first, so that the walks
+    find every input's layout (its checks, FROM ranges and condition spans)
+    and decide its alias set."""
+    _clear_sql_tables()
     return sql_transform(text)
 
 
@@ -286,6 +300,7 @@ FUNCTIONS = {
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),
     "sql.parse_sql_cold": (_sql_programs, SQL_VOCAB, sql_parse_cold),
     "sql.sql_from_rir": (_sql_rirs, SQL_VOCAB, sql_from_rir),
+    "sql.sql_from_rir_cold": (_sql_rirs, SQL_VOCAB, sql_from_rir_cold),
     "sql.transform": (_sql_programs, SQL_VOCAB, sql_transform),
     "sql.transform_cold": (_sql_programs, SQL_VOCAB, sql_transform_cold),
     "sql.lossy_of_rir": (_sql_rirs, SQL_VOCAB, sql_lossy_of_rir),

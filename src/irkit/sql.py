@@ -10,9 +10,10 @@ flags the tokens that are values; it does not build a full SQL grammar tree.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -47,9 +48,12 @@ _KEYWORDS = {word: word for word in (*_CLAUSE_STARTERS, *_SET_OPS, "BY",
 # The most distinct tokens whose facts ``_facts`` keeps.
 TOKEN_FACTS_SIZE = 4096
 # The indices of a token's facts in the tuple ``_facts`` returns.
-_QUOTED, _VALUE, _ALIAS, _HEAD, _REST, _HEAD_ALIAS, _NUMBER, _SHAPE = range(8)
+(_QUOTED, _VALUE, _ALIAS, _HEAD, _REST, _HEAD_ALIAS, _NUMBER, _SHAPE,
+ _KEYED) = range(9)
 # The most distinct query shapes whose layout ``_segment`` keeps.
 SHAPES_SIZE = 512
+# The most distinct alias sets whose renames ``_alias_rule`` keeps.
+ALIAS_SETS_SIZE = 512
 
 
 def lex_sql(text: str) -> list[str]:
@@ -85,12 +89,14 @@ def _facts(tok: str) -> tuple:
     any case if a pass compares it with one, else its paren delta, its
     number of ``(`` minus its number of ``)`` (0 if quoted), in a 1-tuple
     if its qualifier holds ``alias`` but is no alias token, which
-    ``_check_shape`` rejects.  ``parse_sql`` looks each token up once and
-    every pass reads its facts; the table keeps the last
+    ``_check_shape`` rejects; and whether the alias rule reads it (it is
+    unquoted and holds ``.`` or ``alias``), which puts it in the key of its
+    query's alias set (``_alias_rule``).  ``parse_sql`` looks each token up
+    once and every pass reads its facts; the table keeps the last
     ``TOKEN_FACTS_SIZE`` distinct tokens looked up."""
     first = tok[:1]
     if first in _QUOTES:
-        return True, True, False, tok, "", False, False, 0
+        return True, True, False, tok, "", False, False, 0, False
     head, _, rest = tok.partition(".")
     if rest and (first.isalpha() or first == "_"):
         rest = "." + rest
@@ -109,7 +115,8 @@ def _facts(tok: str) -> tuple:
             and _PLACEHOLDER_RE.fullmatch(tok) is not None,
             alias, head, rest, head_alias, number,
             "(" if tok == "(" else _KEYWORDS.get(tok.upper()) or (
-                (delta,) if "alias" in head and not head_alias else delta))
+                (delta,) if "alias" in head and not head_alias else delta),
+            "." in tok or "alias" in tok)
 
 
 class Clause(NamedTuple):
@@ -134,6 +141,9 @@ class Block(NamedTuple):
             block = stack.pop()
             yield block
             stack += reversed(block.children)
+
+
+_START = attrgetter("start")
 
 
 class Layout(NamedTuple):
@@ -266,8 +276,11 @@ def _segment(shape: tuple) -> Layout:
     for b in tree.walk():
         for name, start, end in b.clauses:
             if name in ("WHERE", "HAVING"):
-                conditions.append((start, tuple(
-                    iter_conditions(shape, depths, start + 1, end))))
+                children = b.children and b.children[
+                    bisect_left(b.children, start, key=_START):
+                    bisect_left(b.children, end, key=_START)]
+                conditions.append((start, tuple(iter_conditions(
+                    shape, depths, start + 1, end, children))))
             elif name == "FROM":
                 keep[start:end] = [False] * (end - start)
                 for i in range(start, end):
@@ -384,34 +397,80 @@ def _renames(tokens: Sequence[str], facts: Sequence[tuple],
     return renames
 
 
+def _decided(declared: dict[str, str], to_rir: bool, renames: dict) -> tuple:
+    """What the alias rule decides for the declared aliases (alias ->
+    table) and the renames ``_renames`` gives: the renames; by each renamed
+    token, the facts of its rewrite; to z_r, the rewritten names that are
+    no declared alias, which no other token of the query may be; and the
+    declarations renamed (to z_r, only the aliases are).  Every query of
+    the alias set reads the one entry, and none writes to it."""
+    renamed = tuple(map(renames.get, declared, declared))
+    tables = declared.values()
+    if not to_rir:
+        tables = map(renames.get, tables, tables)
+    return (renames, dict(zip(renames, map(_facts, renames.values()))),
+            frozenset(renamed).difference(declared) if to_rir
+            else frozenset(), tuple(zip(renamed, tables)))
+
+
+@lru_cache(maxsize=ALIAS_SETS_SIZE)
+def _alias_rule(declared: tuple, to_rir: bool, keyed: tuple) -> tuple:
+    """``_decided`` of an alias set: a query's declared ``(alias, table)``
+    pairs, the direction, and its tokens that the rule reads (``_KEYED``),
+    in order.  From z_r, a token that still holds an alias token raises
+    ``InversionError``; then ``_renames`` walks the tokens.  A token that
+    no key holds can fail the rule only by being a rewritten name, which
+    ``_rename`` checks.
+
+    ``sql_to_rir`` and ``sql_from_rir`` look each query's alias set up
+    once; the table keeps the last ``ALIAS_SETS_SIZE`` distinct sets looked
+    up.  A set that fails the rule raises and is not kept."""
+    if not to_rir:
+        for tok in keyed:
+            if "alias" in tok and _ALIAS_TOKEN_RE.search(tok):
+                raise InversionError(
+                    f"input already contains an alias token: {tok!r}")
+    aliases = dict(declared)
+    return _decided(aliases, to_rir, _renames(
+        keyed, map(_facts, keyed), aliases, to_rir))
+
+
+def _rename(q: SqlQuery, to_rir: bool) -> SqlQuery:
+    """q renamed by what the alias rule decides for its alias set
+    (``_alias_rule``), with q's value flags and layout."""
+    try:
+        decided = _alias_rule(tuple(q.declared.items()), to_rir, tuple(
+            compress(q.tokens, map(itemgetter(_KEYED), q.facts))))
+    except TransformError:
+        decided = None
+    if decided is None or not decided[2].isdisjoint(q.tokens):
+        # A rewritten name among the tokens, which the key need not hold,
+        # fails the rule, and may come before the key's first failure: the
+        # walk over every token raises the first in token order.
+        decided = _decided(q.declared, to_rir,
+                           _renames(q.tokens, q.facts, q.declared, to_rir))
+    renames, refacts, _, declarations = decided
+    return SqlQuery(tuple(map(renames.get, q.tokens, q.tokens)),
+                    tuple(map(refacts.get, q.tokens, q.facts)), q.values,
+                    q.layout, dict(declarations))
+
+
 def sql_to_rir(q: SqlQuery) -> SqlQuery:
     """z_r: rename each declared ``Xalias<N>`` to ``X<N>``, as a token and
     as a qualifier, in a program that meets the alias rule (``_renames``),
     and keep the program's flags and layout."""
-    renames = _renames(q.tokens, q.facts, q.declared, True)
-    tokens = tuple([renames.get(tok, tok) for tok in q.tokens])
-    return SqlQuery(tokens, tuple(map(_facts, tokens)), q.values, q.layout,
-                    {renames[alias]: table
-                     for alias, table in q.declared.items()})
+    return _rename(q, True)
 
 
 def sql_from_rir(z: SqlQuery) -> SqlQuery:
     """The program of a parsed z_r: re-insert ``alias`` before the trailing
     digits of every alias that z's FROM clauses declare (``_renames``), as
-    a token and as a qualifier.  z must hold no alias token."""
-    for tok, f in zip(z.tokens, z.facts):
-        if not f[_QUOTED] and "alias" in tok and _ALIAS_TOKEN_RE.search(tok):
-            raise InversionError(
-                f"input already contains an alias token: {tok!r}")
-    renames = _renames(z.tokens, z.facts, z.declared, False)
-    # A restored name holds the parens and the first character of the name
-    # it replaces and is no clause keyword, so z's value flags and layout
-    # are the program's.  A table token can be restored too
-    # (``FROM A AS A0 , A0 AS A01``); a quoted alias is not.
-    tokens = tuple([renames.get(tok, tok) for tok in z.tokens])
-    return SqlQuery(tokens, tuple(map(_facts, tokens)), z.values, z.layout,
-                    {renames.get(alias, alias): renames.get(table, table)
-                     for alias, table in z.declared.items()})
+    a token and as a qualifier.  z must hold no alias token.  A restored
+    name holds the parens and the first character of the name it replaces
+    and is no clause keyword, so z's value flags and layout are the
+    program's.  A table token can be restored too
+    (``FROM A AS A0 , A0 AS A01``); a quoted alias is not."""
+    return _rename(z, False)
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +483,28 @@ def _is_qualified_column(q: SqlQuery, index: int) -> bool:
 
 
 def iter_conditions(shape: Sequence, depths: Sequence[int], body_start: int,
-                    end: int) -> Iterator[tuple[int, int, int | None]]:
+                    end: int, children: Sequence[Block] = ()
+                    ) -> Iterator[tuple[int, int, int | None]]:
     """Yield (start, end, connector_index) spans for the top-level conditions
     of the WHERE/HAVING clause body ``body_start:end`` of a query's shape
     and paren depths.  The AND that belongs to BETWEEN is not a connector.
     A condition may be empty: before a leading connector, between two, after
-    a trailing one, or as the whole of an empty body."""
+    a trailing one, or as the whole of an empty body.  The tokens of
+    ``children``, the body's subqueries in order, lie deeper than the body
+    and are not read, so nested subqueries cost no more than their own
+    tokens."""
     base = depths[body_start]
     cond_start = body_start
     connector: int | None = None
     between = False
-    for i in range(body_start, end):
+    indices = range(body_start, end)
+    if children:
+        bounds = [body_start]
+        for child in children:
+            bounds += child.start, child.end
+        bounds.append(end)
+        indices = chain.from_iterable(map(range, bounds[::2], bounds[1::2]))
+    for i in indices:
         if depths[i + 1] != base:
             continue
         keyword = shape[i]

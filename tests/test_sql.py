@@ -460,6 +460,12 @@ ALIAS_RULE_REJECTIONS = [
     ("SELECT Aalias0.X1 FROM A AS Aalias0 , A0.X AS A0.Xalias1",
      "alias rewriting is not reversible here; rewritten name(s) already "
      "present: A0.X1"),
+    # Two failures: the first in token order is reported.
+    ("SELECT FLIGHT0 , cityalias0 FROM FLIGHT AS FLIGHTalias0",
+     "alias rewriting is not reversible here; rewritten name(s) already "
+     "present: FLIGHT0"),
+    ("SELECT cityalias0 , FLIGHT0 FROM FLIGHT AS FLIGHTalias0",
+     "token 'cityalias0' holds an alias that no declaration renames"),
 ]
 
 
@@ -589,6 +595,58 @@ def test_a_seen_shape_is_neither_checked_nor_split_into_conditions(
     assert calls == []
 
 
+class _CountedDepths(tuple):
+    """Paren depths that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountedDepths.reads += 1
+        return super().__getitem__(index)
+
+
+def test_nested_subqueries_are_split_into_conditions_in_linear_work(
+        monkeypatch):
+    # Each WHERE body holds every deeper subquery; reading their tokens
+    # only to skip them would take about levels * tokens / 2 reads.
+    levels = 500
+    text = ("SELECT A.X FROM A WHERE A.Y IN ( " * levels
+            + "SELECT A.X FROM A WHERE A.Y = 1" + " )" * levels)
+    split = sql.iter_conditions
+    monkeypatch.setattr(sql, "iter_conditions", lambda shape, depths, *rest:
+                        split(shape, _CountedDepths(depths), *rest))
+    monkeypatch.setattr(_CountedDepths, "reads", 0)
+    sql._segment.cache_clear()
+    q = sql.parse_sql(text)
+    assert len(q.layout.conditions) == levels + 1
+    assert 0 < _CountedDepths.reads <= 2 * len(q.tokens)
+
+
+def test_skipped_subqueries_leave_the_condition_spans(sql_records,
+                                                     differential):
+    # Reading every token of each WHERE/HAVING body, subqueries included,
+    # is the reference for the spans of the layout, which skips them.
+    programs = [record.y for record in sql_records]
+    rng = random.Random("sql condition spans")
+    texts = programs + [
+        differential.mutate(rng, rng.choice(programs), differential.SQL_VOCAB)
+        for _ in range(10000)]
+    subqueries = 0
+    for text in texts:
+        try:
+            q = sql.parse_sql(text)
+        except ParseError:
+            continue
+        shape = tuple(f[sql._SHAPE] for f in q.facts)
+        read_all = [(c.start, tuple(sql.iter_conditions(
+            shape, q.depths, c.start + 1, c.end)))
+            for b in q.block.walk() for c in b.clauses
+            if c.name in ("WHERE", "HAVING")]
+        assert list(q.layout.conditions) == read_all, text
+        subqueries += any(b.children for b in q.block.walk())
+    assert subqueries > 500
+
+
 def test_a_shared_tree_is_read_only():
     text = ("SELECT Aalias0.X FROM A AS Aalias0 WHERE Aalias0.Y IN "
             "( SELECT Balias0.Y FROM B AS Balias0 )")
@@ -606,6 +664,8 @@ def test_a_shared_tree_is_read_only():
 def test_to_rir_makes_no_regex_substitution(sql_records):
     queries = [sql.parse_sql(record.y) for record in sql_records]
     called = set()
+    # With the alias-set table cleared, the walk decides each set.
+    sql._alias_rule.cache_clear()
 
     def profile(frame, event, arg):
         called.add(arg.__name__ if event == "c_call"
@@ -619,6 +679,89 @@ def test_to_rir_makes_no_regex_substitution(sql_records):
         sys.setprofile(None)
     assert "_renames" in called
     assert not called & {"sub", "subn"}
+
+
+def _walked(q, to_rir):
+    """The rename of ``sql_to_rir`` (``to_rir``) or ``sql_from_rir`` as the
+    walk over every token gives it, with no table: its tokens, their facts,
+    the value flags, the layout and the declarations, or the error."""
+    try:
+        if not to_rir:
+            for tok, f in zip(q.tokens, q.facts):
+                if not f[sql._QUOTED] and ALIAS_RE.search(tok):
+                    raise InversionError(
+                        f"input already contains an alias token: {tok!r}")
+        renames = sql._renames(q.tokens, q.facts, q.declared, to_rir)
+    except (TransformError, InversionError) as exc:
+        return type(exc), str(exc)
+    tokens = tuple([renames.get(tok, tok) for tok in q.tokens])
+    return (tokens, tuple(map(sql._facts, tokens)), q.values, q.layout,
+            [(renames.get(alias, alias),
+              table if to_rir else renames.get(table, table))
+             for alias, table in q.declared.items()])
+
+
+def _renamed(q, to_rir):
+    """What ``sql_to_rir`` or ``sql_from_rir`` gives, in ``_walked``'s
+    form."""
+    try:
+        z = (sql.sql_to_rir if to_rir else sql.sql_from_rir)(q)
+    except (TransformError, InversionError) as exc:
+        return type(exc), str(exc)
+    return z.tokens, z.facts, z.values, z.layout, list(z.declared.items())
+
+
+def test_the_alias_set_table_serves_what_the_walk_gives(sql_records,
+                                                        differential):
+    # Programs and z_r's: the fixtures and seeded token mutations of them.
+    # Once against a table that earlier queries of each alias set filled,
+    # and once with the table cleared before each query.
+    programs = [record.y for record in sql_records]
+    rirs = [sql.sql_to_rir(sql.parse_sql(y)).render() for y in programs]
+    rng = random.Random("sql alias sets")
+    queries = []
+    for bases, to_rir in ((programs, True), (rirs, False)):
+        for text in bases + [
+                differential.mutate(rng, rng.choice(bases),
+                                    differential.SQL_VOCAB)
+                for _ in range(10000)]:
+            try:
+                queries.append((sql.parse_sql(text), to_rir))
+            except ParseError:
+                pass
+    expected = [_walked(q, to_rir) for q, to_rir in queries]
+    sql._alias_rule.cache_clear()
+    assert [_renamed(q, to_rir) for q, to_rir in queries] == expected
+    info = sql._alias_rule.cache_info()
+    assert info.hits > 2000
+    assert info.currsize <= info.maxsize == sql.ALIAS_SETS_SIZE
+    for (q, to_rir), walked in zip(queries, expected):
+        sql._alias_rule.cache_clear()
+        assert _renamed(q, to_rir) == walked
+    errors = [walked[0] for walked in expected if len(walked) == 2]
+    assert {TransformError, InversionError} <= set(errors)
+    assert len(errors) < len(expected)
+
+
+def test_a_seen_alias_set_is_not_walked_again(sql_records, monkeypatch):
+    # Only the first query of an alias set, in each direction, walks its
+    # tokens; a later one reads the renames from the set's entry.
+    calls = []
+    walk = sql._renames
+    monkeypatch.setattr(sql, "_renames",
+                        lambda *args: calls.append(1) or walk(*args))
+    queries = [sql.parse_sql(record.y) for record in sql_records]
+
+    def both_ways():
+        return [(z, sql.sql_from_rir(z))
+                for z in map(sql.sql_to_rir, queries)]
+
+    sql._alias_rule.cache_clear()
+    first = both_ways()
+    assert len(calls) == sql._alias_rule.cache_info().currsize
+    calls.clear()
+    assert both_ways() == first
+    assert calls == []
 
 
 def test_from_rir_requires_declared_alias():

@@ -73,6 +73,18 @@ def sql_shapes_corpus(path, n, first):
     return path
 
 
+def sql_aliases_corpus(path, n, first):
+    """``n`` sql records, each declaring an alias that no other record
+    declares, ``Aalias<first>`` and up, so that 1,000 records turn sql's
+    alias-set table over."""
+    path.write_text("".join(json.dumps({
+        "id": str(i), "x": "q",
+        "y": f"SELECT Aalias{first + i}.X FROM A AS Aalias{first + i} "
+             f"WHERE Aalias{first + i}.Y = 1"}) + "\n" for i in range(n)),
+        encoding="utf-8")
+    return path
+
+
 # Per sparql record, enough new entities that 1,000 records fill sparql's
 # term table and turn it over three times, as sql's numbers do above.
 FRESH_TERMS = 4 * sparql.TERM_FORMS_SIZE // 1_000 + 1
@@ -94,8 +106,9 @@ def sparql_corpus(path, n, first):
 def corpora(tmp_path_factory):
     """Per size, and for a warm-up run: the scan corpus, its z_r as
     (id, z_r) rows, a sql and a sparql corpus whose numbers and entities no
-    other corpus holds, and a sql corpus whose shapes no other corpus
-    holds.  The warm-up's scan files are the 1,000-record ones."""
+    other corpus holds, and sql corpora whose shapes, and whose alias
+    sets, no other corpus holds.  The warm-up's scan files are the
+    1,000-record ones."""
     root = tmp_path_factory.mktemp("streaming")
     sizes = {}
     for n in (1_000, 8_000):
@@ -108,13 +121,17 @@ def corpora(tmp_path_factory):
                     "sparql": sparql_corpus(root / f"sparql{n}.jsonl", n,
                                             FRESH_TERMS * n),
                     "sql-shapes": sql_shapes_corpus(
-                        root / f"sql-shapes{n}.jsonl", n, n)}
+                        root / f"sql-shapes{n}.jsonl", n, n),
+                    "sql-aliases": sql_aliases_corpus(
+                        root / f"sql-aliases{n}.jsonl", n, n)}
     sizes["warm-up"] = {
         **sizes[1_000],
         "sql": sql_corpus(root / "sql-warm-up.jsonl", 1_000, 0),
         "sparql": sparql_corpus(root / "sparql-warm-up.jsonl", 1_000, 0),
         "sql-shapes": sql_shapes_corpus(root / "sql-shapes-warm-up.jsonl",
-                                        1_000, 0)}
+                                        1_000, 0),
+        "sql-aliases": sql_aliases_corpus(
+            root / "sql-aliases-warm-up.jsonl", 1_000, 0)}
     return sizes
 
 
@@ -132,6 +149,11 @@ COMMANDS = {
     # Every record brings a shape that sql's shape table has not seen.
     "sql-shapes": lambda c: ["prepare", "--mode", "lir-d-rir", "--stage", "2",
                              "--in", c["sql-shapes"], "--formalism", "sql"],
+    # Every record brings an alias set that sql's alias-set table has not
+    # seen.
+    "sql-aliases": lambda c: ["prepare", "--mode", "lir-d-rir", "--stage",
+                              "2", "--in", c["sql-aliases"], "--formalism",
+                              "sql"],
     # Every record brings terms that sparql's term table has not seen.
     "sparql": lambda c: ["prepare", "--mode", "lir-d", "--stage", "1",
                          "--in", c["sparql"], "--formalism", "sparql"],
@@ -139,12 +161,13 @@ COMMANDS = {
 
 
 def peak_bytes(argv):
-    # The run refills sql's token and shape tables and sparql's term table,
-    # so tracing sees every entry: in a table filled before tracing, an
-    # evicted entry's objects go to the interpreter's free lists, and the
-    # next entry reuses them untraced.
+    # The run refills sql's token, shape and alias-set tables and sparql's
+    # term table, so tracing sees every entry: in a table filled before
+    # tracing, an evicted entry's objects go to the interpreter's free
+    # lists, and the next entry reuses them untraced.
     sql._facts.cache_clear()
     sql._segment.cache_clear()
+    sql._alias_rule.cache_clear()
     sparql._term_forms.cache_clear()
     tracemalloc.start()
     try:
@@ -163,13 +186,17 @@ def test_memory_is_flat_in_the_record_count(corpora, tmp_path, command):
     def table_is_bounded():
         tokens = sql._facts.cache_info()
         shapes = sql._segment.cache_info()
+        alias_sets = sql._alias_rule.cache_info()
         terms = sparql._term_forms.cache_info()
         return (tokens.currsize <= tokens.maxsize == sql.TOKEN_FACTS_SIZE
                 and shapes.currsize <= shapes.maxsize == sql.SHAPES_SIZE
+                and alias_sets.currsize <= alias_sets.maxsize
+                == sql.ALIAS_SETS_SIZE
                 and terms.currsize <= terms.maxsize == sparql.TERM_FORMS_SIZE)
 
     # First-call caches are not per record; the warm-up also fills sql's
-    # token and shape tables and sparql's term table past their sizes.
+    # token, shape and alias-set tables and sparql's term table past their
+    # sizes.
     assert run(*argv("warm-up")) == 0
     assert table_is_bounded()
     small, large = peak_bytes(argv(1_000)), peak_bytes(argv(8_000))
