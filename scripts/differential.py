@@ -231,12 +231,11 @@ def sql_parse(text: str) -> tuple:
 
 
 def _clear_sql_tables() -> None:
-    """Empty sql's shape table and, in a tree that has one, its alias-set
-    table, so that the walks decide the next input."""
+    """Empty sql's shape and alias-set tables, so that the walks decide the
+    next input."""
     from irkit import sql
     sql._segment.cache_clear()
-    if hasattr(sql, "_alias_rule"):
-        sql._alias_rule.cache_clear()
+    sql._alias_rule.cache_clear()
 
 
 def sql_parse_cold(text: str) -> tuple:
@@ -260,13 +259,18 @@ def sql_from_rir_cold(text: str) -> tuple:
 
 
 def sql_transform(text: str) -> tuple[str, ...]:
-    """What ``transform`` and ``prepare`` write for a program: z_r, z_l,
-    z_{l,r} and the template signature."""
+    """What ``transform`` and ``prepare`` write for a program: z_l, the
+    template signature, and z_r and z_{l,r}, or the error of z_r, so that a
+    program that z_r rejects still compares its z_l."""
     from irkit import formalisms, sql
+    from irkit.errors import TransformError
     q = sql.parse_sql(text)
-    z = sql.sql_to_rir(q)
-    return (z.render(), sql.sql_to_lir(q), formalisms.TABLE["sql"].to_lir(z),
-            sql.sql_template_signature(q))
+    try:
+        z = sql.sql_to_rir(q)
+        rir = z.render(), formalisms.TABLE["sql"].to_lir(z)
+    except TransformError as exc:
+        rir = type(exc).__name__, str(exc)
+    return sql.sql_to_lir(q), sql.sql_template_signature(q), *rir
 
 
 def sql_transform_cold(text: str) -> tuple[str, ...]:

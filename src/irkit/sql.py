@@ -153,8 +153,8 @@ class Layout(NamedTuple):
     depths: tuple[int, ...]  # before each token and after the last
     declarations: tuple[int, ...]  # FROM ``AS`` positions, in walk order
     keep: tuple[bool, ...]  # per token, False in a FROM clause
-    # Per WHERE/HAVING clause, in walk order: its keyword's index and its
-    # ``iter_conditions`` spans.
+    # Per WHERE/HAVING clause outside every FROM clause, in walk order: its
+    # keyword's index and its ``iter_conditions`` spans.
     conditions: tuple[tuple[int, tuple], ...]
 
 
@@ -213,12 +213,14 @@ def _segment(shape: tuple) -> Layout:
     and then the FROM clauses give the ``AS`` positions and the tokens that
     the lossy IR drops, and each WHERE/HAVING clause its condition spans.
 
-    A token that raises the depth opens a group, which closes at the first
-    later token that brings the depth back to, or past, the depth before the
-    opener: so one ``))`` can close two groups, and ``)(`` opens none.  A
-    ``(`` token followed by ``SELECT`` opens a subquery, a child block
-    segmented like the root.  The tokens of any other group belong to the
-    enclosing clause, but a ``( SELECT`` in it is again a subquery.
+    A ``(`` token followed by ``SELECT`` opens a subquery, a child block
+    whose own depth is the depth after the ``(``; the root's is 0.  A token
+    is a clause token of the innermost open block only when the depth
+    before it and the depth after it both equal that block's own depth; any
+    other token belongs to the clause it falls in.  A block closes at the
+    token that takes the depth below its own.  A subquery inside a FROM
+    clause is read with that clause: its ``AS`` positions are the clause's,
+    and its own conditions are not split, since the lossy IR drops them.
 
     ``parse_sql`` looks each query's shape up once; the table keeps the
     last ``SHAPES_SIZE`` distinct shapes looked up.  A shape that fails a
@@ -229,65 +231,54 @@ def _segment(shape: tuple) -> Layout:
     n = len(shape)
     # An open block: its start, clauses as (name, start, end), children.
     root = block = (0, [], [])
-    group = None  # the depth before the open group's opener
-    stack = []  # per open subquery: (depth before its "(", outer block, group)
+    depth = 0  # the open block's own depth
+    stack = []  # per enclosing open block: (its depth, it)
     i = 0
     while i < n:
         entry, before = shape[i], depths[i]
         i += 1
         after = depths[i]
         if entry == "(" and i < n and shape[i] == "SELECT":
-            stack.append((before, block, group))
-            block, group = (i, [], []), None
-            continue
-        if group is not None:
-            if after > group:
-                continue  # still inside the group
-            group = None
-        elif after > before:
-            group = before
-            continue
-        elif after == before:
-            keyword, start = entry, i - 1
-            if keyword in ("GROUP", "ORDER"):
-                if i >= n or shape[i] != "BY":
-                    raise _Unsegmented(i, f"{keyword} not followed by BY")
-                keyword, i = keyword + "_BY", i + 1
-            elif keyword in _SET_OPS:
-                keyword = "SET_OP"
-                if i < n and shape[i] == "ALL":
-                    i += 1
-            elif keyword not in _CLAUSE_STARTERS:
-                if not block[1] or block[1][-1][0] == "SET_OP":
-                    raise _Unsegmented(
-                        i - 1, "token {!r} appears before any clause keyword")
-                continue
-            block[1].append((keyword, start, i))
-            continue
-        # The token closes each subquery whose "(" it brings the depth back
-        # to, and the outer block's group if it brings that back too.
-        while stack and after <= stack[-1][0]:
+            stack.append((depth, block))
+            depth, block = after, (i, [], [])
+        while after < depth:
             child = _close(block, i - 1)
-            _, block, group = stack.pop()
+            depth, block = stack.pop()
             block[2].append(child)
-            if group is not None and after <= group:
-                group = None
+        if before != depth or after != depth:
+            continue
+        keyword, start = entry, i - 1
+        if keyword in ("GROUP", "ORDER"):
+            if i >= n or shape[i] != "BY":
+                raise _Unsegmented(i, f"{keyword} not followed by BY")
+            keyword, i = keyword + "_BY", i + 1
+        elif keyword in _SET_OPS:
+            keyword = "SET_OP"
+            if i < n and shape[i] == "ALL":
+                i += 1
+        elif keyword not in _CLAUSE_STARTERS:
+            if not block[1] or block[1][-1][0] == "SET_OP":
+                raise _Unsegmented(
+                    i - 1, "token {!r} appears before any clause keyword")
+            continue
+        block[1].append((keyword, start, i))
     tree, declarations, keep, conditions = _close(root, n), [], [True] * n, []
     for b in tree.walk():
+        outer = keep[b.start]  # False inside an enclosing block's FROM
         for name, start, end in b.clauses:
-            if name in ("WHERE", "HAVING"):
+            if name == "FROM":
+                if shape[end - 1] == "AS":
+                    raise _Unsegmented(end - 1, "dangling AS in FROM clause")
+                if outer:
+                    keep[start:end] = [False] * (end - start)
+                    declarations += [j for j in range(start, end)
+                                     if shape[j] == "AS"]
+            elif outer and name in ("WHERE", "HAVING"):
                 children = b.children and b.children[
                     bisect_left(b.children, start, key=_START):
                     bisect_left(b.children, end, key=_START)]
                 conditions.append((start, tuple(iter_conditions(
                     shape, depths, start + 1, end, children))))
-            elif name == "FROM":
-                keep[start:end] = [False] * (end - start)
-                for i in range(start, end):
-                    if shape[i] == "AS":
-                        if i + 1 >= end:
-                            raise _Unsegmented(i, "dangling AS in FROM clause")
-                        declarations.append(i)
     return Layout(tree, depths, tuple(declarations), tuple(keep),
                   tuple(conditions))
 

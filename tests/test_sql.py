@@ -347,9 +347,9 @@ SEGMENTATION_CASES = {
 }
 
 
-# Tokens holding several parens move the depth by their net count, and a
-# group closes at the first token that brings the depth back to, or past,
-# its opener's depth (see ``sql._segment``).
+# Tokens holding several parens move the depth by their net count, and only
+# a token with its block's own depth before and after it is a clause token
+# (see ``sql._segment``).
 MULTI_PAREN_CASES = {
     "close-past-the-opener": (
         "SELECT COUNT( * )) FROM A AS A0",
@@ -595,14 +595,15 @@ def test_a_seen_shape_is_neither_checked_nor_split_into_conditions(
     assert calls == []
 
 
-class _CountedDepths(tuple):
-    """Paren depths that count how often they are read."""
+class _Counted(tuple):
+    """A shape or its paren depths, counting the entries read."""
 
     reads = 0
 
     def __getitem__(self, index):
-        _CountedDepths.reads += 1
-        return super().__getitem__(index)
+        item = super().__getitem__(index)
+        _Counted.reads += len(item) if isinstance(index, slice) else 1
+        return item
 
 
 def test_nested_subqueries_are_split_into_conditions_in_linear_work(
@@ -614,12 +615,52 @@ def test_nested_subqueries_are_split_into_conditions_in_linear_work(
             + "SELECT A.X FROM A WHERE A.Y = 1" + " )" * levels)
     split = sql.iter_conditions
     monkeypatch.setattr(sql, "iter_conditions", lambda shape, depths, *rest:
-                        split(shape, _CountedDepths(depths), *rest))
-    monkeypatch.setattr(_CountedDepths, "reads", 0)
+                        split(shape, _Counted(depths), *rest))
+    monkeypatch.setattr(_Counted, "reads", 0)
     sql._segment.cache_clear()
     q = sql.parse_sql(text)
     assert len(q.layout.conditions) == levels + 1
-    assert 0 < _CountedDepths.reads <= 2 * len(q.tokens)
+    assert 0 < _Counted.reads <= 2 * len(q.tokens)
+
+
+def test_nested_from_subqueries_are_read_once_in_linear_work(monkeypatch):
+    # Each FROM clause holds every deeper subquery; reading its tokens again
+    # for each clause would take about levels * tokens / 2 reads and record
+    # each deeper AS once per enclosing clause.
+    levels = 500
+    text = ("SELECT T.X FROM ( " * levels + "SELECT A.X FROM A"
+            + " ) AS T" * levels)
+    segment = sql._segment
+    monkeypatch.setattr(sql, "_segment",
+                        lambda shape: segment(_Counted(shape)))
+    monkeypatch.setattr(_Counted, "reads", 0)
+    segment.cache_clear()
+    q = sql.parse_sql(text)
+    assert len(q.layout.declarations) == levels
+    assert q.layout.keep == (True, True) + (False,) * (len(q.tokens) - 2)
+    assert 0 < _Counted.reads <= 3 * len(q.tokens)
+
+
+def test_each_as_is_declared_once():
+    q = sql.parse_sql("SELECT T.X FROM ( SELECT Aalias0.X FROM A AS Aalias0 "
+                      ") AS T")
+    assert q.layout.declarations == (8, 11)
+    assert q.declared == {"Aalias0": "A", "T": ")"}
+
+
+def test_declarations_follow_the_blocks_then_their_clauses():
+    # A block's FROM clauses come before its subqueries' in the declared
+    # order, so the alias rule reports C's bad alias before B's.
+    text = ("SELECT Aalias0.X FROM A AS Aalias0 WHERE Aalias0.Y IN ( SELECT "
+            "Balias0.Y FROM B AS Balias0 ) UNION SELECT Calias0.X FROM C AS "
+            "Calias0")
+    assert list(sql.parse_sql(text).declared.items()) == [
+        ("Aalias0", "A"), ("Calias0", "C"), ("Balias0", "B")]
+    q = sql.parse_sql(text.replace("AS Balias0", "AS B1")
+                      .replace("AS Calias0", "AS C1"))
+    with pytest.raises(TransformError) as err:
+        sql.sql_to_rir(q)
+    assert str(err.value) == "declared alias 'C1' is not 'Calias' plus a number"
 
 
 def test_skipped_subqueries_leave_the_condition_spans(sql_records,
@@ -638,12 +679,18 @@ def test_skipped_subqueries_leave_the_condition_spans(sql_records,
         except ParseError:
             continue
         shape = tuple(f[sql._SHAPE] for f in q.facts)
+        blocks = list(q.block.walk())
+        froms = [(c.start, c.end) for b in blocks for c in b.clauses
+                 if c.name == "FROM"]
+        # The lossy IR drops a subquery inside a FROM clause whole, so its
+        # conditions are not split.
         read_all = [(c.start, tuple(sql.iter_conditions(
             shape, q.depths, c.start + 1, c.end)))
-            for b in q.block.walk() for c in b.clauses
-            if c.name in ("WHERE", "HAVING")]
+            for b in blocks for c in b.clauses
+            if c.name in ("WHERE", "HAVING")
+            and not any(s <= b.start < e for s, e in froms)]
         assert list(q.layout.conditions) == read_all, text
-        subqueries += any(b.children for b in q.block.walk())
+        subqueries += any(b.children for b in blocks)
     assert subqueries > 500
 
 
@@ -848,6 +895,11 @@ def test_lir_drops_from_masks_tables_removes_joins():
             'AND FLIGHTalias0.AIRPORT = AIRPORTalias0.AIRPORT')
     lir = sql.sql_to_lir(sql.parse_sql(text))
     assert lir == 'SELECT T.FLIGHT_ID WHERE T.AIRLINE_CODE = "UA"'
+    # A subquery inside a FROM clause goes with it, connectors included.
+    q = sql.parse_sql("SELECT A.X FROM ( SELECT A.X FROM A WHERE A.Y = 1 "
+                      "AND A.Z = 2 )")
+    assert sql.sql_to_lir(q) == "SELECT A.X"
+    assert formalisms.TABLE["sql"].to_lir(sql.sql_to_rir(q)) == "SELECT A.X"
 
 
 def test_lir_drops_where_when_all_joins():
