@@ -68,6 +68,22 @@ COUNT = 30000  # mutated inputs per function and seed
 SHOW = 3  # differences printed per function and seed
 
 
+def _clear_tables(name: str) -> None:
+    """Empty the memo tables of module ``irkit.<name>`` (its ``TABLES``),
+    so that the walks decide the next input.  A tree older than
+    ``TABLES`` has sql's shape and alias-set tables and scan's two dicts."""
+    module = importlib.import_module(f"irkit.{name}")
+    if hasattr(module, "TABLES"):
+        for table in module.TABLES:
+            table.cache_clear()
+    elif name == "sql":
+        module._segment.cache_clear()
+        module._alias_rule.cache_clear()
+    else:
+        module._SEQUENCES.clear()
+        module._BY_NODE.clear()
+
+
 def _sparql_form(q) -> tuple:
     """A parsed sparql program or z_r as plain tuples."""
     return (tuple(q.head), q.bracketed,
@@ -187,6 +203,13 @@ def scan_transform(text: str) -> tuple[str, ...]:
     return p.rir_text(), actions, p.lir_text(), p.lir_rir_text()
 
 
+def scan_transform_cold(text: str) -> tuple[str, ...]:
+    """``scan_transform`` with scan's tables cleared first, so that every
+    command is parsed and analysed on a table miss."""
+    _clear_tables("scan")
+    return scan_transform(text)
+
+
 def scan_from_rir(text: str) -> str:
     """The program ``invert`` writes for a z_r."""
     from irkit import pipeline
@@ -230,18 +253,10 @@ def sql_parse(text: str) -> tuple:
     return _query_form(sql.parse_sql(text))
 
 
-def _clear_sql_tables() -> None:
-    """Empty sql's shape and alias-set tables, so that the walks decide the
-    next input."""
-    from irkit import sql
-    sql._segment.cache_clear()
-    sql._alias_rule.cache_clear()
-
-
 def sql_parse_cold(text: str) -> tuple:
     """``sql_parse`` with sql's tables cleared first, so that every input
     is segmented by the walk."""
-    _clear_sql_tables()
+    _clear_tables("sql")
     return sql_parse(text)
 
 
@@ -254,7 +269,7 @@ def sql_from_rir(text: str) -> tuple:
 def sql_from_rir_cold(text: str) -> tuple:
     """``sql_from_rir`` with sql's tables cleared first, so that the walks
     segment every input and decide its alias set."""
-    _clear_sql_tables()
+    _clear_tables("sql")
     return sql_from_rir(text)
 
 
@@ -277,7 +292,7 @@ def sql_transform_cold(text: str) -> tuple[str, ...]:
     """``sql_transform`` with sql's tables cleared first, so that the walks
     find every input's layout (its checks, FROM ranges and condition spans)
     and decide its alias set."""
-    _clear_sql_tables()
+    _clear_tables("sql")
     return sql_transform(text)
 
 
@@ -299,6 +314,7 @@ FUNCTIONS = {
     "sparql.key": (_sparql_programs, SPARQL_VOCAB, sparql_key),
     "scan.parse_command": (_scan_commands, SCAN_VOCAB, None),
     "scan.transform": (_scan_commands, SCAN_VOCAB, scan_transform),
+    "scan.transform_cold": (_scan_commands, SCAN_VOCAB, scan_transform_cold),
     "scan.from_rir": (_scan_rirs, SCAN_RIR_VOCAB, scan_from_rir),
     "data.read_scan_records": (_scan_lines, SCAN_LINE_VOCAB, scan_read),
     "sql.parse_sql": (_sql_programs, SQL_VOCAB, sql_parse),

@@ -9,9 +9,10 @@ modifier.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
-from .errors import InversionError, TransformError, fail_at
+from .errors import InversionError, ParseError, TransformError, fail_at
 
 PRIMITIVE_ACTIONS = {"walk": "WALK", "look": "LOOK", "run": "RUN",
                      "jump": "JUMP"}
@@ -29,6 +30,10 @@ _REPEATS = {"twice": 2, "thrice": 3}
 _CONJUNCTIONS = frozenset({"and", "after"})
 _VOCABULARY = (_VERBS | _DIRECTIONS | _MODIFIERS
                | frozenset(_REPEATS) | _CONJUNCTIONS)
+# The most distinct sequences each table keeps, above the grammar's 102.
+SEQUENCES_SIZE = 128
+# The indices of a sequence's actions and z_r tokens in its ``_entry``.
+_ACTIONS, _RIR = range(2)
 
 
 class VerbPhrase(NamedTuple):
@@ -101,7 +106,7 @@ def _parse_words(text: str, words: list[str]) -> ScanCommand:
 
 
 # ---------------------------------------------------------------------------
-# The sequence table: what the transforms read of each sequence
+# The sequence tables: each sequence's node, and what the transforms read
 # ---------------------------------------------------------------------------
 
 
@@ -118,87 +123,66 @@ def _phrase_actions(p: VerbPhrase) -> list[str]:
     return step * 4  # around: full rotation, stepping after each turn
 
 
-class _Sequence(NamedTuple):
-    """A sequence's node, its actions and its z_r tokens, which bracket each
-    repetition copy and a multi-action verb phrase."""
-    node: Union[VerbPhrase, Repeat]
-    actions: tuple[str, ...]
-    rir: tuple[str, ...]
-
-
-def _analyse(seq: Union[VerbPhrase, Repeat]) -> _Sequence:
+@lru_cache(maxsize=SEQUENCES_SIZE)
+def _entry(seq: Union[VerbPhrase, Repeat]) -> tuple[tuple[str, ...], ...]:
+    """A sequence node's actions and z_r tokens, by the ``_ACTIONS`` and
+    ``_RIR`` indices; z_r brackets each repetition copy and a multi-action
+    verb phrase.  Parsing makes at most the grammar's 102 nodes, so it
+    evicts none; a node built by hand enters too."""
     if isinstance(seq, Repeat):
         actions = tuple(_phrase_actions(seq.phrase))
-        return _Sequence(seq, actions * seq.times,
-                         ("(", *actions, ")") * seq.times)
+        return actions * seq.times, ("(", *actions, ")") * seq.times
     actions = tuple(_phrase_actions(seq))
-    return _Sequence(seq, actions,
-                     actions if len(actions) == 1 else ("(", *actions, ")"))
+    return actions, actions if len(actions) == 1 else ("(", *actions, ")")
 
 
-# A sequence's words, joined by single spaces, to its entry.  A sequence
-# enters only when the word-by-word parser accepts exactly its words, so the
-# table holds at most the grammar's 102 sequences.  ``_BY_NODE`` indexes
-# the same entries by node.
-_SEQUENCES: dict[str, _Sequence] = {}
-_BY_NODE: dict[Union[VerbPhrase, Repeat], _Sequence] = {}
+@lru_cache(maxsize=SEQUENCES_SIZE)
+def _sequence(words: str) -> Union[VerbPhrase, Repeat]:
+    """The node of a sequence's words, joined by single spaces; any other
+    words raise ``ParseError``.  A raised error is not kept, so the table
+    holds at most the grammar's 102 sequences."""
+    split = words.split(" ")
+    seq, i = _parse_sequence(words, split, 0)
+    if i < len(split):
+        fail_at(words, i, f"trailing word {split[i]!r}")
+    return seq
 
 
-def _enter(command: ScanCommand, words: list[str]) -> None:
-    """Enter each sequence of a parsed command under its words; a
-    conjunction stands at the command's first conjunction word."""
-    if isinstance(command, Conjunction):
-        k = words.index(command.op)
-        parts = ((command.left, words[:k]), (command.right, words[k + 1:]))
-    else:
-        parts = ((command, words),)
-    for seq, seq_words in parts:
-        _SEQUENCES[" ".join(seq_words)] = _BY_NODE[seq] = _analyse(seq)
+# The memo tables, which callers clear and bound through this one list.
+TABLES = (_sequence, _entry)
 
 
 def parse_command(text: str) -> ScanCommand:
     """Parse one command; the grammar admits exactly one derivation.
 
-    A command whose sequences, split at its first conjunction, are in the
-    table is read from it; any other goes through the word-by-word parser,
-    which raises its errors or enters the command's sequences."""
+    Each side of the first conjunction, or the whole command if it has
+    none, is read from the sequence table.  A command that a side does not
+    fit goes through the word-by-word parser, which raises its error with
+    the command's own message, byte offset and expected words."""
     words = text.split()
-    for k, word in enumerate(words):
-        if word in _CONJUNCTIONS:
-            left = _SEQUENCES.get(" ".join(words[:k]))
-            right = _SEQUENCES.get(" ".join(words[k + 1:]))
-            if left and right:
-                return Conjunction(word, left.node, right.node)
-            break
-    else:
-        whole = _SEQUENCES.get(" ".join(words))
-        if whole:
-            return whole.node
-    command = _parse_words(text, words)
-    _enter(command, words)
-    return command
+    try:
+        for k, word in enumerate(words):
+            if word in _CONJUNCTIONS:
+                return Conjunction(word, _sequence(" ".join(words[:k])),
+                                   _sequence(" ".join(words[k + 1:])))
+        return _sequence(" ".join(words))
+    except ParseError:
+        return _parse_words(text, words)
 
 
-def _entry(seq: Union[VerbPhrase, Repeat]) -> _Sequence:
-    """A sequence node's entry.  A node the parser has not made, such as
-    one built by hand, is analysed without entering the table."""
-    return _BY_NODE.get(seq) or _analyse(seq)
-
-
-def _performed(command: ScanCommand, field: str) -> list[str]:
+def _performed(command: ScanCommand, field: int) -> list[str]:
     """``field`` of the command's sequence entries, in the order the command
     performs them."""
     if not isinstance(command, Conjunction):
-        return list(getattr(_entry(command), field))
-    left = getattr(_entry(command.left), field)
-    right = getattr(_entry(command.right), field)
+        return list(_entry(command)[field])
+    left, right = _entry(command.left)[field], _entry(command.right)[field]
     # "x after y" performs y first
     return list(left + right if command.op == "and" else right + left)
 
 
 def interpret(command: ScanCommand) -> list[str]:
     """Denotation of a command as its flat action sequence."""
-    return _performed(command, "actions")
+    return _performed(command, _ACTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +193,7 @@ def interpret(command: ScanCommand) -> list[str]:
 def scan_to_rir(command: ScanCommand) -> list[str]:
     """Action tokens with brackets around repetition copies and around
     multi-action verb phrases; conjunctions add no brackets of their own."""
-    return _performed(command, "rir")
+    return _performed(command, _RIR)
 
 
 def strip_brackets(tokens: Sequence[str] | str) -> list[str]:

@@ -102,6 +102,10 @@ def _term_forms(t: str) -> tuple[str, str, str | None]:
     return t, t, t
 
 
+# The memo tables, which callers clear and bound through this one list.
+TABLES = (_term_forms,)
+
+
 @dataclass(frozen=True, slots=True)
 class RirOptions:
     """Toggles for the reversible transform; all-on is the default IR."""

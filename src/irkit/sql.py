@@ -224,8 +224,9 @@ def _segment(shape: tuple) -> Layout:
 
     ``parse_sql`` looks each query's shape up once; the table keeps the
     last ``SHAPES_SIZE`` distinct shapes looked up.  A shape that fails a
-    check, does not segment, or whose FROM clause ends with ``AS``, raises
-    ``_Unsegmented`` and is not kept.
+    check, does not segment, or whose FROM clause ends with ``AS`` or has
+    an ``AS`` followed by no plain name (a keyword, ``(`` or a token that
+    holds a paren), raises ``_Unsegmented`` and is not kept.
     """
     depths = _check_shape(shape)
     n = len(shape)
@@ -279,6 +280,9 @@ def _segment(shape: tuple) -> Layout:
                     bisect_left(b.children, end, key=_START)]
                 conditions.append((start, tuple(iter_conditions(
                     shape, depths, start + 1, end, children))))
+    for j in declarations:
+        if shape[j + 1] != 0:  # a keyword, ``(`` or a token with parens
+            raise _Unsegmented(j + 1, "expected a name after AS, got {!r}")
     return Layout(tree, depths, tuple(declarations), tuple(keep),
                   tuple(conditions))
 
@@ -424,6 +428,10 @@ def _alias_rule(declared: tuple, to_rir: bool, keyed: tuple) -> tuple:
     aliases = dict(declared)
     return _decided(aliases, to_rir, _renames(
         keyed, map(_facts, keyed), aliases, to_rir))
+
+
+# The memo tables, which callers clear and bound through this one list.
+TABLES = (_facts, _segment, _alias_rule)
 
 
 def _rename(q: SqlQuery, to_rir: bool) -> SqlQuery:

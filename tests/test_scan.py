@@ -100,25 +100,27 @@ def test_whole_grammar_parses(command_space):
     "jump sideways", "walk and run after look", "turn", "jump opposite", "",
     "walk twice and turn", "and jump"])
 def test_sequence_table_holds_only_the_grammars_sequences(command_space, bad):
-    # A sequence enters when the word-by-word parser accepts exactly its
-    # words: an invalid command, even one with a valid sequence, adds none.
+    # A sequence enters when its words parse as exactly one sequence: an
+    # invalid command, even one with a valid sequence, adds none.
+    for table in scan.TABLES:
+        table.cache_clear()
     for text in command_space:
-        scan.parse_command(text)
+        scan.interpret(scan.parse_command(text))
     with pytest.raises(ParseError):
         scan.parse_command(bad)
-    assert len(scan._SEQUENCES) == len(scan._BY_NODE) == 102
-    assert set(scan._SEQUENCES.values()) == set(scan._BY_NODE.values())
+    assert [t.cache_info().currsize for t in scan.TABLES] == [102, 102]
 
 
 def test_a_conjunction_enters_each_side_under_its_own_words(monkeypatch):
-    monkeypatch.setattr(scan, "_SEQUENCES", {})
-    monkeypatch.setattr(scan, "_BY_NODE", {})
+    for table in scan.TABLES:
+        table.cache_clear()
     command = scan.parse_command("walk  left after\tjump twice")
     assert command.op == "after"
-    assert {words: entry.node for words, entry in scan._SEQUENCES.items()
-            } == {"walk left": command.left, "jump twice": command.right}
-    assert scan._BY_NODE == {entry.node: entry
-                             for entry in scan._SEQUENCES.values()}
+    scan.scan_to_rir(command)
+    assert [t.cache_info().currsize for t in scan.TABLES] == [2, 2]
+    assert (scan._sequence("walk left"), scan._sequence("jump twice")) == (
+        command.left, command.right)
+    assert scan._sequence.cache_info().hits == 2
     # Both sides are in the table now, so the word-by-word parser is not
     # called again.
     monkeypatch.setattr(scan, "_parse_words", None)

@@ -648,6 +648,32 @@ def test_each_as_is_declared_once():
     assert q.declared == {"Aalias0": "A", "T": ")"}
 
 
+@pytest.mark.parametrize("text, token, offset", [
+    ("SELECT PAPERalias0.JOURNALID , COUNT( * ) FROM PAPER AS BY "
+     "PAPERalias0 GROUP BY PAPERalias0.JOURNALID", "BY", 56),
+    ("SELECT RIVERalias0.RIVER_NAME FROM RIVER ( RIVERalias0 WHERE "
+     "RIVERalias0.TRAVERSE = AS SELECT STATEalias0.STATE_NAME FROM STATE AS "
+     "STATEalias0 )", "SELECT", 87),
+    ("SELECT CITYalias0.STATE_NAME FROM CITY AS CITYalias0 as BY "
+     "CITYalias0.STATE_NAME", "BY", 56),
+    ("SELECT COUNT( * ) FROM A AS COUNT( * )", "COUNT(", 28),
+    ("SELECT X FROM\u3000A\u3000AS\u3000(\u3000SELECT Y FROM B )", "(", 25),
+])
+def test_a_from_as_is_followed_by_a_plain_name(text, token, offset):
+    # The token after AS would be declared as an alias, and a z_l that
+    # masks it as one does not parse again or is no fixed point.
+    with pytest.raises(ParseError) as err:
+        sql.parse_sql(text)
+    assert (str(err.value), err.value.offset) == (str(ParseError(
+        f"expected a name after AS, got {token!r}", offset)), offset)
+
+
+def test_a_dangling_as_is_reported_before_what_follows_an_as():
+    with pytest.raises(ParseError) as err:
+        sql.parse_sql("SELECT X FROM A AS ( SELECT Y FROM B AS )")
+    assert str(err.value) == "dangling AS in FROM clause (at byte offset 37)"
+
+
 def test_declarations_follow_the_blocks_then_their_clauses():
     # A block's FROM clauses come before its subqueries' in the declared
     # order, so the alias rule reports C's bad alias before B's.

@@ -1,20 +1,25 @@
 """transform, invert, prepare and postprocess stream: a reader yields
 records, one loop maps them and the writer takes the rows as they come.
 
-Memory stays flat in the record count, a reader error part-way leaves the
-previous output, an input a step does not use is still validated, and the
-output replaces the input only once the input is drained.
+Memory stays flat in the record count, every memo table is listed in its
+module's ``TABLES`` and stays within its bound, a reader error part-way
+leaves the previous output, an input a step does not use is still
+validated, and the output replaces the input only once the input is
+drained.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import stat
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from irkit import data, sparql, sql
+import irkit
+from irkit import data, scan, sparql, sql
 from irkit.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -160,15 +165,30 @@ COMMANDS = {
 }
 
 
+# Every memo table of the modules that keep any.
+TABLES = (*sql.TABLES, *sparql.TABLES, *scan.TABLES)
+
+
+def test_each_module_lists_every_table_it_keeps():
+    for module_info in pkgutil.iter_modules(irkit.__path__):
+        module = importlib.import_module(f"irkit.{module_info.name}")
+        tables = {value for value in vars(module).values()
+                  if hasattr(value, "cache_info")}
+        assert tables == set(getattr(module, "TABLES", ())), module
+
+
+def test_each_table_is_bounded_by_its_documented_size():
+    assert [table.cache_info().maxsize for table in TABLES] == [
+        sql.TOKEN_FACTS_SIZE, sql.SHAPES_SIZE, sql.ALIAS_SETS_SIZE,
+        sparql.TERM_FORMS_SIZE, scan.SEQUENCES_SIZE, scan.SEQUENCES_SIZE]
+
+
 def peak_bytes(argv):
-    # The run refills sql's token, shape and alias-set tables and sparql's
-    # term table, so tracing sees every entry: in a table filled before
-    # tracing, an evicted entry's objects go to the interpreter's free
-    # lists, and the next entry reuses them untraced.
-    sql._facts.cache_clear()
-    sql._segment.cache_clear()
-    sql._alias_rule.cache_clear()
-    sparql._term_forms.cache_clear()
+    # The run refills every table, so tracing sees every entry: in a table
+    # filled before tracing, an evicted entry's objects go to the
+    # interpreter's free lists, and the next entry reuses them untraced.
+    for table in TABLES:
+        table.cache_clear()
     tracemalloc.start()
     try:
         assert run(*argv) == 0
@@ -183,25 +203,18 @@ def test_memory_is_flat_in_the_record_count(corpora, tmp_path, command):
         return [*COMMANDS[command](corpora[n]),
                 "--out", tmp_path / f"out{n}.tsv"]
 
-    def table_is_bounded():
-        tokens = sql._facts.cache_info()
-        shapes = sql._segment.cache_info()
-        alias_sets = sql._alias_rule.cache_info()
-        terms = sparql._term_forms.cache_info()
-        return (tokens.currsize <= tokens.maxsize == sql.TOKEN_FACTS_SIZE
-                and shapes.currsize <= shapes.maxsize == sql.SHAPES_SIZE
-                and alias_sets.currsize <= alias_sets.maxsize
-                == sql.ALIAS_SETS_SIZE
-                and terms.currsize <= terms.maxsize == sparql.TERM_FORMS_SIZE)
+    def tables_are_bounded():
+        return all(info.currsize <= info.maxsize
+                   for info in (table.cache_info() for table in TABLES))
 
     # First-call caches are not per record; the warm-up also fills sql's
     # token, shape and alias-set tables and sparql's term table past their
     # sizes.
     assert run(*argv("warm-up")) == 0
-    assert table_is_bounded()
+    assert tables_are_bounded()
     small, large = peak_bytes(argv(1_000)), peak_bytes(argv(8_000))
     assert large <= 1.5 * small, (small, large)
-    assert table_is_bounded()
+    assert tables_are_bounded()
 
 
 def _scan_jsonl(path, n, last_line):
