@@ -85,10 +85,19 @@ def _clear_tables(name: str) -> None:
 
 
 def _sparql_form(q) -> tuple:
-    """A parsed sparql program or z_r as plain tuples."""
-    return (tuple(q.head), q.bracketed,
-            [("FILTER", *c) if hasattr(c, "op") else tuple(c)
-             for c in q.groups])
+    """A parsed sparql program or z_r as plain tuples, a filter as
+    ``("FILTER", left, op, right)`` and a triple or group as ``(subject,
+    relation, objects)``, which a tree of item nodes (``q.groups``) and a
+    tree of term columns build alike."""
+    from irkit import sparql
+    if hasattr(q, "groups"):
+        rows = [("FILTER", *c) if hasattr(c, "op") else tuple(c)
+                for c in q.groups]
+    else:
+        rows = [("FILTER", s, r, o) if r in sparql.FILTER_OPS
+                else (s, r, o if type(o) is tuple else (o,))
+                for s, r, o in zip(q.subjects, q.relations, q.objects)]
+    return tuple(q.head), q.bracketed, rows
 
 
 def sparql_parse(text: str) -> tuple:

@@ -10,9 +10,9 @@ modifier.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, NoReturn, Sequence, Union
 
-from .errors import InversionError, ParseError, TransformError, fail_at
+from .errors import InversionError, TransformError, fail_at
 
 PRIMITIVE_ACTIONS = {"walk": "WALK", "look": "LOOK", "run": "RUN",
                      "jump": "JUMP"}
@@ -56,14 +56,24 @@ class Conjunction(NamedTuple):
 ScanCommand = Union[VerbPhrase, Repeat, Conjunction]
 
 
-def _parse_phrase(text: str, words: list[str],
-                  i: int) -> tuple[VerbPhrase, int]:
-    """The verb phrase at word ``i`` and the index after it."""
+class _Unparsed(Exception):
+    """Words that ``_sequence`` rejects; the word-by-word parser then
+    raises their error."""
+
+
+def _miss(*_) -> NoReturn:
+    raise _Unparsed
+
+
+def _parse_phrase(text: str, words: list[str], i: int,
+                  fail: Callable[..., NoReturn]) -> tuple[VerbPhrase, int]:
+    """The verb phrase at word ``i`` and the index after it; an error is
+    raised by ``fail``, which takes the arguments of ``fail_at``."""
     if i >= len(words):
-        fail_at(text, i, "missing verb", sorted(_VERBS))
+        fail(text, i, "missing verb", sorted(_VERBS))
     verb = words[i]
     if verb not in _VERBS:
-        fail_at(text, i, f"expected a verb, got {verb!r}", sorted(_VERBS))
+        fail(text, i, f"expected a verb, got {verb!r}", sorted(_VERBS))
     i += 1
     modifier = direction = None
     if i < len(words) and words[i] in _MODIFIERS:
@@ -73,17 +83,17 @@ def _parse_phrase(text: str, words: list[str],
         direction = words[i]
         i += 1
     if modifier is not None and direction is None:
-        fail_at(text, i, f"{modifier!r} needs a direction",
-                sorted(_DIRECTIONS))
+        fail(text, i, f"{modifier!r} needs a direction", sorted(_DIRECTIONS))
     if verb == "turn" and direction is None:
-        fail_at(text, i, "bare 'turn' needs a direction", sorted(_DIRECTIONS))
+        fail(text, i, "bare 'turn' needs a direction", sorted(_DIRECTIONS))
     return VerbPhrase(verb, direction, modifier), i
 
 
-def _parse_sequence(text: str, words: list[str],
-                    i: int) -> tuple[Union[VerbPhrase, Repeat], int]:
+def _parse_sequence(text: str, words: list[str], i: int,
+                    fail: Callable[..., NoReturn]
+                    ) -> tuple[Union[VerbPhrase, Repeat], int]:
     """The sequence at word ``i`` and the index after it."""
-    phrase, i = _parse_phrase(text, words, i)
+    phrase, i = _parse_phrase(text, words, i, fail)
     if i < len(words) and words[i] in _REPEATS:
         return Repeat(phrase, _REPEATS[words[i]]), i + 1
     return phrase, i
@@ -96,9 +106,9 @@ def _parse_words(text: str, words: list[str]) -> ScanCommand:
             fail_at(text, i, f"unknown word {word!r}")
     if not words:
         fail_at(text, 0, "empty command")
-    command, i = _parse_sequence(text, words, 0)
+    command, i = _parse_sequence(text, words, 0, fail_at)
     if i < len(words) and words[i] in _CONJUNCTIONS:
-        right, end = _parse_sequence(text, words, i + 1)
+        right, end = _parse_sequence(text, words, i + 1, fail_at)
         command, i = Conjunction(words[i], command, right), end
     if i < len(words):
         fail_at(text, i, f"trailing word {words[i]!r}")
@@ -139,12 +149,12 @@ def _entry(seq: Union[VerbPhrase, Repeat]) -> tuple[tuple[str, ...], ...]:
 @lru_cache(maxsize=SEQUENCES_SIZE)
 def _sequence(words: str) -> Union[VerbPhrase, Repeat]:
     """The node of a sequence's words, joined by single spaces; any other
-    words raise ``ParseError``.  A raised error is not kept, so the table
-    holds at most the grammar's 102 sequences."""
+    words raise ``_Unparsed``, which carries no byte offset.  A raised error
+    is not kept, so the table holds at most the grammar's 102 sequences."""
     split = words.split(" ")
-    seq, i = _parse_sequence(words, split, 0)
+    seq, i = _parse_sequence(words, split, 0, _miss)
     if i < len(split):
-        fail_at(words, i, f"trailing word {split[i]!r}")
+        raise _Unparsed
     return seq
 
 
@@ -166,7 +176,7 @@ def parse_command(text: str) -> ScanCommand:
                 return Conjunction(word, _sequence(" ".join(words[:k])),
                                    _sequence(" ".join(words[k + 1:])))
         return _sequence(" ".join(words))
-    except ParseError:
+    except _Unparsed:
         return _parse_words(text, words)
 
 

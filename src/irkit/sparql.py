@@ -14,9 +14,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .data import write_atomic
 from .errors import ConfigError, InversionError, TransformError, fail_at
@@ -38,41 +37,26 @@ class SelectHead(NamedTuple):
     variables: tuple[str, ...] = ()
 
 
-class TripleGroup(NamedTuple):
-    """A subject and relation with one or more objects.  A program's triple
-    is a group with one object."""
-
-    subject: str
-    relation: str
-    objects: tuple[str, ...]
-
-
-class Filter(NamedTuple):
-    left: str
-    op: str
-    right: str
-
-
-Item = Union[TripleGroup, Filter]
-
-# ``TripleGroup._make`` of a (subject, relation, objects) tuple, without its
-# Python-level frame: parsing and the transforms build one group per triple.
-# The other node types are made alike.
-_make_group = partial(tuple.__new__, TripleGroup)
-_make_filter = partial(tuple.__new__, Filter)
 _make_head = partial(tuple.__new__, SelectHead)
 _COUNT_HEAD = SelectHead(COUNT)
 
 
 class SparqlQuery(NamedTuple):
-    """A program, or a reversible IR (z_r) of one.
+    """A program, or a reversible IR (z_r) of one, as three term columns
+    with one row per conjunct.
 
-    A parsed program is the z_r with every transform switched off: one
-    object per group, relations in full and no brackets.
+    A triple's row holds its subject, relation and object.  A ``FILTER ( a
+    != b )`` row holds ``a``, the operator and ``b``; operators are
+    reserved, so no relation is one.  In a z_r a triple's row is a group:
+    its object is one term, or the tuple of a merged group's terms.  A
+    parsed program is the z_r with every transform switched off: one object
+    per row, relations in full and no brackets.
     """
 
     head: SelectHead
-    groups: tuple[Item, ...]
+    subjects: tuple[str, ...]
+    relations: tuple[str, ...]
+    objects: tuple[str | tuple[str, ...], ...]
     bracketed: bool = False
 
 
@@ -139,52 +123,58 @@ def _expect(text: str, toks: list[str], i: int, *expected: str) -> None:
         fail_at(text, i, f"unexpected token {tok!r}", expected)
 
 
-def _read_body(body: list[str]) -> list[Item] | None:
-    """The items of a program's body, the tokens between its braces, if it
-    is one or more triples and ``FILTER ( a != b )`` units separated by
-    ``.``; else None, and the token loop of :func:`_parse` reads it.
+def _read_body(body: list[str]) -> tuple[list[str], ...] | None:
+    """The subject, relation and object columns of a program's body, the
+    tokens between its braces, if it is one or more triples and ``FILTER ( a
+    != b )`` units separated by ``.``; else None, and the token loop of
+    :func:`_parse` reads it.
 
-    A ``.`` is appended, so that every item is followed by one.  Each run of
-    triples is read in stride slices, subjects ``[0::4]``, relations
+    A ``.`` is appended, so that every conjunct is followed by one.  Each
+    run of triples is read in stride slices, subjects ``[0::4]``, relations
     ``[1::4]``, objects ``[2::4]`` and separators ``[3::4]``, and each unit
-    is found with ``list.index``.
+    is found with ``list.index`` and adds one row.
     """
     body.append(".")
-    items: list[Item] = []
     units = body.count("FILTER")
+    subjects, relations, objects = [], [], []
     start = 0
     while True:
         stop = body.index("FILTER", start) if units else len(body)
         run = body[start:stop]
-        subjects, relations, objects = run[0::4], run[1::4], run[2::4]
+        run_subjects, run_relations, run_objects = (run[0::4], run[1::4],
+                                                    run[2::4])
         if (len(run) & 3 or run[3::4].count(".") != len(run) >> 2
-                or not _RESERVED.isdisjoint(subjects)
-                or not _RESERVED.isdisjoint(relations)
-                or not _RESERVED.isdisjoint(objects)):
+                or not _RESERVED.isdisjoint(run_subjects)
+                or not _RESERVED.isdisjoint(run_relations)
+                or not _RESERVED.isdisjoint(run_objects)):
             return None
-        items += map(_make_group, zip(subjects, relations, zip(objects)))
+        subjects += run_subjects
+        relations += run_relations
+        objects += run_objects
         if not units:
-            return items
+            return subjects, relations, objects
         units -= 1
         unit = body[stop + 1:stop + 7]  # ( left op right ) .
         if (len(unit) < 6 or unit[0] != "(" or unit[2] not in FILTER_OPS
                 or unit[4:] != [")", "."]
                 or not _RESERVED.isdisjoint(unit[1:4:2])):
             return None
-        items.append(_make_filter(unit[1:4]))
+        subjects.append(unit[1])
+        relations.append(unit[2])
+        objects.append(unit[3])
         start = stop + 7
 
 
 def _parse(text: str, ir: bool) -> SparqlQuery:
     """The query up to the closing brace, which must end the input.
 
-    Items are separated by ``.``, or each wrapped in ``( )`` when bracketed.
-    A program's groups each hold one object and are never bracketed.  With
-    ``ir``, bracketing is detected from the first group, and a group's
-    objects are a comma list, or in a bracketed IR a bracketed comma list or
-    one bare object.  A program's body goes to :func:`_read_body` first;
-    the token loop, :func:`_read_items`, reads every other body and raises
-    at its first error.
+    Conjuncts are separated by ``.``, or each wrapped in ``( )`` when
+    bracketed.  A program's rows each hold one object and are never
+    bracketed.  With ``ir``, bracketing is detected from the first
+    conjunct, and a triple's objects are a comma list, or in a bracketed IR
+    a bracketed comma list or one bare object.  A program's body goes to
+    :func:`_read_body` first; the token loop, :func:`_read_items`, reads
+    every other body and raises at its first error.
     """
     toks = text.split()
     n = len(toks)
@@ -209,24 +199,25 @@ def _parse(text: str, ir: bool) -> SparqlQuery:
         _expect(text, toks, i + 1, "{")  # one raises
     i += 2
     if not ir and toks[-1] == "}" and i < n - 1:
-        items = _read_body(toks[i:-1])
-        if items is not None:
-            return _make_query((head, tuple(items), False))
+        columns = _read_body(toks[i:-1])
+        if columns is not None:
+            return _make_query((head, *map(tuple, columns), False))
     return _make_query((head, *_read_items(text, toks, i, ir)))
 
 
-def _read_items(text: str, toks: list[str], i: int,
-                ir: bool) -> tuple[tuple[Item, ...], bool]:
-    """The items of the body that opens at token ``i``, and whether they are
-    bracketed: the token loop, which raises at the first error."""
+def _read_items(text: str, toks: list[str], i: int, ir: bool) -> tuple:
+    """The subject, relation and object columns of the body that opens at
+    token ``i``, and whether it is bracketed: the token loop, which raises
+    at the first error.  A row's object is one term, or the tuple of an IR
+    group's two or more terms."""
     n = len(toks)
     bracketed = ir and i < n and toks[i] == "("
     separator = "(" if bracketed else "."
-    items = []
+    subjects, relations, objects = [], [], []
     while i >= n or toks[i] != "}":
         if i >= n:
             fail_at(text, i, "unterminated body", ("}",))
-        if bracketed or items:
+        if bracketed or subjects:
             if toks[i] != separator:
                 _expect(text, toks, i, separator)  # raises
             i += 1
@@ -240,7 +231,9 @@ def _read_items(text: str, toks: list[str], i: int,
                 _expect(text, toks, i + 3, *FILTER_OPS)
                 _expect(text, toks, i + 4, "<term>")
                 _expect(text, toks, i + 5, ")")  # one of these raises
-            items.append(_make_filter(unit[1:4]))
+            subjects.append(unit[1])
+            relations.append(unit[2])
+            objects.append(unit[3])
             i += 6
         else:
             pair = toks[i:i + 2]
@@ -256,22 +249,24 @@ def _read_items(text: str, toks: list[str], i: int,
             if nested or ir and not bracketed:
                 while i < n and toks[i] == ",":
                     i += 2
-            objects = toks[first:i:2]
-            if i > n or not _RESERVED.isdisjoint(objects):
+            group = toks[first:i:2]
+            if i > n or not _RESERVED.isdisjoint(group):
                 for j in range(first, i, 2):
                     _expect(text, toks, j, "<object>")  # raises at the first
             if nested:
                 if i >= n or toks[i] != ")":
                     _expect(text, toks, i, ")")  # raises
                 i += 1
-            items.append(_make_group((*pair, tuple(objects))))
+            subjects.append(pair[0])
+            relations.append(pair[1])
+            objects.append(group[0] if len(group) == 1 else tuple(group))
         if bracketed:
             if i >= n or toks[i] != ")":
                 _expect(text, toks, i, ")")  # raises
             i += 1
     if i + 1 < n:
         fail_at(text, i + 1, "trailing tokens after closing brace")
-    return tuple(items), bracketed
+    return tuple(subjects), tuple(relations), tuple(objects), bracketed
 
 
 def parse_sparql(text: str) -> SparqlQuery:
@@ -280,12 +275,8 @@ def parse_sparql(text: str) -> SparqlQuery:
     variables = q.head.variables
     # A head variable is used in the body if it is a subject (or a filter's
     # left operand), else the full check looks at the objects too.
-    if variables and not set(variables).issubset(
-            map(itemgetter(0), q.groups)):
-        # Each group of a program holds one object.
-        seen = {g[0] for g in q.groups}
-        seen.update(g.right if type(g) is Filter else g.objects[0]
-                    for g in q.groups)
+    if variables and not set(variables).issubset(q.subjects):
+        seen = {*q.subjects, *q.objects}  # each row of a program has one
         missing = [v for v in variables if v not in seen]
         if missing:
             fail_at(text, len(text.split()), "head variable(s) "
@@ -293,37 +284,16 @@ def parse_sparql(text: str) -> SparqlQuery:
     return q
 
 
-def _render_item(g: Item, bracketed: bool, forms: _Forms | None,
-                 form: int) -> str:
-    """An item other than a one-object group, with its terms mapped as
-    :func:`_render_program` maps them."""
-    if type(g) is Filter:
-        left, right = g.left, g.right
-        if forms is not None:
-            left, right = forms(left)[form], forms(right)[form]
-        core = f"FILTER ( {left} {g.op} {right} )"
-        return f"( {core} )" if bracketed else core
-    subject, objects = g.subject, g.objects
-    if forms is not None:  # the subject is mapped before its objects
-        subject = forms(subject)[form]
-        objects = [forms(o)[form] for o in objects]
-    objects = " , ".join(objects)
-    if bracketed:
-        return f"( {subject} {g.relation} ( {objects} ) )"
-    return f"{subject} {g.relation} {objects}"
-
-
 def _render_program(program: SparqlQuery, forms: _Forms | None = None,
                     form: int = 0, sort: bool = False,
                     dedupe: bool = False) -> str:
-    """The surface form of ``program``, and its rendered items deduplicated
+    """The surface form of ``program``, and its rendered rows deduplicated
     if ``dedupe`` and sorted if ``sort``.  With ``forms``, each head
     variable, subject, object and filter operand is written as item
-    ``form`` of its ``forms``, looked up in reading order.
-
-    A one-object group, each triple of a program, is written here.
+    ``form`` of its ``forms``, looked up in reading order: the head, then
+    each row's subject before its objects.
     """
-    head, groups, bracketed = program
+    head, subjects, relations, objects, bracketed = program
     if head.kind == COUNT:
         select = "SELECT count(*)"
     elif forms is None:
@@ -331,16 +301,21 @@ def _render_program(program: SparqlQuery, forms: _Forms | None = None,
     else:  # the head variables are mapped first
         select = "SELECT DISTINCT " + " ".join(
             [forms(v)[form] for v in head.variables])
+    # A merged group's objects are a comma list, bracketed in a bracketed IR.
     left, right = ("( ", " )") if bracketed else ("", "")
     if forms is None:
-        parts = [f"{left}{g[0]} {g[1]} {g[2][0]}{right}"
-                 if type(g) is TripleGroup and len(g[2]) == 1
-                 else _render_item(g, bracketed, None, 0) for g in groups]
-    else:  # a subject is mapped before its object
-        parts = [f"{left}{forms(g[0])[form]} {g[1]} {forms(g[2][0])[form]}"
-                 f"{right}" if type(g) is TripleGroup and len(g[2]) == 1
-                 else _render_item(g, bracketed, forms, form)
-                 for g in groups]
+        parts = [f"{left}FILTER ( {s} {r} {o} ){right}" if r in FILTER_OPS
+                 else f"{left}{s} {r} {o}{right}" if o.__class__ is str
+                 else f"{left}{s} {r} {left}{' , '.join(o)}{right}{right}"
+                 for s, r, o in zip(subjects, relations, objects)]
+    else:  # a subject is mapped before its objects
+        parts = [f"{left}FILTER ( {forms(s)[form]} {r} {forms(o)[form]} )"
+                 f"{right}" if r in FILTER_OPS
+                 else f"{left}{forms(s)[form]} {r} {forms(o)[form]}{right}"
+                 if o.__class__ is str
+                 else f"{left}{forms(s)[form]} {r} {left}"
+                 f"{' , '.join([forms(t)[form] for t in o])}{right}{right}"
+                 for s, r, o in zip(subjects, relations, objects)]
     if dedupe:
         parts = list(dict.fromkeys(parts))
     if sort:
@@ -387,6 +362,11 @@ class RelationDictionary:
         backward = {v: k for k, v in self.forward.items()}
         if len(self.forward) != len(backward):
             raise TransformError("relation dictionary is not a bijection")
+        # A z_r would not parse again, or would read it as a filter's op.
+        clash = sorted(_RESERVED.intersection(backward))
+        if clash:
+            raise TransformError(f"relation {backward[clash[0]]!r} shortens "
+                                 f"to the reserved token {clash[0]!r}")
         object.__setattr__(self, "backward", backward)
 
     def shorten(self, relation: str) -> str:
@@ -436,11 +416,11 @@ def build_relation_dict(corpus: Iterable[SparqlQuery]) -> RelationDictionary:
     n_queries = 0
     for q in corpus:
         n_queries += 1
-        relations.update(g.relation for g in q.groups
-                         if type(g) is TripleGroup)
+        relations.update(q.relations)
     if n_queries == 0:
         raise TransformError("cannot build a relation dictionary from an "
                              "empty corpus")
+    relations.difference_update(FILTER_OPS)  # a filter row's operator
 
     candidates = {rel: _suffix_candidates(rel) for rel in sorted(relations)}
     index = {rel: 0 for rel in candidates}
@@ -473,41 +453,43 @@ def build_relation_dict(corpus: Iterable[SparqlQuery]) -> RelationDictionary:
 def sparql_to_rir(q: SparqlQuery,
                   rdict: RelationDictionary | None = None,
                   options: RirOptions = RirOptions()) -> SparqlQuery:
-    """Group shared-subject/relation triples, truncate relations, bracket.
+    """Merge the triples that share a subject and relation into one group
+    row, at the first one's place, shorten relations and bracket.
 
-    ``q`` is a program: each of its groups holds one object.
+    ``q`` is a program: each of its rows holds one object.  Filter rows are
+    neither merged nor shortened.
     """
     if options.shorten_relations and rdict is None:
         raise TransformError("relation truncation requires a dictionary")
     shorten, merge = options.shorten_relations, options.merge_conjuncts
     forward = rdict.forward if shorten else {}
-    # Filters, and groups as (subject, relation, objects), built at the end
-    items: list = []
-    objects_of: dict[tuple[str, str], list[str]] = {}
-    for c in q.groups:
-        if type(c) is Filter:
-            items.append(c)
-            continue
-        try:
-            subject, relation, (obj,) = c
-        except ValueError:
+    subjects, relations, objects = [], [], []
+    row_of: dict[tuple[str, str], int] = {}  # a group's row, by its key
+    for subject, relation, obj in zip(q.subjects, q.relations, q.objects):
+        if obj.__class__ is not str:
             raise TransformError(
                 "sparql_to_rir takes a program: each group holds one "
-                f"object, not {len(c[2])}") from None
-        if shorten:
-            try:
-                relation = forward[relation]
-            except KeyError:
-                rdict.shorten(relation)  # raises
-        key = subject, relation
-        if merge and key in objects_of:
-            objects_of[key].append(obj)
-        else:
-            objects_of[key] = objects = [obj]
-            items.append((subject, relation, objects))
-    return SparqlQuery(q.head, tuple([
-        g if type(g) is Filter else _make_group((g[0], g[1], tuple(g[2])))
-        for g in items]), options.brackets)
+                f"object, not {len(obj)}")
+        if relation not in FILTER_OPS:
+            if shorten:
+                try:
+                    relation = forward[relation]
+                except KeyError:
+                    rdict.shorten(relation)  # raises
+            if merge:
+                key = subject, relation
+                row = row_of.get(key)
+                if row is not None:
+                    merged = objects[row]
+                    objects[row] = ((merged, obj) if merged.__class__ is str
+                                    else (*merged, obj))
+                    continue
+                row_of[key] = len(objects)
+        subjects.append(subject)
+        relations.append(relation)
+        objects.append(obj)
+    return _make_query((q.head, tuple(subjects), tuple(relations),
+                        tuple(objects), options.brackets))
 
 
 def render_rir(z: SparqlQuery) -> str:
@@ -517,24 +499,28 @@ def render_rir(z: SparqlQuery) -> str:
 
 def parse_rir(text: str) -> SparqlQuery:
     """Parse an IR surface string; bracketing is detected from the first
-    group."""
+    conjunct."""
     return _parse(text, True)
 
 
 def sparql_from_rir(z: SparqlQuery,
                     rdict: RelationDictionary | None = None) -> SparqlQuery:
-    """Expand groups back into triples and restore full relation names."""
-    items: list[Item] = []
-    for g in z.groups:
-        if type(g) is Filter:
-            items.append(g)
-            continue
-        subject, relation, objects = g
-        if rdict:
+    """Expand each group row into its triples and restore full relation
+    names; filter rows pass through."""
+    subjects, relations, objects = [], [], []
+    for subject, relation, obj in zip(z.subjects, z.relations, z.objects):
+        if rdict and relation not in FILTER_OPS:
             relation = rdict.restore(relation)
-        for obj in objects:
-            items.append(_make_group((subject, relation, (obj,))))
-    return SparqlQuery(z.head, tuple(items))
+        if obj.__class__ is str:
+            subjects.append(subject)
+            relations.append(relation)
+            objects.append(obj)
+        else:
+            subjects += [subject] * len(obj)
+            relations += [relation] * len(obj)
+            objects += obj
+    return _make_query((z.head, tuple(subjects), tuple(relations),
+                        tuple(objects), False))
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +539,13 @@ def varify(q: SparqlQuery) -> str:
     A program that holds a term ``var`` raises :class:`TransformError`:
     :func:`strip_var_markers` would drop it.
     """
-    for g in q.groups:  # a filter's fields, or a group's and its objects
-        if VAR_TOKEN in g or (type(g) is TripleGroup
-                              and VAR_TOKEN in g.objects):
-            raise TransformError(
-                f"program holds the term {VAR_TOKEN!r}, which marks "
-                "variables and entities in the VARified form")
+    objects = q.objects
+    if (VAR_TOKEN in q.subjects or VAR_TOKEN in q.relations
+            or VAR_TOKEN in objects
+            or any(o.__class__ is tuple and VAR_TOKEN in o for o in objects)):
+        raise TransformError(
+            f"program holds the term {VAR_TOKEN!r}, which marks "
+            "variables and entities in the VARified form")
     return _render_program(q, _term_forms, _VARIFIED)
 
 
@@ -581,7 +568,7 @@ def structure_signature(program: SparqlQuery) -> str:
     """Canonical structural form: entities masked, variables renumbered.
 
     Variables keep their co-reference pattern (first occurrence order before
-    sorting), entities collapse to ``ENT``, then groups are sorted so the
+    sorting), entities collapse to ``ENT``, then rows are sorted so the
     signature is insensitive to noise in group order.
     """
     numbered: dict[str, tuple] = {}  # a variable's forms, by first use

@@ -141,16 +141,14 @@ def test_p4_example_strings(sql_records):
     checks.append(("turn opposite left twice",
                    " ".join(actions) == "LTURN LTURN LTURN LTURN"))
 
-    q = sparql.SparqlQuery(sparql.SelectHead(sparql.COUNT), (
-        sparql.TripleGroup("?x0", "r1", ("M1",)),
-        sparql.TripleGroup("?x0", "r1", ("M2",)),
-        sparql.TripleGroup("?x0", "r2", ("M1",)),
-        sparql.TripleGroup("?x0", "r2", ("M2",))))
+    q = sparql.SparqlQuery(sparql.SelectHead(sparql.COUNT),
+                           ("?x0",) * 4, ("r1", "r1", "r2", "r2"),
+                           ("M1", "M2", "M1", "M2"))
     z = sparql.sparql_to_rir(q, options=sparql.RirOptions(
         shorten_relations=False))
-    checks.append(("conjunct grouping", z.groups == (
-        sparql.TripleGroup("?x0", "r1", ("M1", "M2")),
-        sparql.TripleGroup("?x0", "r2", ("M1", "M2")))))
+    checks.append(("conjunct grouping", (z.subjects, z.relations, z.objects)
+                   == (("?x0", "?x0"), ("r1", "r2"),
+                       (("M1", "M2"), ("M1", "M2")))))
 
     marked = sparql.varify(sparql.parse_sparql(
         "SELECT count(*) WHERE { ?x0 marriage.spouses M2 }"))

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irkit import data, formalisms, pipeline, scan
-from irkit.errors import InversionError, IrkitError, ParseError, TransformError
+from irkit.errors import (InversionError, IrkitError, ParseError,
+                          TransformError, fail_at)
 
 from oracles import all_scan_commands, oracle_scan_interpret, oracle_scan_line
 
@@ -88,6 +89,26 @@ def test_parse_error_table(bad, message, offset, expected):
         scan.parse_command(bad)
     assert (str(err.value), err.value.offset, err.value.expected) == (
         str(ParseError(message, offset, expected)), offset, expected)
+
+
+@pytest.mark.parametrize("bad", [
+    "", "walk opposite twice", "jump around right after turn",
+    "walk twice thrice", "jump frobnicate twice", "and jump", "jump and"])
+def test_a_malformed_command_finds_its_offset_once(bad, monkeypatch):
+    # A table miss raises no ParseError of its own: only the word-by-word
+    # parser rescans the text for the offset it reports.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fail_at(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "fail_at", counted)
+    for table in scan.TABLES:
+        table.cache_clear()
+    with pytest.raises(ParseError):
+        scan.parse_command(bad)
+    assert len(calls) == 1
 
 
 def test_whole_grammar_parses(command_space):

@@ -25,6 +25,18 @@ def q(text):
     return sp.parse_sparql(text)
 
 
+def rows(query):
+    """A query's (subject, relation, object) rows."""
+    return list(zip(query.subjects, query.relations, query.objects))
+
+
+def from_rows(head, rows, bracketed=False):
+    """The query of ``head`` and (subject, relation, object) ``rows``."""
+    return sp.SparqlQuery(head, tuple(r[0] for r in rows),
+                          tuple(r[1] for r in rows),
+                          tuple(r[2] for r in rows), bracketed)
+
+
 # ---------------------------------------------------------------------------
 # Parsing and rendering
 # ---------------------------------------------------------------------------
@@ -33,13 +45,13 @@ def q(text):
 def test_parse_single_conjunct():
     query = q("SELECT count(*) WHERE { ?x0 people.person.nationality m_0f8l9c }")
     assert query.head.kind == sp.COUNT
-    assert query.groups == (
-        sp.TripleGroup("?x0", "people.person.nationality", ("m_0f8l9c",)),)
+    assert (query.subjects, query.relations, query.objects) == (
+        ("?x0",), ("people.person.nationality",), ("m_0f8l9c",))
 
 
 def test_parse_empty_body():
     query = q("SELECT count(*) WHERE { }")
-    assert query.groups == ()
+    assert (query.subjects, query.relations, query.objects) == ((), (), ())
     assert sp.render_sparql(query) == "SELECT count(*) WHERE { }"
 
 
@@ -50,7 +62,7 @@ def test_parse_distinct_head_order():
 
 def test_parse_filter():
     query = q("SELECT count(*) WHERE { ?x0 r M0 . FILTER ( ?x0 != ?x1 ) . ?x1 r M0 }")
-    assert query.groups[1] == sp.Filter("?x0", "!=", "?x1")
+    assert rows(query)[1] == ("?x0", "!=", "?x1")
 
 
 def test_render_is_canonical():
@@ -265,10 +277,9 @@ def test_slice_reader_serves_every_fixture_program(sparql_records,
 
 
 def _dict_for(*relations):
-    groups = tuple(sp.TripleGroup(f"?x{i}", rel, ("M0",))
-                   for i, rel in enumerate(relations))
-    return sp.build_relation_dict(
-        [sp.SparqlQuery(sp.SelectHead(sp.COUNT), groups)])
+    return sp.build_relation_dict([from_rows(
+        sp.SelectHead(sp.COUNT),
+        [(f"?x{i}", rel, "M0") for i, rel in enumerate(relations)])])
 
 
 def test_single_relation_truncates_to_last_segment():
@@ -300,15 +311,48 @@ def test_identical_suffixes_are_an_error():
     assert "q.ns:x.y" in str(err.value)
 
 
+@pytest.mark.parametrize("relation, short", [
+    ("p.ns:!=", "!="), ("ns:a.(", "("), ("ns:FILTER", "FILTER")])
+def test_a_relation_that_shortens_to_a_reserved_token_is_an_error(relation,
+                                                                  short):
+    # Its z_r would not parse again, or would read as a filter row.
+    with pytest.raises(TransformError) as err:
+        _dict_for("ns:a.b", relation)
+    assert str(err.value) == (f"relation {relation!r} shortens to the "
+                              f"reserved token {short!r}")
+
+
 def test_empty_corpus_is_an_error():
     with pytest.raises(TransformError):
         sp.build_relation_dict([])
 
 
+def test_filter_rows_stay_out_of_the_dictionary_and_pass_through():
+    programs = [q("SELECT count(*) WHERE { ?x0 p.ns:a.b M0 . "
+                  "FILTER ( ?x0 != ?x1 ) . ?x1 p.ns:c.b M1 . ?x0 p.ns:a.b M1 }"),
+                q("SELECT count(*) WHERE { FILTER ( ?x1 != M0 ) . "
+                  "?x1 p.ns:a.b M0 . FILTER ( ?x1 != M0 ) }"),
+                q("SELECT count(*) WHERE { FILTER ( ?x0 != ?x1 ) }")]
+    rdict = sp.build_relation_dict(programs)
+    assert rdict.forward == {"p.ns:a.b": "a.b", "p.ns:c.b": "c.b"}
+    # The last program has no triple, so its own dictionary is empty.
+    empty = sp.build_relation_dict(programs[2:])
+    assert empty.forward == {}
+    for d, corpus in ((rdict, programs), (empty, programs[2:])):
+        for query in corpus:
+            filters = [row for row in rows(query) if row[1] == "!="]
+            for options in (ALL_ON, sp.RirOptions(brackets=False)):
+                z = sp.sparql_to_rir(query, d, options)
+                assert [row for row in rows(z) if row[1] == "!="] == filters
+                back = sp.sparql_from_rir(z, d)
+                assert [row for row in rows(back)
+                        if row[1] == "!="] == filters
+
+
 def test_corpus_dict_matches_bruteforce_oracle(sparql_queries, relation_dict):
-    relations = sorted({g.relation for query in sparql_queries
-                        for g in query.groups
-                        if isinstance(g, sp.TripleGroup)})
+    relations = sorted({r for query in sparql_queries
+                        for r in query.relations
+                        if r not in sp.FILTER_OPS})
     assert dict(relation_dict.forward) == oracle_truncations(relations)
 
 
@@ -344,31 +388,31 @@ def test_dict_sidecar_round_trip(tmp_path, relation_dict):
 def test_merge_groups_shared_subject_and_relation():
     query = q("SELECT count(*) WHERE { ?x0 r1 M1 . ?x0 r1 M2 . ?x0 r2 M1 . ?x0 r2 M2 }")
     z = sp.sparql_to_rir(query, options=sp.RirOptions(shorten_relations=False))
-    assert z.groups == (
-        sp.TripleGroup("?x0", "r1", ("M1", "M2")),
-        sp.TripleGroup("?x0", "r2", ("M1", "M2")),
-    )
+    assert rows(z) == [
+        ("?x0", "r1", ("M1", "M2")),
+        ("?x0", "r2", ("M1", "M2")),
+    ]
 
 
 def test_merge_preserves_first_occurrence_order():
     query = q("SELECT count(*) WHERE { ?x0 r1 M2 . ?x1 r1 M0 . ?x0 r1 M1 }")
     z = sp.sparql_to_rir(query, options=sp.RirOptions(shorten_relations=False))
-    assert z.groups == (
-        sp.TripleGroup("?x0", "r1", ("M2", "M1")),
-        sp.TripleGroup("?x1", "r1", ("M0",)),
-    )
+    assert rows(z) == [
+        ("?x0", "r1", ("M2", "M1")),
+        ("?x1", "r1", "M0"),
+    ]
 
 
 def test_merge_keeps_duplicate_objects():
     query = q("SELECT count(*) WHERE { ?x0 r1 M1 . ?x0 r1 M1 }")
     z = sp.sparql_to_rir(query, options=sp.RirOptions(shorten_relations=False))
-    assert z.groups == (sp.TripleGroup("?x0", "r1", ("M1", "M1")),)
+    assert rows(z) == [("?x0", "r1", ("M1", "M1"))]
 
 
 def test_filters_are_never_merged():
     query = q("SELECT count(*) WHERE { FILTER ( ?x0 != ?x1 ) . FILTER ( ?x0 != ?x1 ) }")
     z = sp.sparql_to_rir(query, options=sp.RirOptions(shorten_relations=False))
-    assert len(z.groups) == 2
+    assert rows(z) == [("?x0", "!=", "?x1")] * 2
 
 
 def test_all_off_options_render_identically(sparql_records):
@@ -417,22 +461,22 @@ def test_unbracketed_render_shape(relation_dict):
 
 
 def test_from_rir_expands_in_object_order():
-    z = sp.SparqlQuery(sp.SelectHead(sp.COUNT),
-                       (sp.TripleGroup("?x0", "r1", ("M1", "M2")),), True)
+    z = from_rows(sp.SelectHead(sp.COUNT), [("?x0", "r1", ("M1", "M2"))],
+                  True)
     back = sp.sparql_from_rir(z)
-    assert back == sp.SparqlQuery(sp.SelectHead(sp.COUNT), (
-        sp.TripleGroup("?x0", "r1", ("M1",)),
-        sp.TripleGroup("?x0", "r1", ("M2",))))
+    assert back == from_rows(sp.SelectHead(sp.COUNT), [
+        ("?x0", "r1", "M1"),
+        ("?x0", "r1", "M2")])
 
 
 def test_from_rir_empty():
-    z = sp.SparqlQuery(sp.SelectHead(sp.COUNT), ())
-    assert sp.sparql_from_rir(z).groups == ()
+    z = sp.SparqlQuery(sp.SelectHead(sp.COUNT), (), (), ())
+    assert rows(sp.sparql_from_rir(z)) == []
 
 
 def test_from_rir_unknown_relation(relation_dict):
-    z = sp.SparqlQuery(sp.SelectHead(sp.COUNT),
-                       (sp.TripleGroup("?x0", "zzz.unknown", ("M1",)),), True)
+    z = from_rows(sp.SelectHead(sp.COUNT), [("?x0", "zzz.unknown", "M1")],
+                  True)
     with pytest.raises(InversionError):
         sp.sparql_from_rir(z, relation_dict)
 
@@ -480,9 +524,9 @@ def test_corpus_round_trip_through_rir(round_trip_queries, options):
     for query in queries:
         z = sp.sparql_to_rir(query, rdict, options)
         back = sp.sparql_from_rir(sp.parse_rir(sp.render_rir(z)), rdict)
-        # Merging moves a group's triples next to its first one; each item
+        # Merging moves a group's triples next to its first one; each row
         # comes back, and in order when nothing was merged.
-        assert Counter(back.groups) == Counter(query.groups)
+        assert Counter(rows(back)) == Counter(rows(query))
         if not options.merge_conjuncts:
             assert back == query
 
@@ -554,19 +598,18 @@ def test_triple_multiset_is_conserved(sparql_queries, relation_dict):
     for query in sparql_queries:
         z = sp.sparql_to_rir(query, relation_dict, ALL_ON)
         back = sp.sparql_from_rir(z, relation_dict)
-        # A program's groups each hold one triple.
-        original = sorted(g for g in query.groups
-                          if isinstance(g, sp.TripleGroup))
-        restored = sorted(g for g in back.groups
-                          if isinstance(g, sp.TripleGroup))
+        # A program's rows each hold one triple or one filter.
+        original = sorted(row for row in rows(query)
+                          if row[1] not in sp.FILTER_OPS)
+        restored = sorted(row for row in rows(back)
+                          if row[1] not in sp.FILTER_OPS)
         assert original == restored
 
 
 def test_merge_key_is_injective(sparql_queries, relation_dict):
     for query in sparql_queries:
         z = sp.sparql_to_rir(query, relation_dict, ALL_ON)
-        keys = [(g.subject, g.relation) for g in z.groups
-                if isinstance(g, sp.TripleGroup)]
+        keys = [(s, r) for s, r, _ in rows(z) if r not in sp.FILTER_OPS]
         assert len(keys) == len(set(keys))
 
 
@@ -632,24 +675,21 @@ def test_lir_has_no_variable_or_entity_tokens(sparql_queries):
 def _rename_terms(query, mapping):
     def swap(term):
         return mapping.get(term, term)
-    groups = []
-    for c in query.groups:
-        if isinstance(c, sp.TripleGroup):
-            groups.append(sp.TripleGroup(swap(c.subject), c.relation,
-                                         tuple(map(swap, c.objects))))
-        else:
-            groups.append(sp.Filter(swap(c.left), c.op, swap(c.right)))
+    # A filter's operands sit in the subject and object columns.
+    objects = tuple(swap(o) if isinstance(o, str) else tuple(map(swap, o))
+                    for o in query.objects)
     head = query.head
     if head.kind == sp.DISTINCT:
         head = sp.SelectHead(sp.DISTINCT,
                              tuple(swap(v) for v in head.variables))
-    return sp.SparqlQuery(head, tuple(groups))
+    return sp.SparqlQuery(head, tuple(map(swap, query.subjects)),
+                          query.relations, objects)
 
 
 def _term_renaming(query, seed):
     rng = random.Random(seed)
-    terms = {t for c in query.groups if isinstance(c, sp.TripleGroup)
-             for t in (c.subject, *c.objects)}
+    terms = {t for s, r, o in rows(query) if r not in sp.FILTER_OPS
+             for t in (s, o)}
     mapping = {}
     for term in sorted(terms):
         if is_sparql_variable(term):
@@ -730,8 +770,8 @@ def test_normalize_keeps_sorted_input_unchanged():
 @given(data=st.data())
 def test_normalize_is_permutation_invariant(data, sparql_queries):
     query = data.draw(st.sampled_from(sparql_queries[:50]))
-    permuted = data.draw(st.permutations(list(query.groups)))
-    shuffled = sp.SparqlQuery(query.head, tuple(permuted))
+    permuted = data.draw(st.permutations(rows(query)))
+    shuffled = from_rows(query.head, permuted)
     assert sp.normalize_sparql(shuffled) == sp.normalize_sparql(query)
 
 
@@ -739,12 +779,12 @@ def normalized_reference(query):
     """A program with its conjuncts deduplicated, then sorted by their
     rendered string, built without irkit's renderer."""
     rendered = {}
-    for g in query.groups:
-        text = (f"FILTER ( {g.left} {g.op} {g.right} )"
-                if type(g) is sp.Filter
-                else f"{g.subject} {g.relation} {' , '.join(g.objects)}")
-        rendered.setdefault(text, g)
-    return query._replace(groups=tuple(rendered[k] for k in sorted(rendered)))
+    for s, r, o in rows(query):
+        text = (f"FILTER ( {s} {r} {o} )" if r in sp.FILTER_OPS
+                else f"{s} {r} {o if isinstance(o, str) else ' , '.join(o)}")
+        rendered.setdefault(text, (s, r, o))
+    return from_rows(query.head, [rendered[k] for k in sorted(rendered)],
+                     query.bracketed)
 
 
 def test_key_renders_the_normalized_program(sparql_queries):
@@ -752,11 +792,12 @@ def test_key_renders_the_normalized_program(sparql_queries):
     rng = random.Random(13)
     texts = ["SELECT count(*) WHERE { }"]
     for query in sparql_queries:
-        groups = list(query.groups)
-        groups.insert(rng.randrange(len(groups) + 1), rng.choice(groups))
-        rng.shuffle(groups)
+        shuffled = rows(query)
+        shuffled.insert(rng.randrange(len(shuffled) + 1),
+                        rng.choice(shuffled))
+        rng.shuffle(shuffled)
         texts += [sp.render_sparql(query), sp.render_sparql(
-            sp.SparqlQuery(query.head, tuple(groups)))]
+            from_rows(query.head, shuffled))]
     for text in texts:
         assert key(text) == sp.render_sparql(normalized_reference(q(text)))
 
